@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -152,6 +153,10 @@ func TestMuxSingleSessionBytePinned(t *testing.T) {
 		if _, err := c.Tune(quadPeak); err != nil {
 			t.Fatal(err)
 		}
+		// The capture records a write after it returns, so the last flush
+		// can still be unrecorded when the reply to it arrives; Close
+		// returns only once the writer goroutine has exited.
+		mx.Close()
 		return cc
 	}
 
@@ -480,10 +485,8 @@ func TestMuxDeliverEvictsOnCreditExhaustion(t *testing.T) {
 	s.Metrics = NewMetrics(reg)
 	mc := &muxConn{
 		s: s, budget: 3, log: obs.Nop(),
-		out:        make(chan message, 8),
-		writeDead:  make(chan struct{}),
-		writerDone: make(chan struct{}),
-		table:      map[uint64]*muxSession{},
+		cw:    newCorkedWriter(nil, 8, nil, nil),
+		table: map[uint64]*muxSession{},
 	}
 	ms := &muxSession{mc: mc, token: 7, log: obs.Nop(), inbox: make(chan muxItem, 1)}
 	mc.table[7] = ms
@@ -505,9 +508,9 @@ func TestMuxDeliverEvictsOnCreditExhaustion(t *testing.T) {
 	}
 	// The queued error frame carries the session's token and the eviction
 	// prefix the client library types on.
-	sent := <-mc.out
+	sent := <-mc.cw.out
 	for sent.Op != "error" {
-		sent = <-mc.out
+		sent = <-mc.cw.out
 	}
 	if sent.sess != 7 || !strings.HasPrefix(sent.Msg, muxEvictedPrefix) {
 		t.Fatalf("eviction frame = %+v", sent)
@@ -638,6 +641,100 @@ func TestMuxFleetOverOneConnection(t *testing.T) {
 	frames, flushes := mx.Stats()
 	if frames == 0 || flushes == 0 || frames < flushes {
 		t.Errorf("client mux stats frames=%d flushes=%d", frames, flushes)
+	}
+}
+
+// TestMuxCorkBatchesAcrossSessions runs 32 lockstep sessions over one mux
+// connection and checks that both corked writers batch across sessions.
+// A drain that never yields leaves about one frame per server flush and two
+// per client flush, because Go's depth-first wakeups hand the writer one
+// reply chain at a time; yielding once before the flush lets the other
+// sessions queue theirs. Under -race the scheduler interleaves differently
+// and even the drain without a yield batches about 3.5×, so only the plain
+// run tells the two apart.
+func TestMuxCorkBatchesAcrossSessions(t *testing.T) {
+	const n = 32
+	s, addr := startServerWith(t, func(s *Server) { s.Metrics = NewMetrics(obs.NewRegistry()) })
+	mx, err := DialMux(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mx.Close() })
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := mx.Session()
+			defer c.Close()
+			if _, err := c.Register(quadRSL, RegisterOptions{MaxEvals: 100, Proto: 3}); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := c.Tune(quadPeak); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	h := s.Metrics.MuxCorkedFlushFrames
+	frames, flushes := mx.Stats()
+	server, client := h.Sum()/float64(h.Count()), float64(frames)/float64(flushes)
+	t.Logf("frames per flush: server %.2f over %d flushes, client %.2f over %d", server, h.Count(), client, flushes)
+	if !(server >= 2) {
+		t.Errorf("server frames per flush = %.2f, want >= 2", server)
+	}
+	if !(client >= 4) {
+		t.Errorf("client frames per flush = %.2f, want >= 4", client)
+	}
+}
+
+// stallConn is a transport whose reads block until Close and then take a
+// while to return, like a reader goroutine still unwinding after the
+// connection is gone. Writes succeed and go nowhere.
+type stallConn struct {
+	net.Conn
+	closed chan struct{}
+}
+
+func (c *stallConn) Write(p []byte) (int, error) { return len(p), nil }
+
+func (c *stallConn) Read([]byte) (int, error) {
+	<-c.closed
+	time.Sleep(20 * time.Millisecond)
+	return 0, net.ErrClosed
+}
+
+func (c *stallConn) Close() error {
+	close(c.closed)
+	return nil
+}
+
+// muxGoroutines counts the goroutines running a Mux's reader or a corked
+// writer. Unlike runtime.NumGoroutine it does not see goroutines that
+// earlier tests' servers are still starting or ending.
+func muxGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("(*Mux).reader(")) + bytes.Count(buf, []byte("(*corkedWriter).run("))
+}
+
+// TestMuxCloseWaitsForGoroutines: Close returns only once the mux's reader
+// and writer goroutines have exited, so the count of such goroutines is
+// back at its baseline the moment Close returns.
+func TestMuxCloseWaitsForGoroutines(t *testing.T) {
+	mx := NewMux(&stallConn{closed: make(chan struct{})})
+	base := muxGoroutines()
+	// The first register negotiates the mux, which starts the reader and the
+	// writer; nothing ever answers it.
+	if err := mx.Session().tr.send(message{Op: "register", RSL: quadRSL}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := muxGoroutines(); n > base {
+		t.Fatalf("%d mux goroutines right after Close, baseline %d", n, base)
 	}
 }
 

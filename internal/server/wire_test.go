@@ -548,11 +548,11 @@ func FuzzV3FrameDecode(f *testing.F) {
 	f.Add(muxFrame(opReport, 1, append([]byte{1, 7}, make([]byte, 8)...)))
 	f.Add(muxFrame(opConfig, 300, []byte{0, 2, 40, 90})) // two-byte varint token
 	f.Add(muxFrame(opRegister, 2, []byte(`{"op":"register","rsl":"{ harmonyBundle x { int {0 60 1} } }"}`)))
-	f.Add(muxFrame(opFetch, 99, nil))                      // unknown token: well-formed on the wire
-	f.Add(muxFrame(opError, 0, []byte("conn-scope")))      // reserved token 0
-	f.Add(frame(opFetch, bytes.Repeat([]byte{0x80}, 10)))  // unterminated uvarint token
-	f.Add(frame(opFetch, bytes.Repeat([]byte{0x80}, 3)))   // truncated uvarint token
-	f.Add(muxFrame(opReportF, 5, []byte{0, 1, 2, 3}))      // tokened short reportf body
+	f.Add(muxFrame(opFetch, 99, nil))                     // unknown token: well-formed on the wire
+	f.Add(muxFrame(opError, 0, []byte("conn-scope")))     // reserved token 0
+	f.Add(frame(opFetch, bytes.Repeat([]byte{0x80}, 10))) // unterminated uvarint token
+	f.Add(frame(opFetch, bytes.Repeat([]byte{0x80}, 3)))  // truncated uvarint token
+	f.Add(muxFrame(opReportF, 5, []byte{0, 1, 2, 3}))     // tokened short reportf body
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The same contract holds on both framings: never panic, classify
@@ -602,6 +602,48 @@ func FuzzV3FrameDecode(f *testing.F) {
 					(m2.Perf != m.Perf && !(m2.Perf != m2.Perf && m.Perf != m.Perf)) {
 					t.Fatalf("mux=%v: round trip changed the message:\n was %+v\n now %+v", mux, m, m2)
 				}
+			}
+		}
+	})
+}
+
+// --- fuzz: the v1/v2 JSON line decoder ------------------------------------
+
+// FuzzJSONLineDecode feeds arbitrary byte streams to the JSON wire's recv:
+// valid and malformed envelopes, non-object lines, wrongly typed fields,
+// truncated and oversized lines. recv must never panic and must classify
+// every failure: a line that is not a valid envelope is garbage the session
+// is charged for and the stream stays in sync after it, an over-long line
+// is errFrameTooBig, and the end of the stream is io.EOF. Every accepted
+// line must carry an op and re-encode to a stable line.
+func FuzzJSONLineDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr := newJSONWire(bytes.NewReader(data), nil, nil, nil)
+		for {
+			m, err := tr.recv()
+			if err != nil {
+				var g *garbageError
+				switch {
+				case errors.As(err, &g):
+					continue
+				case errors.Is(err, io.EOF), errors.Is(err, errFrameTooBig):
+					return
+				}
+				t.Fatalf("unclassified line error: %v", err)
+			}
+			if m.Op == "" {
+				t.Fatalf("accepted a line without an op: %+v", m)
+			}
+			b, err := encode(m)
+			if err != nil {
+				t.Fatalf("re-encode of accepted %q failed: %v", m.Op, err)
+			}
+			m2, err := decode(b)
+			if err != nil {
+				t.Fatalf("re-decode of %s failed: %v", b, err)
+			}
+			if b2, _ := encode(m2); !bytes.Equal(b, b2) {
+				t.Fatalf("round trip changed the line:\n was %s\n now %s", b, b2)
 			}
 		}
 	})
