@@ -81,9 +81,9 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable experience database directory (empty = in-memory, lost on restart)")
 	expdbFsync := flag.String("expdb-fsync", "always", "experience WAL fsync policy: always (every deposit durable) or none (OS page cache)")
 	expdbSnapshot := flag.Int("expdb-snapshot-every", expdb.DefaultSnapshotEvery, "WAL records between snapshot+compaction cycles (negative = never)")
-	compactAbove := flag.Int("experience-compact-above", server.DefaultExperienceCompactAbove, "per-workload-class experience count above which compaction runs (negative = never)")
-	mergeDist := flag.Float64("experience-merge-dist", server.DefaultExperienceMergeDist, "squared-error radius merging near-identical workload classes during compaction")
-	keepRecords := flag.Int("experience-keep-records", server.DefaultExperienceKeepRecords, "best measurements each experience keeps through compaction")
+	compactAbove := flag.Int("experience-compact-above", expdb.DefaultCompactAbove, "per-workload-class experience count above which compaction runs (negative = never); bounds the in-memory and the durable store alike")
+	mergeDist := flag.Float64("experience-merge-dist", expdb.DefaultMergeDist, "squared-error radius merging near-identical workload classes during compaction")
+	keepRecords := flag.Int("experience-keep-records", expdb.DefaultKeepRecords, "best measurements each experience keeps through compaction")
 	evalCache := flag.String("eval-cache", "off", "measure-once evaluation cache scope: off, session (private per session, warm-filled from prior runs) or shared (cross-session exact hits + coalesced duplicate measurements)")
 	estimateGate := flag.Bool("estimate-gate", false, "answer well-supported probes from the triangulation plane fit instead of measuring (needs -eval-cache session|shared; trades trajectory identity for savings)")
 	gateMaxDist := flag.Float64("gate-max-dist", evalcache.DefaultGateMaxDist, "estimation gate: max normalized distance from the target to any fitted vertex")
@@ -119,9 +119,6 @@ func main() {
 	s.IdleTimeout = *idleTimeout
 	s.WriteTimeout = *writeTimeout
 	s.FailureBudget = *failureBudget
-	s.ExperienceCompactAbove = *compactAbove
-	s.ExperienceMergeDist = *mergeDist
-	s.ExperienceKeepRecords = *keepRecords
 	s.EvalCache = cacheScope
 	s.MaxWindow = *maxWindow
 	s.ConnShards = *connShards
@@ -180,36 +177,37 @@ func main() {
 			"scope", cacheScope.String(), "estimate_gate", *estimateGate)
 	}
 
-	// The durable experience database: recovery (snapshot load, WAL
-	// replay, torn-tail truncation) happens here, before the listener
-	// binds, so the first session already sees everything prior runs
-	// learned.
+	// The experience database. -experience-* bound it either way; with
+	// -data-dir it is durable, and recovery (snapshot load, WAL replay,
+	// torn-tail truncation) happens here, before the listener binds, so the
+	// first session already sees everything prior runs learned.
+	expOpts := expdb.Options{
+		Dir:           *dataDir,
+		SnapshotEvery: *expdbSnapshot,
+		CompactAbove:  *compactAbove,
+		MergeDist:     *mergeDist,
+		KeepRecords:   *keepRecords,
+		Logger:        rt.Logger,
+		Metrics:       expdb.NewMetrics(rt.Registry),
+	}
 	var expStore *expdb.Store
-	if *dataDir != "" {
-		policy, err := expdb.ParseSyncPolicy(*expdbFsync)
+	if *dataDir == "" {
+		expStore = expdb.NewMemory(expOpts)
+	} else {
+		expOpts.Sync, err = expdb.ParseSyncPolicy(*expdbFsync)
 		if err != nil {
 			rt.Logger.Error("bad -expdb-fsync", "err", err)
 			rt.Close()
 			os.Exit(1)
 		}
-		expStore, err = expdb.Open(expdb.Options{
-			Dir:           *dataDir,
-			Sync:          policy,
-			SnapshotEvery: *expdbSnapshot,
-			CompactAbove:  *compactAbove,
-			MergeDist:     *mergeDist,
-			KeepRecords:   *keepRecords,
-			Logger:        rt.Logger,
-			Metrics:       expdb.NewMetrics(rt.Registry),
-		})
+		expStore, err = expdb.Open(expOpts)
 		if err != nil {
 			rt.Logger.Error("opening experience database failed", "dir", *dataDir, "err", err)
 			rt.Close()
 			os.Exit(1)
 		}
-		s.Experience = server.NewDurableStore(expStore, rt.Logger)
 		rt.Logger.Info("durable experience database open",
-			"dir", *dataDir, "fsync", policy.String(), "experiences", expStore.Len())
+			"dir", *dataDir, "fsync", expOpts.Sync.String(), "experiences", expStore.Len())
 		if hub != nil {
 			rt.HTTP.Health.Register("expdb_wal", func() error {
 				if lag := expStore.FlushLag(); lag > time.Minute {
@@ -219,6 +217,7 @@ func main() {
 			})
 		}
 	}
+	s.Experience = server.NewDurableStore(expStore, rt.Logger)
 
 	bound, err := s.Listen(*addr)
 	if err != nil {
@@ -251,10 +250,8 @@ func main() {
 	shutdownErr := s.Shutdown(drainCtx)
 	// Fold the WAL into a snapshot and close the store — even after a
 	// cutoff, severed sessions deposited partial traces worth keeping.
-	if expStore != nil {
-		if err := expStore.Close(); err != nil {
-			rt.Logger.Error("closing experience database failed", "err", err)
-		}
+	if err := expStore.Close(); err != nil {
+		rt.Logger.Error("closing experience database failed", "err", err)
 	}
 	if shutdownErr != nil {
 		rt.Logger.Error("shutdown cutoff hit", "err", shutdownErr)

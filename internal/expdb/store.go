@@ -104,13 +104,15 @@ type shard struct {
 	ns map[string]*namespace
 }
 
-// Store is the durable experience database: a WAL-backed, snapshot-
-// compacted, k-d-indexed map of (namespace key → experiences). All methods
-// are safe for concurrent use.
+// Store is the experience database: a sharded, compacted, k-d-indexed map
+// of (namespace key → experiences). Opened with Open it is durable — WAL-
+// backed and snapshot-compacted; built with NewMemory it is the same view
+// with no WAL, snapshot or files. All methods are safe for concurrent use.
 type Store struct {
 	opts   Options
 	shards []*shard
-	wal    *wal
+	// wal is nil in memory mode.
+	wal *wal
 	// snapMu serializes snapshot+compaction against WAL appends so a
 	// snapshot's AppliedLSN horizon is exact.
 	snapMu sync.Mutex
@@ -141,10 +143,7 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("expdb: creating data dir: %w", err)
 	}
-	s := &Store{opts: opts, shards: make([]*shard, opts.Shards)}
-	for i := range s.shards {
-		s.shards[i] = &shard{ns: map[string]*namespace{}}
-	}
+	s := newStore(opts)
 
 	// 1. Snapshot.
 	var appliedLSN uint64
@@ -218,6 +217,24 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
+// NewMemory returns a Store that keeps everything in memory: the same
+// sharded, compacted, k-d-indexed view Open recovers, with no WAL, snapshot
+// or files, so its contents die with the process. opts.Dir, Sync and
+// SnapshotEvery are ignored; Flush, Snapshot and Close do no I/O.
+func NewMemory(opts Options) *Store {
+	opts.fill()
+	return newStore(opts)
+}
+
+// newStore builds the empty in-memory view; opts are already filled.
+func newStore(opts Options) *Store {
+	s := &Store{opts: opts, shards: make([]*shard, opts.Shards)}
+	for i := range s.shards {
+		s.shards[i] = &shard{ns: map[string]*namespace{}}
+	}
+	return s
+}
+
 // ns returns the namespace for key, creating it when create is set.
 // Returns nil when absent and create is false.
 func (s *Store) ns(key string, create bool) *namespace {
@@ -234,6 +251,7 @@ func (s *Store) ns(key string, create bool) *namespace {
 		ns = &namespace{db: history.NewDB(), cls: &IndexedClassifier{}}
 		sh.ns[key] = ns
 		s.namespaces.Add(1)
+		s.opts.Metrics.Namespaces.Inc()
 	}
 	return ns
 }
@@ -261,11 +279,12 @@ func (s *Store) apply(key string, exp *history.Experience) {
 	s.opts.Metrics.IndexSize.Set(float64(s.experiences.Load()))
 }
 
-// Deposit durably records one session's tuning experience under key. It
-// reports whether anything was stored — sessions without characteristics
-// or without a single measurement deposit nothing (matching the server's
-// historical contract) — and any WAL error. The experience is on the log
-// (fsynced under SyncAlways) before the in-memory view ever sees it.
+// Deposit records one session's tuning experience under key, durably
+// unless the store is in memory. It reports whether anything was stored —
+// sessions without characteristics or without a single measurement deposit
+// nothing (matching the server's historical contract) — and any WAL error.
+// The experience is on the log (fsynced under SyncAlways) before the
+// in-memory view ever sees it.
 func (s *Store) Deposit(key, label string, chars []float64, dir search.Direction, tr search.Trace) (bool, error) {
 	if len(chars) == 0 || len(tr) == 0 {
 		return false, nil
@@ -280,8 +299,12 @@ func (s *Store) Deposit(key, label string, chars []float64, dir search.Direction
 	// concurrent snapshot+WAL-reset could drop an appended-but-unapplied
 	// record.
 	s.snapMu.Lock()
-	_, err := s.wal.append(key, exp)
-	records := s.wal.records
+	var err error
+	records := 0
+	if s.wal != nil {
+		_, err = s.wal.append(key, exp)
+		records = s.wal.records
+	}
 	if err == nil {
 		s.apply(key, exp)
 	}
@@ -290,6 +313,9 @@ func (s *Store) Deposit(key, label string, chars []float64, dir search.Direction
 		return false, err
 	}
 	s.opts.Metrics.Deposits.Inc()
+	if s.wal == nil {
+		return true, nil
+	}
 	s.opts.Metrics.WALRecords.Set(float64(records))
 
 	if s.opts.SnapshotEvery >= 0 && records >= s.opts.SnapshotEvery {
@@ -330,8 +356,11 @@ func (s *Store) Match(key string, chars []float64) (*history.Experience, float64
 // write+fsync+rename+dir-sync) and truncates the WAL. Crash-safe at every
 // point: until the rename lands the old snapshot+WAL pair is authoritative;
 // after it, replayed WAL records at or below the new AppliedLSN are
-// skipped.
+// skipped. A memory store has nothing to fold: Snapshot returns nil.
 func (s *Store) Snapshot() error {
+	if s.wal == nil {
+		return nil
+	}
 	start := time.Now()
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -430,9 +459,10 @@ func (s *Store) Flush() error {
 }
 
 // Close snapshots (folding the WAL so the next Open recovers fast) and
-// closes the log. Crash-safety never depends on Close being called.
+// closes the log. Crash-safety never depends on Close being called. A
+// memory store only stops accepting deposits.
 func (s *Store) Close() error {
-	if s.closed.Swap(true) {
+	if s.closed.Swap(true) || s.wal == nil {
 		return nil
 	}
 	err := s.Snapshot()

@@ -132,40 +132,3 @@ func NewID() string {
 	}
 	return hex.EncodeToString(b[:])
 }
-
-// FuncHandler adapts a printf-style function (the server's deprecated Logf
-// field) to a slog.Handler, so legacy sinks keep receiving the new
-// structured events as flat "msg key=val" lines.
-func FuncHandler(f func(format string, args ...interface{})) slog.Handler {
-	return funcHandler{f: f}
-}
-
-type funcHandler struct {
-	f     func(format string, args ...interface{})
-	attrs []slog.Attr
-}
-
-func (h funcHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h funcHandler) Handle(ctx context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	emit := func(a slog.Attr) {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Resolve().Any())
-	}
-	if id := SessionIDFrom(ctx); id != "" {
-		emit(slog.String("session", id))
-	}
-	for _, a := range h.attrs {
-		emit(a)
-	}
-	r.Attrs(func(a slog.Attr) bool { emit(a); return true })
-	h.f("%s", b.String())
-	return nil
-}
-
-func (h funcHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return funcHandler{f: h.f, attrs: append(append([]slog.Attr(nil), h.attrs...), attrs...)}
-}
-
-func (h funcHandler) WithGroup(string) slog.Handler { return h }

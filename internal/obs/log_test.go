@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"strings"
 	"testing"
@@ -110,26 +109,5 @@ func TestNewIDUniqueness(t *testing.T) {
 			t.Fatalf("duplicate id %q", id)
 		}
 		seen[id] = true
-	}
-}
-
-// TestFuncHandler: the deprecated printf shim receives structured records as
-// flat "msg key=val" lines, including WithAttrs context and the session ID.
-func TestFuncHandler(t *testing.T) {
-	var lines []string
-	log := slog.New(FuncHandler(func(format string, args ...interface{}) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	}))
-	log = log.With("app", "demo")
-	ctx := WithSessionID(context.Background(), "sid9")
-	log.InfoContext(ctx, "session ended", "evals", 42)
-	if len(lines) != 1 {
-		t.Fatalf("lines = %v", lines)
-	}
-	got := lines[0]
-	for _, want := range []string{"session ended", "session=sid9", "app=demo", "evals=42"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("line %q missing %q", got, want)
-		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"log/slog"
-	"sort"
-	"sync"
 
 	"harmony/internal/expdb"
 	"harmony/internal/history"
@@ -18,9 +16,9 @@ import (
 // signature, and new sessions that declare workload characteristics are
 // warm-started from the closest prior experience.
 //
-// Two implementations ship: the default in-memory store (state dies with
-// the process) and DurableStore over an expdb.Store (state survives
-// kill -9). Implementations must be safe for concurrent use; Match must
+// DurableStore is the implementation: over expdb.Open its state survives
+// kill -9, over expdb.NewMemory (the server's default) it dies with the
+// process. Implementations must be safe for concurrent use; Match must
 // return an experience detached from the store's mutable state.
 type Store interface {
 	// Record deposits a session's trace — complete or partial. It reports
@@ -61,16 +59,6 @@ func specKey(app string, spec *rsl.Spec) string {
 	return app + "/" + hex.EncodeToString(sum[:8])
 }
 
-// seedsFromExperience converts an experience's best configurations into
-// continuous seed points for the session's search space. Experiences are
-// stored in the coordinates the kernel actually searched (the normalized
-// adapter space for restricted specifications), so seeding needs no
-// translation; configurations of a foreign dimension or outside the space
-// are skipped.
-func seedsFromExperience(exp *history.Experience, space *search.Space) [][]float64 {
-	return continuousSeeds(space, configsFromExperience(exp, space))
-}
-
 // configsFromExperience extracts the experience's best configurations that
 // still fit the session's space — the shared input of both the simplex
 // warm start and the multi-fidelity sampling prior.
@@ -95,146 +83,13 @@ func continuousSeeds(space *search.Space, cfgs []search.Config) [][]float64 {
 	return seeds
 }
 
-// memoryStore is the default backend: per-key experience databases behind
-// one mutex, nearest-neighbour matching through the shared k-d index.
-// Nothing survives a restart — wire a DurableStore for that.
-type memoryStore struct {
-	mu           sync.Mutex
-	dbs          map[string]*memoryNamespace
-	compactAbove int
-	mergeDist    float64
-	keepRecords  int
-}
-
-type memoryNamespace struct {
-	db  *history.DB
-	cls *expdb.IndexedClassifier
-}
-
-func newMemoryStore(compactAbove int, mergeDist float64, keepRecords int) *memoryStore {
-	return &memoryStore{
-		dbs:          map[string]*memoryNamespace{},
-		compactAbove: compactAbove,
-		mergeDist:    mergeDist,
-		keepRecords:  keepRecords,
-	}
-}
-
-func (s *memoryStore) Record(key string, chars []float64, dir search.Direction, tr search.Trace) bool {
-	if len(chars) == 0 || len(tr) == 0 {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ns, ok := s.dbs[key]
-	if !ok {
-		ns = &memoryNamespace{db: history.NewDB(), cls: &expdb.IndexedClassifier{}}
-		s.dbs[key] = ns
-	}
-	ns.db.Add(history.FromTrace(key, chars, dir, tr))
-	// Bound the database on a long-lived server: near-identical workloads
-	// merge, and each class keeps only its best measurements.
-	if s.compactAbove >= 0 && ns.db.Len() > s.compactAbove {
-		ns.db.Compact(s.mergeDist, s.keepRecords)
-	}
-	ns.cls.Invalidate()
-	return true
-}
-
-func (s *memoryStore) Match(key string, chars []float64) (*history.Experience, bool) {
-	if len(chars) == 0 {
-		return nil, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ns := s.dbs[key]
-	if ns == nil {
-		return nil, false
-	}
-	an := &history.Analyzer{DB: ns.db, Classifier: ns.cls}
-	exp, _, ok := an.Match(chars)
-	if !ok {
-		return nil, false
-	}
-	// Detach: a concurrent Record may compact the namespace after the
-	// lock is released.
-	return exp.Clone(), true
-}
-
-func (s *memoryStore) Flush() error { return nil }
-
-// WarmFill implements Store.
-func (s *memoryStore) WarmFill(key string, fn func(cfg search.Config, perf float64)) {
-	s.mu.Lock()
-	var recs []history.ConfigPerf
-	if ns := s.dbs[key]; ns != nil {
-		for _, e := range ns.db.Experiences {
-			recs = append(recs, e.Records...)
-		}
-	}
-	s.mu.Unlock()
-	for _, r := range recs {
-		fn(r.Config, r.Perf)
-	}
-}
-
-// Namespaces implements Store.
-func (s *memoryStore) Namespaces() []expdb.NamespaceInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]expdb.NamespaceInfo, 0, len(s.dbs))
-	for key, ns := range s.dbs {
-		info := expdb.NamespaceInfo{Key: key, Experiences: ns.db.Len()}
-		for _, e := range ns.db.Experiences {
-			info.Records += len(e.Records)
-		}
-		out = append(out, info)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// BrowseRecords implements Store.
-func (s *memoryStore) BrowseRecords(key string, offset, limit int) (page []history.ConfigPerf, total int) {
-	if offset < 0 {
-		offset = 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ns := s.dbs[key]
-	if ns == nil {
-		return nil, 0
-	}
-	for _, e := range ns.db.Experiences {
-		for _, r := range e.Records {
-			if total >= offset && len(page) < limit {
-				page = append(page, history.ConfigPerf{Config: r.Config.Clone(), Perf: r.Perf, Seq: r.Seq})
-			}
-			total++
-		}
-	}
-	return page, total
-}
-
-// Prune implements Store.
-func (s *memoryStore) Prune(key string) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ns := s.dbs[key]
-	if ns == nil {
-		return 0, nil
-	}
-	removed := ns.db.Len()
-	delete(s.dbs, key)
-	return removed, nil
-}
-
-// DurableStore adapts an expdb.Store to the server's Store interface. A
-// failed deposit is logged and dropped rather than failing the session —
-// losing one trace to a disk hiccup beats killing a client mid-tune.
+// DurableStore adapts an expdb.Store — durable or in memory — to the
+// server's Store interface. A failed deposit is logged and dropped rather
+// than failing the session — losing one trace to a disk hiccup beats
+// killing a client mid-tune.
 type DurableStore struct {
-	// DB is the underlying durable store. The caller owns its lifecycle
-	// (harmonyd closes it after Shutdown).
+	// DB is the underlying store. The caller owns its lifecycle (harmonyd
+	// closes it after Shutdown).
 	DB *expdb.Store
 	// Logger receives deposit failures; nil discards.
 	Logger *slog.Logger

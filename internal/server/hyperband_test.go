@@ -52,6 +52,8 @@ func TestHyperbandSessionEndToEnd(t *testing.T) {
 	s := NewServer()
 	s.SearchKernel = KernelHyperband
 	s.Tracer = sink
+	ends := make(chan SessionEnd, 1)
+	s.OnSessionEnd = func(e SessionEnd) { ends <- e }
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +110,9 @@ func TestHyperbandSessionEndToEnd(t *testing.T) {
 	}
 
 	// The state registry's per-rung accounting must have seen the triage.
+	// The client holds best before the server has closed the session out;
+	// its OnSessionEnd follows the registry's final update.
+	waitEnd(t, ends)
 	snaps := s.SessionSnapshots()
 	if len(snaps) != 1 {
 		t.Fatalf("got %d snapshots, want 1", len(snaps))

@@ -1,14 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"harmony/internal/obs"
+	"harmony/internal/search"
 )
 
 // flakyListener fails its first `fails` Accept calls with a transient error
@@ -236,5 +239,101 @@ func TestCloseBoundedAgainstStalledServer(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung against a stalled server")
+	}
+}
+
+// sessionGoroutines counts the live goroutines running this package's code
+// outside the tests themselves, and how many of them are plain-connection
+// reader goroutines.
+func sessionGoroutines() (all, readers int) {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if !bytes.Contains(g, []byte("harmony/internal/server.")) ||
+			bytes.Contains(g, []byte("harmony/internal/server.Test")) {
+			continue
+		}
+		all++
+		if bytes.Contains(g, []byte("(*session).read(")) {
+			readers++
+		}
+	}
+	return all, readers
+}
+
+// TestSessionGoroutineBudget pins the goroutines one session costs. A plain
+// window-1 session, over v1 JSON and over v3, reads its socket on its
+// message loop's own goroutine: no reader goroutine ever starts. A plain
+// window>1 session starts exactly one. A mux session reads its inbox and
+// starts none. Whatever the framing, tearing down the client and the
+// server returns the count to its baseline.
+func TestSessionGoroutineBudget(t *testing.T) {
+	cases := []struct {
+		name          string
+		proto, window int
+		mux           bool
+		readers       int
+	}{
+		{"v1-json-lockstep", 2, 1, false, 0},
+		{"v3-lockstep", 3, 1, false, 0},
+		{"v2-json-window4", 2, 4, false, 1},
+		{"v3-window4", 3, 4, false, 1},
+		{"mux-lockstep", 3, 1, true, 0},
+		{"mux-window4", 3, 4, true, 0},
+	}
+	// settle polls until the goroutine count is at most want.
+	settle := func(want int) (all, readers int) {
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			all, readers = sessionGoroutines()
+			if all <= want || time.Now().After(deadline) {
+				return all, readers
+			}
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base, _ := settle(0)
+			s := NewServer()
+			addr, err := s.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var c *Client
+			var mx *Mux
+			if tc.mux {
+				if mx, err = DialMux(addr.String(), 2*time.Second); err != nil {
+					t.Fatal(err)
+				}
+				c = mx.Session()
+			} else if c, err = Dial(addr.String(), 2*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			opts := RegisterOptions{MaxEvals: 60, Improved: true, Proto: tc.proto, Window: tc.window}
+			if _, err := c.Register(quadRSL, opts); err != nil {
+				t.Fatal(err)
+			}
+			var maxReaders atomic.Int32
+			measure := func(cfg search.Config) float64 {
+				if _, r := sessionGoroutines(); int32(r) > maxReaders.Load() {
+					maxReaders.Store(int32(r))
+				}
+				time.Sleep(200 * time.Microsecond) // let the server reach its wait
+				return quadPeak(cfg)
+			}
+			if _, err := c.TuneParallel(measure, tc.window); err != nil {
+				t.Fatal(err)
+			}
+			if got := int(maxReaders.Load()); got != tc.readers {
+				t.Errorf("reader goroutines during the session = %d, want %d", got, tc.readers)
+			}
+			c.Close()
+			if mx != nil {
+				mx.Close()
+			}
+			s.Close()
+			if all, readers := settle(base); all > base {
+				t.Errorf("%d goroutines (%d readers) after teardown, baseline %d", all, readers, base)
+			}
+		})
 	}
 }

@@ -51,14 +51,15 @@ type Metrics struct {
 	// (harmony_reports_received_total). Striped like ConfigsServed.
 	ReportsReceived *obs.ShardedCounter
 	// SessionOutstanding is the number of configurations currently in
-	// flight across all pipelined (protocol v2) sessions
-	// (harmony_session_outstanding). Lockstep sessions, whose depth is at
-	// most one by construction, are not tracked.
+	// flight across all sessions, lockstep (at most one each) and
+	// pipelined alike (harmony_session_outstanding).
 	SessionOutstanding *obs.Gauge
-	// BatchSize observes the pipeline depth at each v2 config dispatch —
-	// how many configurations were outstanding the moment one was handed
-	// out (harmony_session_batch_size). A distribution stuck at 1 means
-	// clients declare windows they never fill.
+	// BatchSize observes the pipeline depth at each config dispatch — how
+	// many configurations were outstanding the moment one was handed out
+	// (harmony_session_batch_size). Lockstep sessions always observe 1, so
+	// the count minus the le="1" bucket is the pipelined dispatches that
+	// ran deeper; a distribution stuck at 1 means clients declare windows
+	// they never fill.
 	BatchSize *obs.Histogram
 	// AcceptRetries counts transient Accept failures the listener loop
 	// survived (harmony_accept_retries_total) — EMFILE/ENFILE pressure,
@@ -118,8 +119,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		WarmStarts:         reg.Counter("harmony_warm_starts_total", "Sessions warm-started from prior experience."),
 		ConfigsServed:      reg.ShardedCounter("harmony_configs_served_total", "Configurations served to clients for measurement.", DefaultConnShards),
 		ReportsReceived:    reg.ShardedCounter("harmony_reports_received_total", "Performance reports accepted from clients.", DefaultConnShards),
-		SessionOutstanding: reg.Gauge("harmony_session_outstanding", "Configurations currently in flight across pipelined sessions."),
-		BatchSize:          reg.Histogram("harmony_session_batch_size", "Pipeline depth at each v2 config dispatch.", []float64{1, 2, 4, 8, 16, 32}),
+		SessionOutstanding: reg.Gauge("harmony_session_outstanding", "Configurations currently in flight across all sessions."),
+		BatchSize:          reg.Histogram("harmony_session_batch_size", "Pipeline depth at each config dispatch (lockstep sessions observe 1).", []float64{1, 2, 4, 8, 16, 32}),
 		AcceptRetries:      reg.Counter("harmony_accept_retries_total", "Transient listener Accept failures survived by the retry loop."),
 		OversizedLines:     reg.Counter("harmony_oversized_lines_total", "Wire lines rejected for exceeding the 1 MiB frame cap."),
 		DrainSeconds:       reg.Histogram("harmony_shutdown_drain_seconds", "Shutdown drain durations in seconds.", []float64{0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60}),

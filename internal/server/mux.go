@@ -7,7 +7,8 @@ package server
 // tuning sessions (see wire.go for the frame layout). The connection
 // goroutine turns into a demultiplexer: it reads frames, routes each to its
 // session's bounded inbox, and runs one goroutine per session executing the
-// very same lockstep/pipelined message loops a plain connection runs.
+// one message loop (Server.serve) a plain connection runs, reading the inbox
+// where a plain session reads its socket.
 // Replies from every session funnel through one corkedWriter, the type the
 // client end uses too: take a queued frame, drain everything queued, yield
 // the processor once and drain again, then flush once. The yield is needed
@@ -34,6 +35,7 @@ package server
 // late reports racing its session's end are not faults.
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -41,8 +43,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"bufio"
 
 	"harmony/internal/obs"
 )
@@ -67,44 +67,6 @@ type muxItem struct {
 	err *garbageError
 }
 
-// muxSession is one session riding a mux connection. Its inbox is the
-// flow-control credit; termErr (written before the inbox closes, read after
-// — the close is the happens-before edge) is the terminal condition its
-// message loop observes.
-type muxSession struct {
-	mc    *muxConn
-	token uint64
-	id    string
-	st    *sessionState
-	end   SessionEnd
-	sess  *session
-	inbox chan muxItem
-	// termErr is the terminal recv condition delivered by closing inbox:
-	// io.EOF for a clean connection close, io.ErrUnexpectedEOF/errFrameTooBig
-	// for transport death, or an eviction error.
-	termErr error
-	log     *slog.Logger
-}
-
-// recv implements transport over the session's inbox: the message loops run
-// unchanged, reading routed frames instead of the socket.
-func (ms *muxSession) recv() (message, error) {
-	it, ok := <-ms.inbox
-	if !ok {
-		if ms.termErr != nil {
-			return message{}, ms.termErr
-		}
-		return message{}, io.EOF
-	}
-	if it.err != nil {
-		return message{}, it.err
-	}
-	return it.m, nil
-}
-
-// send implements transport through the shared corked writer.
-func (ms *muxSession) send(m message) error { return ms.mc.send(ms.token, m) }
-
 // muxConn is one multiplexed connection's shared state: the session table,
 // the corked writer, and the tombstone ring.
 type muxConn struct {
@@ -118,38 +80,23 @@ type muxConn struct {
 	cw          *corkedWriter
 
 	mu       sync.Mutex
-	table    map[uint64]*muxSession
+	table    map[uint64]*session
 	tombs    [muxTombstones]uint64
 	tombNext int
 	// attached counts every session ever attached — the lifetime value the
 	// sessions-per-connection histogram observes.
 	attached int
 
-	// wg tracks session runner goroutines; teardown waits for all of them
-	// before retiring the writer.
+	// wg tracks session goroutines; teardown waits for all of them before
+	// retiring the writer.
 	wg sync.WaitGroup
 }
 
-// muxSetup carries serve()'s per-connection context into serveMux.
-type muxSetup struct {
-	bw          *binWire
-	w           *bufio.Writer
-	beforeWrite func()
-	reg         message // the negotiation register (attaches session 1)
-	id          string
-	shard       int
-	connID      string
-	remote      string
-	st          *sessionState
-	log         *slog.Logger
-	budget      int
-}
-
 // serveMux runs a multiplexed connection: demux loop on this goroutine, one
-// corked-writer goroutine, one runner goroutine per session. It owns every
-// session's bookkeeping — including session 1's, which reuses the
-// connection's id, state twin and the started/active counts handle() took.
-func (s *Server) serveMux(su muxSetup) error {
+// corked-writer goroutine, one goroutine per session running the same
+// message loop a plain connection runs. first is the session handle()
+// opened; the negotiation register attaches it as token 1.
+func (s *Server) serveMux(first *session, bw *binWire, w *bufio.Writer, beforeWrite func(), reg message, remote, connID string) error {
 	m := s.m()
 	m.MuxConnections.Inc()
 	defer m.MuxConnections.Dec()
@@ -159,36 +106,35 @@ func (s *Server) serveMux(su muxSetup) error {
 		maxSessions = DefaultMaxMuxSessions
 	}
 	mc := &muxConn{
-		s: s, shard: su.shard, connID: su.connID, remote: su.remote,
-		budget: su.budget, log: su.log, maxSessions: maxSessions,
+		s: s, shard: first.shard, connID: connID, remote: remote,
+		budget: first.budget, log: first.log, maxSessions: maxSessions,
 		// 64 queued replies hold a batch from every session of a busy
 		// connection; past that, senders wait for the next flush.
-		cw:    newCorkedWriter(su.w, 64, su.beforeWrite, m.MuxCorkedFlushFrames),
-		table: map[uint64]*muxSession{},
+		cw:    newCorkedWriter(w, 64, beforeWrite, m.MuxCorkedFlushFrames),
+		table: map[uint64]*session{},
 	}
 	// The negotiation register was a plain v3 frame; everything after it, in
 	// both directions, carries a session token.
-	su.bw.fr.mux = true
+	bw.fr.mux = true
 	go mc.cw.run()
 
-	err := mc.attach(muxToken1, su.reg, su.id, su.st, su.log)
-	if err != nil {
-		// Session 1 never started. Close out the state handle() opened,
-		// answer on its token so the client's pending Register fails, and
-		// end the connection: a peer whose negotiation register is invalid
-		// has nothing to multiplex.
-		mc.attachFailed(muxToken1, su.id, su.st, su.reg.App, err)
-		mc.teardown(err)
-		m.MuxSessionsPerConn.Observe(0)
-		return err
+	// A peer whose negotiation register is invalid has nothing to
+	// multiplex: session 1's error answers on its token and the connection
+	// ends.
+	err := mc.attach(muxToken1, first, reg)
+	if err == nil {
+		err = mc.demux(bw)
 	}
-
-	err = mc.demux(su.bw)
 	mc.teardown(err)
 	mc.mu.Lock()
 	attached := mc.attached
 	mc.mu.Unlock()
 	m.MuxSessionsPerConn.Observe(float64(attached))
+	if err != nil {
+		mc.log.Warn("mux connection ended", "err", err)
+	} else {
+		mc.log.Debug("mux connection ended")
+	}
 	return err
 }
 
@@ -221,8 +167,8 @@ func (mc *muxConn) demux(bw *binWire) error {
 				if g.hasSess {
 					// Payload garbage under a parsed token: the fault belongs
 					// to that session's budget, not the connection's.
-					if ms := mc.lookup(g.sess); ms != nil {
-						mc.deliver(ms, muxItem{err: g})
+					if sess := mc.lookup(g.sess); sess != nil {
+						mc.deliver(sess, muxItem{err: g})
 						continue
 					}
 					if mc.tombstoned(g.sess) {
@@ -254,8 +200,8 @@ func (mc *muxConn) demux(bw *binWire) error {
 			}
 			continue
 		}
-		ms := mc.lookup(msg.sess)
-		if ms == nil {
+		sess := mc.lookup(msg.sess)
+		if sess == nil {
 			if mc.tombstoned(msg.sess) {
 				continue // a finished session's late frames: not a fault
 			}
@@ -265,7 +211,7 @@ func (mc *muxConn) demux(bw *binWire) error {
 			}
 			continue
 		}
-		mc.deliver(ms, muxItem{m: msg})
+		mc.deliver(sess, muxItem{m: msg})
 	}
 }
 
@@ -275,7 +221,6 @@ func (mc *muxConn) demux(bw *binWire) error {
 // non-nil only when the budget is spent.
 func (mc *muxConn) register(reg message, connFault func(string) error) error {
 	s := mc.s
-	m := s.m()
 	tok := reg.sess
 	if tok == 0 {
 		return connFault("mux register with reserved session token 0")
@@ -290,131 +235,57 @@ func (mc *muxConn) register(reg message, connFault func(string) error) error {
 	if full {
 		// Not a budget charge: the limit is a capacity answer the client can
 		// retry after a session finishes, not misbehaviour.
-		m.ProtocolErrors.Inc()
+		s.m().ProtocolErrors.Inc()
 		mc.send(tok, message{Op: "error", Msg: fmt.Sprintf("mux session limit reached (%d)", mc.maxSessions)}) //nolint:errcheck
 		return nil
 	}
-	id := obs.NewID()
-	m.SessionsStarted.Inc()
-	m.SessionsActive.Inc()
-	log := s.logger().With("session", id, "remote", mc.remote, "conn", mc.connID)
-	st := s.trackState(id, mc.remote, mc.connID)
-	if err := mc.attach(tok, reg, id, st, log); err != nil {
-		mc.attachFailed(tok, id, st, reg.App, err)
-	}
+	// A failed registration ends that session alone.
+	mc.attach(tok, s.openSession(mc.remote, mc.connID, mc.shard), reg) //nolint:errcheck
 	return nil
 }
 
-// attach starts one session's kernel, installs it in the table and launches
-// its runner goroutine.
-func (mc *muxConn) attach(tok uint64, reg message, id string, st *sessionState, log *slog.Logger) error {
+// attach binds sess to token tok, registers it and, once the kernel runs,
+// installs it in the table and starts its goroutine. A registration the
+// server cannot accept is answered on tok and ends the session here.
+func (mc *muxConn) attach(tok uint64, sess *session, reg message) error {
 	s := mc.s
-	sess, err := s.startSession(reg, id, st, log)
-	if err != nil {
-		return err
+	sess.token, sess.proto = tok, 3
+	sess.send = func(m message) error { return mc.send(tok, m) }
+	sess.log = sess.log.With("mux_token", tok)
+	if err := s.register(sess, reg); err != nil {
+		return s.endSession(sess, err)
 	}
 	// The session's flow-control credit: a conforming client holds at most
 	// window configs plus a coalesced report+fetch in flight, so 2×window+4
 	// only ever fills when the peer ignores the protocol's own pacing.
-	ms := &muxSession{
-		mc: mc, token: tok, id: id, st: st, sess: sess, log: log,
-		inbox: make(chan muxItem, 2*sess.window+4),
-		end:   SessionEnd{ID: id, App: reg.App},
-	}
-	if sess.warm {
-		s.m().WarmStarts.Inc()
-	}
-	st.mu.Lock()
-	st.snap.Proto = 3
-	st.snap.FailureBudget = mc.budget
-	st.snap.Mux = true
-	st.mu.Unlock()
-	log.Info("session registered",
-		"app", reg.App, "dim", len(sess.names), "warm", sess.warm,
-		"improved", reg.Improved, "max_evals", reg.MaxEvals,
-		"window", sess.window, "mux_token", tok)
+	sess.in = make(chan muxItem, 2*sess.window+4)
 	mc.mu.Lock()
-	mc.table[tok] = ms
+	mc.table[tok] = sess
 	mc.attached++
 	mc.mu.Unlock()
 	mc.wg.Add(1)
-	go mc.run(ms)
+	go func() {
+		defer mc.wg.Done()
+		err := s.serve(sess)
+		mc.detach(tok)
+		s.endSession(sess, err) //nolint:errcheck // recorded by endSession
+	}()
 	return nil
 }
 
-// attachFailed closes out a session whose registration never succeeded:
-// framed error on its token, failure accounting, state finished.
-func (mc *muxConn) attachFailed(tok uint64, id string, st *sessionState, app string, err error) {
-	s := mc.s
-	m := s.m()
-	m.ProtocolErrors.Inc()
-	mc.send(tok, message{Op: "error", Msg: err.Error()}) //nolint:errcheck
-	m.SessionsActive.Dec()
-	m.SessionFailures.Inc()
-	end := SessionEnd{ID: id, App: app, Err: err}
-	s.finishState(st, end)
-	if s.OnSessionEnd != nil {
-		s.OnSessionEnd(end)
-	}
-}
-
-// run is one session's goroutine: the same registered-reply + message-loop +
-// kernel-unwind + bookkeeping tail a plain connection's handler runs.
-func (mc *muxConn) run(ms *muxSession) {
-	defer mc.wg.Done()
-	s := mc.s
-	m := s.m()
-	lo := loop{
-		tr: ms, send: ms.send, fail: s.failer(ms.send),
-		tolerate: s.tolerator(&ms.end, ms.st, ms.id, mc.budget, ms.log),
-		proto:    3, shard: mc.shard,
-	}
-	err := s.runRegistered(ms.sess, &ms.end, lo)
-	// Unblock the kernel and wait for it to unwind; an abnormal end deposits
-	// the partial trace before kernelDone closes (§4.2).
-	close(ms.sess.abort)
-	<-ms.sess.kernelDone
-	ms.end.Warm = ms.sess.warm
-	ms.end.Deposited = ms.sess.deposited
-	ms.end.Err = err
-
-	if ms.end.Completed {
-		m.SessionsCompleted.Inc()
-	}
-	if ms.end.Deposited {
-		m.Deposits.Inc()
-	}
-	if err != nil {
-		m.SessionFailures.Inc()
-		ms.log.Warn("session failed",
-			"app", ms.end.App, "warm", ms.end.Warm, "completed", ms.end.Completed,
-			"deposited", ms.end.Deposited, "faults", ms.end.Faults, "err", err)
-	} else {
-		ms.log.Info("session ended",
-			"app", ms.end.App, "warm", ms.end.Warm, "completed", ms.end.Completed,
-			"deposited", ms.end.Deposited, "faults", ms.end.Faults)
-	}
-	mc.detach(ms.token)
-	s.finishState(ms.st, ms.end)
-	if s.OnSessionEnd != nil {
-		s.OnSessionEnd(ms.end)
-	}
-	m.SessionsActive.Dec()
-}
-
 // lookup resolves a live session token.
-func (mc *muxConn) lookup(tok uint64) *muxSession {
+func (mc *muxConn) lookup(tok uint64) *session {
 	mc.mu.Lock()
-	ms := mc.table[tok]
+	sess := mc.table[tok]
 	mc.mu.Unlock()
-	return ms
+	return sess
 }
 
 // deliver routes one inbox item to a session, evicting it if its
 // flow-control credit is exhausted. Called only from the demux goroutine.
-func (mc *muxConn) deliver(ms *muxSession, it muxItem) {
+func (mc *muxConn) deliver(ms *session, it muxItem) {
 	select {
-	case ms.inbox <- it:
+	case ms.in <- it:
 		return
 	default:
 	}
@@ -431,7 +302,7 @@ func (mc *muxConn) deliver(ms *muxSession, it muxItem) {
 	mc.tomb(ms.token)
 	mc.mu.Unlock()
 	ms.termErr = errors.New(reason)
-	close(ms.inbox)
+	close(ms.in)
 	ms.log.Warn("mux session evicted: flow-control credit exhausted")
 }
 
@@ -587,8 +458,8 @@ func (cw *corkedWriter) close() {
 }
 
 // teardown severs every still-attached session (its recv observes term, its
-// runner unwinds and deposits a partial trace), waits for all runners, then
-// retires the writer.
+// goroutine unwinds and deposits a partial trace), waits for all of them,
+// then retires the writer.
 func (mc *muxConn) teardown(err error) {
 	term := err
 	if term == nil {
@@ -597,16 +468,16 @@ func (mc *muxConn) teardown(err error) {
 		term = io.EOF
 	}
 	mc.mu.Lock()
-	live := make([]*muxSession, 0, len(mc.table))
-	for tok, ms := range mc.table {
-		live = append(live, ms)
+	live := make([]*session, 0, len(mc.table))
+	for tok, sess := range mc.table {
+		live = append(live, sess)
 		delete(mc.table, tok)
 		mc.tomb(tok)
 	}
 	mc.mu.Unlock()
-	for _, ms := range live {
-		ms.termErr = term
-		close(ms.inbox)
+	for _, sess := range live {
+		sess.termErr = term
+		close(sess.in)
 	}
 	mc.wg.Wait()
 	mc.cw.close()

@@ -486,9 +486,9 @@ func TestMuxDeliverEvictsOnCreditExhaustion(t *testing.T) {
 	mc := &muxConn{
 		s: s, budget: 3, log: obs.Nop(),
 		cw:    newCorkedWriter(nil, 8, nil, nil),
-		table: map[uint64]*muxSession{},
+		table: map[uint64]*session{},
 	}
-	ms := &muxSession{mc: mc, token: 7, log: obs.Nop(), inbox: make(chan muxItem, 1)}
+	ms := &session{token: 7, log: obs.Nop(), in: make(chan muxItem, 1)}
 	mc.table[7] = ms
 
 	mc.deliver(ms, muxItem{m: message{Op: "fetch"}}) // fills the credit

@@ -43,8 +43,8 @@
 //
 // The correlation id is a *int on the wire envelope so that id 0 still
 // encodes (a plain int with omitempty would drop it). A registration
-// without "window" (or with window 1) selects the lockstep v1 loop, whose
-// exchanges remain byte-identical to prior releases; a v2 reply only
+// without "window" (or with window 1) selects the lockstep v1 exchange,
+// whose bytes remain identical to prior releases; a v2 reply only
 // carries "window" when the granted window exceeds 1, so v1 clients never
 // see v2 fields.
 //
@@ -132,7 +132,7 @@ type message struct {
 	Msg string `json:"msg,omitempty"`
 
 	// id/hasID are the transport-normalized correlation id, the form the
-	// message loops and the binary framing use. decode/encode translate to
+	// message loop and the binary framing use. decode/encode translate to
 	// and from the pointer-encoded JSON field: on the JSON wire nothing
 	// changes, and the binary hot path never allocates a *int.
 	id    int

@@ -11,6 +11,7 @@ import (
 	"log/slog"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,15 +58,8 @@ type Server struct {
 	FailureBudget int
 	// Logger receives structured session-level events (session start/end,
 	// tolerated faults, partial-trace deposits, shutdown progress). Every
-	// record carries the session ID. Nil falls back to the deprecated Logf
-	// shim when that is set, and otherwise discards. Set it before Listen.
+	// record carries the session ID. Nil discards. Set it before Listen.
 	Logger *slog.Logger
-	// Logf, when set (and Logger is nil), receives the same events as
-	// flat printf lines.
-	//
-	// Deprecated: set Logger instead. Logf is kept so existing callers
-	// compile; it is adapted through obs.FuncHandler.
-	Logf func(format string, args ...interface{})
 	// Metrics, when set, receives the server's counter updates (sessions
 	// started/active/completed/failed/severed, failure-budget spend,
 	// protocol errors, deposits, warm starts, drain durations). Build it
@@ -85,24 +79,12 @@ type Server struct {
 	OnSessionEnd func(SessionEnd)
 	// Experience is the cross-session prior-run store: sessions that
 	// declare workload characteristics deposit their tuning traces and
-	// warm-start from the closest prior session (§4.2). Nil selects the
-	// built-in in-memory store (lost on restart); wire NewDurableStore
-	// over an expdb.Store for state that survives kill -9. Set it before
-	// Listen.
+	// warm-start from the closest prior session (§4.2). Nil selects an
+	// in-memory expdb store with the default compaction bounds (lost on
+	// restart); wire NewDurableStore over expdb.Open for state that
+	// survives kill -9, or over expdb.NewMemory for other bounds. Set it
+	// before Listen.
 	Experience Store
-	// ExperienceCompactAbove is the per-namespace experience count above
-	// which the in-memory store compacts (merge near-identical workload
-	// classes, keep best records). 0 means DefaultExperienceCompactAbove;
-	// negative disables compaction. Ignored when Experience is set —
-	// durable stores carry their own expdb.Options.
-	ExperienceCompactAbove int
-	// ExperienceMergeDist is the squared-error radius within which two
-	// workloads' characteristics count as one class during compaction
-	// (0 = DefaultExperienceMergeDist).
-	ExperienceMergeDist float64
-	// ExperienceKeepRecords is how many best measurements each experience
-	// keeps through compaction (0 = DefaultExperienceKeepRecords).
-	ExperienceKeepRecords int
 	// EvalCache selects the measure-once evaluation cache scope: CacheOff
 	// (the default) keeps the historical behaviour, CacheSession gives each
 	// session a private cache warm-filled from the experience store, and
@@ -200,16 +182,6 @@ type Server struct {
 	caches  map[string]*namespaceCache
 }
 
-// Defaults for the in-memory experience store's compaction knobs — the
-// values the server historically hard-coded, now named and overridable
-// (they also match the expdb defaults, so memory and durable stores bound
-// their state identically out of the box).
-const (
-	DefaultExperienceCompactAbove = expdb.DefaultCompactAbove
-	DefaultExperienceMergeDist    = expdb.DefaultMergeDist
-	DefaultExperienceKeepRecords  = expdb.DefaultKeepRecords
-)
-
 // DefaultMaxWindow is the pipeline depth cap applied when Server.MaxWindow
 // is zero. It bounds both the per-session outstanding-configuration count
 // and the kernel's concurrent measurement fan-out.
@@ -261,25 +233,12 @@ func kernelSeed(key string, chars []float64) uint64 {
 }
 
 // store resolves the experience backend, building the default in-memory
-// store (with the server's compaction knobs) on first use.
+// store on first use.
 func (s *Server) store() Store {
 	s.expOnce.Do(func() {
-		if s.Experience != nil {
-			return
+		if s.Experience == nil {
+			s.Experience = NewDurableStore(expdb.NewMemory(expdb.Options{}), s.logger())
 		}
-		above := s.ExperienceCompactAbove
-		if above == 0 {
-			above = DefaultExperienceCompactAbove
-		}
-		dist := s.ExperienceMergeDist
-		if dist == 0 {
-			dist = DefaultExperienceMergeDist
-		}
-		keep := s.ExperienceKeepRecords
-		if keep == 0 {
-			keep = DefaultExperienceKeepRecords
-		}
-		s.Experience = newMemoryStore(above, dist, keep)
 	})
 	return s.Experience
 }
@@ -323,15 +282,11 @@ func (s *Server) tab() *connTable {
 	return s.connTab
 }
 
-// logger resolves the server's structured logger: Logger when set, the
-// deprecated Logf through a shim otherwise, and a discard logger when
-// neither is configured.
+// logger resolves the server's structured logger: Logger when set, a
+// discard logger otherwise.
 func (s *Server) logger() *slog.Logger {
 	if s.Logger != nil {
 		return s.Logger
-	}
-	if s.Logf != nil {
-		return slog.New(obs.FuncHandler(s.Logf))
 	}
 	return obs.Nop()
 }
@@ -495,6 +450,8 @@ func (s *Server) Close() error {
 // pipelined session resolve out-of-order reports to the right waiting
 // kernel goroutine.
 type evalReq struct {
+	// id is the correlation id the loop assigns at dispatch.
+	id  int
 	cfg search.Config
 	// fidelity is the requested measurement fidelity: 0 means full (the
 	// field stays off the wire), f ∈ (0, 1) asks the client for a cheap
@@ -511,9 +468,44 @@ type evalReq struct {
 // channel instead — a late delivery may still be in flight there.
 var replyChanPool = sync.Pool{New: func() any { return make(chan float64, 1) }}
 
-// session is the bridge between the blocking search kernel and the
-// fetch/report message loop.
+// session is one tuning session from its first byte to its end-of-session
+// bookkeeping: its identity and state twin, its wire, and — once
+// registration succeeds — the bridge between the blocking search kernel and
+// the message loop. A plain connection carries one session; a mux
+// connection carries one per attached token. Either way the session opens in
+// openSession, registers in register, runs serve and ends in endSession.
 type session struct {
+	id  string
+	log *slog.Logger
+	end SessionEnd
+	// budget is how many faults the session tolerates before it fails.
+	budget int
+	// state is the session's control-plane twin (never nil): the trace
+	// stream and the message loop keep it current, the API snapshots it.
+	state *sessionState
+
+	// send writes one reply: through the connection's framing on a plain
+	// connection, token-stamped through the corked writer on a mux one.
+	send func(m message) error
+	// tr is a plain connection's framing. The loop reads it on its own
+	// goroutine until it first has to wait on the kernel and the wire at
+	// once; from then on a reader goroutine reads tr and feeds in. A mux
+	// session has no tr: in is its inbox, fed by the connection's demux.
+	tr transport
+	in chan muxItem
+	// termErr is the terminal read condition, written before in closes.
+	termErr error
+	// stop closes when the loop exits, releasing a blocked reader.
+	stop chan struct{}
+	// proto is the negotiated framing generation: 2 for the JSON line
+	// protocol (v1/v2 share it), 3 for binary frames, mux included.
+	proto int
+	// shard is the metric stripe for the hot-path counters.
+	shard int
+	// token is the session's v4-mux token; 0 on a plain connection.
+	token uint64
+
+	// The kernel bridge, set by startSession.
 	space *search.Space
 	names []string
 	dir   search.Direction
@@ -525,25 +517,23 @@ type session struct {
 	// client-facing parameter values. Configurations flowing through evals
 	// are already client-facing.
 	bestToWire func(search.Config) []int
-	// window is the granted pipeline depth: 1 selects the lockstep v1
-	// loop, >1 the pipelined v2 loop with up to window outstanding
-	// configurations and a kernel measuring that many points concurrently.
+	// window is the granted pipeline depth: how many configurations may be
+	// outstanding at once and how many points the kernel measures
+	// concurrently. 1 is the lockstep v1 exchange.
 	window   int
 	evals    chan evalReq
 	resultCh chan *search.Result
 	errCh    chan error
 	abort    chan struct{}
 	// kernelDone closes when the kernel goroutine has fully unwound (and
-	// any partial-trace deposit has happened). The handler waits on it, so
-	// Server.Shutdown transitively waits for kernels too.
+	// any partial-trace deposit has happened); nil until the kernel starts.
+	// endSession waits on it, so Server.Shutdown transitively waits for
+	// kernels too.
 	kernelDone chan struct{}
 	warm       bool // a prior experience seeded this session
 	// deposited is written by the kernel goroutine before kernelDone
-	// closes and read by the handler after it — no lock needed.
+	// closes and read by endSession after it — no lock needed.
 	deposited bool
-	// state is the session's control-plane twin (never nil): the trace
-	// stream and the message loop keep it current, the API snapshots it.
-	state *sessionState
 	// detector is the session's workload-drift detector, nil unless the
 	// server enables detection and the registration carried
 	// characteristics. The message loop observes into it; the kernel
@@ -559,7 +549,7 @@ type session struct {
 }
 
 // noteChars folds one report's observed workload characteristics into the
-// session's drift detector. Called from the message loops; a session
+// session's drift detector. Called from the message loop; a session
 // without a detector (detection off, or no characteristics registered)
 // ignores them.
 func (sess *session) noteChars(chars []float64) {
@@ -579,11 +569,132 @@ func (sess *session) noteChars(chars []float64) {
 	}
 }
 
+// acks reports whether this framing acknowledges quits, and lockstep
+// reports. v3 does not: as in the pipelined v2 exchange, the next config is
+// the flow control, which lets clients coalesce report+fetch into one write.
+func (sess *session) acks() bool { return sess.proto < 3 }
+
+// recv reads the session's next wire message: from tr while no reader
+// goroutine exists, from in after.
+func (sess *session) recv() (message, error) {
+	if sess.in == nil {
+		return sess.tr.recv()
+	}
+	it, ok := <-sess.in
+	return sess.item(it, ok)
+}
+
+// item unpacks one inbox receive the way recv reports it: a message, a
+// tolerable garbage error, or the terminal condition once in is closed.
+func (sess *session) item(it muxItem, ok bool) (message, error) {
+	switch {
+	case !ok:
+		return message{}, sess.termErr
+	case it.err != nil:
+		return message{}, it.err
+	}
+	return it.m, nil
+}
+
+// inbox returns the channel the loop selects on beside the kernel. A plain
+// connection starts its reader goroutine here, the first time the loop has
+// to wait on both; a mux session's inbox already exists.
+func (sess *session) inbox() chan muxItem {
+	if sess.in == nil {
+		sess.in, sess.stop = make(chan muxItem), make(chan struct{})
+		go sess.read()
+	}
+	return sess.in
+}
+
+// read is a plain connection's reader goroutine: it hands every message,
+// and every tolerable garbage error, to the loop until the transport fails,
+// then closes in with the terminal condition.
+func (sess *session) read() {
+	for {
+		msg, err := sess.tr.recv()
+		var g *garbageError
+		if err != nil && !errors.As(err, &g) {
+			sess.termErr = err
+			close(sess.in)
+			return
+		}
+		select {
+		case sess.in <- muxItem{m: msg, err: g}:
+		case <-sess.stop:
+			return
+		}
+	}
+}
+
 // errAborted signals the kernel goroutine that the client went away.
 var errAborted = errors.New("server: session aborted")
 
-// handle runs one connection's session and reports its end to the
-// OnSessionEnd hook, the metrics bundle and the structured logger.
+// errNoRegister ends a connection that closed before registering.
+var errNoRegister = errors.New("server: client closed before registering")
+
+// openSession starts one session's bookkeeping: an ID, a state twin in the
+// registry, a logger carrying both, and the started/active counts that
+// endSession settles. Plain and mux sessions alike open here.
+func (s *Server) openSession(remote, connID string, shard int) *session {
+	id := obs.NewID()
+	m := s.m()
+	m.SessionsStarted.Inc()
+	m.SessionsActive.Inc()
+	sess := &session{
+		id:     id,
+		log:    s.logger().With("session", id, "remote", remote, "conn", connID),
+		end:    SessionEnd{ID: id},
+		budget: s.failureBudget(),
+		state:  s.trackState(id, remote, connID),
+		shard:  shard,
+	}
+	sess.log.Debug("session started")
+	return sess
+}
+
+// endSession is the one end-of-session tail. It unblocks the kernel and
+// waits for it to unwind — an abnormal end deposits the partial trace
+// before kernelDone closes, so prior-run data is never lost (§4.2) — then
+// settles the metrics, logs the outcome, retires the state twin and reports
+// through OnSessionEnd. It returns err.
+func (s *Server) endSession(sess *session, err error) error {
+	end := &sess.end
+	if sess.kernelDone != nil {
+		close(sess.abort)
+		<-sess.kernelDone
+		end.Warm, end.Deposited = sess.warm, sess.deposited
+	}
+	end.Err = err
+	m := s.m()
+	if end.Completed {
+		m.SessionsCompleted.Inc()
+	}
+	if end.Deposited {
+		m.Deposits.Inc()
+	}
+	if err != nil {
+		m.SessionFailures.Inc()
+		sess.log.Warn("session failed",
+			"app", end.App, "warm", end.Warm, "completed", end.Completed,
+			"deposited", end.Deposited, "faults", end.Faults, "err", err)
+	} else {
+		sess.log.Info("session ended",
+			"app", end.App, "warm", end.Warm, "completed", end.Completed,
+			"deposited", end.Deposited, "faults", end.Faults)
+	}
+	s.finishState(sess.state, *end)
+	if s.OnSessionEnd != nil {
+		s.OnSessionEnd(*end)
+	}
+	m.SessionsActive.Dec()
+	return err
+}
+
+// handle serves one connection: negotiate the framing, read the
+// registration, then run the one session it carries — or, on a v4-mux
+// negotiation, hand the connection to serveMux, whose first session is the
+// one opened here.
 func (s *Server) handle(conn net.Conn) error {
 	token, ok := s.tab().Track(conn)
 	if !ok {
@@ -593,93 +704,107 @@ func (s *Server) handle(conn net.Conn) error {
 	defer s.tab().Untrack(token)
 	defer conn.Close()
 
-	id := obs.NewID()
 	// The connection token names the transport in session snapshots, so the
-	// control plane can group the sessions of one mux connection.
+	// control plane can group the sessions of one mux connection, and
+	// doubles as the metric stripe: hot-path counters land on the same
+	// shard the session table uses.
+	remote := conn.RemoteAddr().String()
 	connID := fmt.Sprintf("conn-%d", token)
-	log := s.logger().With("session", id, "remote", conn.RemoteAddr().String())
-	m := s.m()
-	m.SessionsStarted.Inc()
-	m.SessionsActive.Inc()
-	activeOwned := true
-	defer func() {
-		if activeOwned {
-			m.SessionsActive.Dec()
-		}
-	}()
-	log.Debug("session started")
+	sess := s.openSession(remote, connID, int(token))
 
-	st := s.trackState(id, conn.RemoteAddr().String(), connID)
-	end := SessionEnd{ID: id}
-	// The connection token doubles as the metric stripe: hot-path counters
-	// land on the same shard the session table uses.
-	sess, muxed, err := s.serve(conn, &end, id, int(token), connID, st, log)
-	if muxed {
-		// serveMux owned every session's bookkeeping — including the first,
-		// which reused this connection's id, state twin and the
-		// started/active counts above. Only connection-level logging is
-		// left.
-		activeOwned = false
-		if err != nil {
-			log.Warn("mux connection ended", "err", err)
-		} else {
-			log.Debug("mux connection ended")
+	// 16 KiB holds any hot-path unit with room to spare (frames and lines
+	// are tens of bytes; only register envelopes run longer) and keeps the
+	// per-connection footprint small at thousand-session scale.
+	br := bufio.NewReaderSize(conn, 16*1024)
+	w := bufio.NewWriter(conn)
+	beforeRead := func() {
+		if s.IdleTimeout > 0 {
+			conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
 		}
-		return err
 	}
-	if sess != nil {
-		// Unblock the kernel and wait for it to unwind; an abnormal
-		// disconnect deposits the partial trace before kernelDone closes,
-		// so prior-run data is never lost (§4.2).
-		close(sess.abort)
-		<-sess.kernelDone
-		end.Warm = sess.warm
-		end.Deposited = sess.deposited
+	beforeWrite := func() {
+		if s.WriteTimeout > 0 {
+			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
+		}
 	}
-	end.Err = err
 
-	if end.Completed {
-		m.SessionsCompleted.Inc()
-	}
-	if end.Deposited {
-		m.Deposits.Inc()
-	}
+	tr, proto, err := negotiate(br, w, beforeRead, beforeWrite)
 	if err != nil {
-		m.SessionFailures.Inc()
-		log.Warn("session failed",
-			"app", end.App, "warm", end.Warm, "completed", end.Completed,
-			"deposited", end.Deposited, "faults", end.Faults, "err", err)
-	} else {
-		log.Info("session ended",
-			"app", end.App, "warm", end.Warm, "completed", end.Completed,
-			"deposited", end.Deposited, "faults", end.Faults)
+		switch {
+		case errors.Is(err, io.EOF):
+			err = errNoRegister
+		case errors.Is(err, errBadPreamble):
+			s.m().ProtocolErrors.Inc()
+			// The peer speaks neither framing; answer in JSON, the lingua
+			// franca every generation understands, before hanging up.
+			(&jsonWire{w: w, beforeWrite: beforeWrite}).send(message{Op: "error", Msg: err.Error()}) //nolint:errcheck
+		}
+		return s.endSession(sess, err)
 	}
-	s.finishState(st, end)
-	if s.OnSessionEnd != nil {
-		s.OnSessionEnd(end)
+	sess.tr, sess.send, sess.proto = tr, tr.send, proto
+
+	// First message must register. Faults before a session exists are not
+	// worth tolerating — there is no state to protect yet.
+	reg, err := tr.recv()
+	if err != nil {
+		var g *garbageError
+		switch {
+		case errors.As(err, &g):
+			err = s.fail(sess, g.Error())
+		case errors.Is(err, io.EOF):
+			err = errNoRegister
+		default:
+			err = s.recvEnd(sess, err)
+		}
+		return s.endSession(sess, err)
 	}
-	return err
+	switch {
+	case reg.Op != "register":
+		err = s.fail(sess, "first message must be register")
+	case !reg.Mux:
+		if err = s.register(sess, reg); err == nil {
+			err = s.serve(sess)
+		}
+	default:
+		// The v4-mux negotiation: legal only as a v3 connection's first
+		// envelope. From here the connection hosts many sessions, each
+		// ending on its own; this one becomes the first.
+		bw, isBin := tr.(*binWire)
+		switch {
+		case !isBin:
+			err = s.fail(sess, "mux negotiation requires the v3 binary framing")
+		case s.MaxMuxSessions < 0:
+			err = s.fail(sess, "server refuses multiplexed connections")
+		default:
+			return s.serveMux(sess, bw, w, beforeWrite, reg, remote, connID)
+		}
+	}
+	return s.endSession(sess, err)
 }
 
-// loop bundles the per-connection wire helpers shared by the lockstep and
-// pipelined message loops.
-type loop struct {
-	tr       transport
-	send     func(m message) error
-	fail     func(msg string) error
-	tolerate func(what string) error
-	// proto is the negotiated framing generation: 2 for the JSON line
-	// protocol (v1/v2 share it; the registered window picks the loop),
-	// 3 for binary frames.
-	proto int
-	// shard is the metric stripe for the hot-path counters.
-	shard int
+// register starts the session's kernel from its registration and records
+// the outcome: the one registration path of plain and mux sessions. A
+// registration the server cannot accept is answered with a protocol error.
+func (s *Server) register(sess *session, reg message) error {
+	if err := s.startSession(sess, reg); err != nil {
+		return s.fail(sess, err.Error())
+	}
+	sess.end.App = reg.App
+	if sess.warm {
+		s.m().WarmStarts.Inc()
+	}
+	st := sess.state
+	st.mu.Lock()
+	st.snap.Proto = sess.proto
+	st.snap.FailureBudget = sess.budget
+	st.snap.Mux = sess.token != 0
+	st.mu.Unlock()
+	sess.log.Info("session registered",
+		"app", reg.App, "dim", len(sess.names), "warm", sess.warm,
+		"improved", reg.Improved, "max_evals", reg.MaxEvals,
+		"window", sess.window)
+	return nil
 }
-
-// acks reports whether this framing acknowledges reports and quits. v3
-// does not: as in the pipelined v2 exchange, the next config is the flow
-// control, which lets clients coalesce report+fetch into one write.
-func (lo loop) acks() bool { return lo.proto < 3 }
 
 // oversizedMsg is the classification for a wire unit (JSON line or v3
 // frame length claim) over the 1 MiB cap — sent to the client, charged to
@@ -692,14 +817,16 @@ const oversizedMsg = "wire line exceeds the 1 MiB frame cap"
 // oversized line or frame claim gets a protocol reply, a failure-budget
 // charge and a metric before killing the session; a connection dying
 // mid-frame is reported as such.
-func (s *Server) recvEnd(err error, lo loop) error {
+func (s *Server) recvEnd(sess *session, err error) error {
 	switch {
 	case err == nil, errors.Is(err, io.EOF):
 		return nil
 	case errors.Is(err, errFrameTooBig):
 		s.m().OversizedLines.Inc()
-		lo.tolerate(oversizedMsg) //nolint:errcheck // terminal either way
-		return lo.fail(oversizedMsg)
+		if err := s.tolerate(sess, oversizedMsg); err != nil {
+			return err
+		}
+		return s.fail(sess, oversizedMsg)
 	case errors.Is(err, io.ErrUnexpectedEOF):
 		return fmt.Errorf("server: connection died mid-frame")
 	}
@@ -749,408 +876,226 @@ func (s *Server) failureBudget() int {
 	return s.FailureBudget
 }
 
-// failer builds the protocol-rejection helper: count, tell the client, and
-// return the terminal error.
-func (s *Server) failer(send func(message) error) func(string) error {
-	return func(msg string) error {
-		s.m().ProtocolErrors.Inc()
-		send(message{Op: "error", Msg: msg}) //nolint:errcheck
-		return errors.New(msg)
-	}
+// fail rejects the session with a protocol error: count it, tell the
+// client, and return the terminal error.
+func (s *Server) fail(sess *session, msg string) error {
+	s.m().ProtocolErrors.Inc()
+	sess.send(message{Op: "error", Msg: msg}) //nolint:errcheck
+	return errors.New(msg)
 }
 
-// tolerator builds the failure-budget helper for one session: each charge
-// is observable (counter, warn log, typed budget event) and the returned
-// error is non-nil once the budget is exhausted.
-func (s *Server) tolerator(end *SessionEnd, st *sessionState, id string, budget int, log *slog.Logger) func(string) error {
-	return func(what string) error {
-		end.Faults++
-		st.faults.Store(int64(end.Faults))
-		s.m().Faults.Inc()
-		if s.Tracer != nil {
-			s.Tracer.Emit(search.Event{
-				Session: id, Time: time.Now(), Type: search.EventBudget,
-				Iter: end.Faults, Note: what,
-			})
-		}
-		if end.Faults > budget {
-			return fmt.Errorf("failure budget exhausted (%d faults > %d): %s", end.Faults, budget, what)
-		}
-		log.Warn("tolerated fault", "fault", end.Faults, "budget", budget, "what", what)
-		return nil
+// tolerate charges one fault against the session's failure budget. Every
+// charge is observable — a counter tick, a warn-level log record and a
+// typed budget event on the trace stream. Once the budget is exhausted it
+// fails the session and returns the terminal error.
+func (s *Server) tolerate(sess *session, what string) error {
+	end := &sess.end
+	end.Faults++
+	sess.state.faults.Store(int64(end.Faults))
+	s.m().Faults.Inc()
+	if s.Tracer != nil {
+		s.Tracer.Emit(search.Event{
+			Session: sess.id, Time: time.Now(), Type: search.EventBudget,
+			Iter: end.Faults, Note: what,
+		})
 	}
+	if end.Faults > sess.budget {
+		return s.fail(sess, fmt.Sprintf("failure budget exhausted (%d faults > %d): %s", end.Faults, sess.budget, what))
+	}
+	sess.log.Warn("tolerated fault", "fault", end.Faults, "budget", sess.budget, "what", what)
+	return nil
 }
 
-// runRegistered sends the registration reply and runs the message loop the
-// granted window selects — the per-session tail shared by plain
-// connections and every session of a mux connection.
-func (s *Server) runRegistered(sess *session, end *SessionEnd, lo loop) error {
-	regReply := message{Op: "registered", Names: sess.names, Warm: sess.warm}
+// serve answers the registration and runs the session's message loop —
+// the one loop every session runs: lockstep v1, pipelined v2, either over v3
+// frames, and each session of a mux connection.
+//
+// The session holds up to window outstanding configurations. Fetches are
+// credits the client may pipeline; each is answered once the kernel has a
+// point ready, and reports resolve outstanding configurations by
+// correlation id. Window 1 is the lockstep v1 exchange, whose JSON bytes are
+// pinned to prior releases: configs carry no id, an id-less report resolves
+// the one pending configuration, a fetch while one is pending scores it
+// with the failure penalty, and the JSON framing acknowledges reports.
+//
+// The loop picks its wait from the session's state: the kernel only while
+// it holds a credit with nothing outstanding (nothing the client sends can
+// matter until a config goes out), the wire only with no credit or a full
+// window (the kernel cannot be answered), and both in between. A plain
+// connection reads the wire on this goroutine until it first reaches that
+// middle state, which a window-1 session never does: lockstep sessions run
+// without a reader goroutine and its handoff.
+func (s *Server) serve(sess *session) error {
+	reply := message{Op: "registered", Names: sess.names, Warm: sess.warm}
 	if sess.window > 1 {
 		// Only v2 sessions see v2 fields: a v1 registration (no window)
 		// gets the byte-identical v1 reply.
-		regReply.Window = sess.window
+		reply.Window = sess.window
 	}
-	if err := lo.send(regReply); err != nil {
+	if err := sess.send(reply); err != nil {
 		return err
 	}
-	if sess.window > 1 {
-		return s.servePipelined(sess, end, lo)
-	}
-	return s.serveLockstep(sess, end, lo)
-}
-
-// serve runs the message loop. It returns the session (nil when
-// registration never succeeded), whether the connection negotiated mux
-// (session bookkeeping then happened per session inside serveMux), and the
-// terminal error.
-func (s *Server) serve(conn net.Conn, end *SessionEnd, id string, shard int, connID string, st *sessionState, log *slog.Logger) (*session, bool, error) {
-	// 16 KiB holds any hot-path unit with room to spare (frames and lines
-	// are tens of bytes; only register envelopes run longer) and keeps the
-	// per-connection footprint small at thousand-session scale.
-	br := bufio.NewReaderSize(conn, 16*1024)
-	w := bufio.NewWriter(conn)
-	beforeRead := func() {
-		if s.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
+	m := s.m()
+	lockstep := sess.window == 1
+	// out holds the outstanding configurations in dispatch order; there are
+	// at most window of them, so a scan finds a report's.
+	out := make([]evalReq, 0, sess.window)
+	credits, nextID := 0, 0 // credits: fetches received and not yet answered
+	defer func() {
+		// A session dying with configurations in flight must not leak
+		// pipeline depth on the gauge.
+		m.SessionOutstanding.Add(-float64(len(out)))
+		if sess.stop != nil {
+			close(sess.stop)
 		}
-	}
-	beforeWrite := func() {
-		if s.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-		}
-	}
-
-	tr, proto, err := negotiate(br, w, beforeRead, beforeWrite)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, false, fmt.Errorf("server: client closed before registering")
-		}
-		if errors.Is(err, errBadPreamble) {
-			s.m().ProtocolErrors.Inc()
-			// The peer speaks neither framing; answer in JSON, the lingua
-			// franca every generation understands, before hanging up.
-			(&jsonWire{w: w, beforeWrite: beforeWrite}).send(message{Op: "error", Msg: err.Error()}) //nolint:errcheck
-			return nil, false, err
-		}
-		return nil, false, err
-	}
-
-	send := tr.send
-	fail := s.failer(send)
-	budget := s.failureBudget()
-	// tolerate charges one fault against the session's budget. It returns
-	// an error once the budget is exhausted. Every charge is observable:
-	// a counter tick, a warn-level log record and a typed budget event on
-	// the trace stream.
-	tolerate := s.tolerator(end, st, id, budget, log)
-	lo := loop{tr: tr, send: send, fail: fail, tolerate: tolerate, proto: proto, shard: shard}
-
-	// First message must register. Faults before a session exists are not
-	// worth tolerating — there is no state to protect yet.
-	reg, err := tr.recv()
-	if err != nil {
-		var g *garbageError
-		switch {
-		case errors.As(err, &g):
-			return nil, false, fail(g.Error())
-		case errors.Is(err, io.EOF):
-			return nil, false, fmt.Errorf("server: client closed before registering")
-		}
-		if err := s.recvEnd(err, lo); err != nil {
-			return nil, false, err
-		}
-		return nil, false, fmt.Errorf("server: client closed before registering")
-	}
-	if reg.Op != "register" {
-		return nil, false, fail("first message must be register")
-	}
-	if reg.Mux {
-		// The v4-mux negotiation: legal only as a v3 connection's first
-		// envelope. From here the connection hosts many sessions; serveMux
-		// owns all of their bookkeeping (the first reuses this connection's
-		// id and state twin).
-		bw, ok := tr.(*binWire)
-		if !ok || proto < 3 {
-			return nil, false, fail("mux negotiation requires the v3 binary framing")
-		}
-		if s.MaxMuxSessions < 0 {
-			return nil, false, fail("server refuses multiplexed connections")
-		}
-		return nil, true, s.serveMux(muxSetup{
-			bw: bw, w: w, beforeWrite: beforeWrite,
-			reg: reg, id: id, shard: shard, connID: connID,
-			remote: conn.RemoteAddr().String(),
-			st:     st, log: log, budget: budget,
-		})
-	}
-	sess, err := s.startSession(reg, id, st, log)
-	if err != nil {
-		return nil, false, fail(err.Error())
-	}
-	end.App = reg.App
-	if sess.warm {
-		s.m().WarmStarts.Inc()
-	}
-	st.mu.Lock()
-	st.snap.Proto = proto
-	st.snap.FailureBudget = budget
-	st.mu.Unlock()
-	log.Info("session registered",
-		"app", reg.App, "dim", len(sess.names), "warm", sess.warm,
-		"improved", reg.Improved, "max_evals", reg.MaxEvals,
-		"window", sess.window)
-
-	return sess, false, s.runRegistered(sess, end, lo)
-}
-
-// serveLockstep is the protocol v1 message loop: one fetch, one config,
-// one report, strictly alternating. Its JSON exchanges are byte-identical
-// to prior releases — v1 clients must not be able to tell the pipelined
-// server apart from the old one. Over v3 framing the same loop runs
-// without report/quit acks (lo.acks()): the next config is the flow
-// control, so a client coalesces report+fetch into one write.
-func (s *Server) serveLockstep(sess *session, end *SessionEnd, lo loop) error {
-	// pending is the configuration awaiting its report; havePending marks
-	// the gap between config out and report in. A value, not a pointer —
-	// taking a pointer into the received request would heap-allocate one
-	// per exchange.
-	var pending evalReq
-	var havePending bool
+	}()
 	for {
-		m, err := lo.tr.recv()
-		if err != nil {
-			var g *garbageError
-			if errors.As(err, &g) {
-				// Garbage on the wire: skip the line or frame and charge
-				// the budget instead of killing a session that may hold
-				// hours of tuning progress.
-				if terr := lo.tolerate(g.Error()); terr != nil {
-					return lo.fail(terr.Error())
+		var msg message
+		var err error
+		if credits == 0 || len(out) == sess.window {
+			msg, err = sess.recv()
+		} else {
+			// A credit and window room: the kernel's next point or final
+			// best can go out. The wire joins the wait only while reports
+			// are outstanding.
+			var in chan muxItem
+			if len(out) > 0 {
+				in = sess.inbox()
+			}
+			select {
+			case it, ok := <-in:
+				msg, err = sess.item(it, ok)
+			case req := <-sess.evals:
+				credits--
+				req.id = nextID
+				nextID++
+				out = append(out, req)
+				sess.state.outstanding.Store(int64(len(out)))
+				m.ConfigsServed.Inc(sess.shard)
+				m.SessionOutstanding.Inc()
+				m.BatchSize.Observe(float64(len(out)))
+				cfg := message{Op: "config", Values: req.cfg, Fidelity: req.fidelity}
+				if !lockstep {
+					cfg.id, cfg.hasID = req.id, true
+				}
+				if err := sess.send(cfg); err != nil {
+					return err
 				}
 				continue
+			case res := <-sess.resultCh:
+				// The kernel finishes only after every outstanding report
+				// arrived, so best never overtakes one.
+				err := s.sendBest(sess, res)
+				if err == nil {
+					sess.end.Completed = true
+				}
+				return err
+			case err := <-sess.errCh:
+				return s.fail(sess, err.Error())
 			}
-			return s.recvEnd(err, lo)
 		}
-		switch m.Op {
+		if err != nil {
+			var g *garbageError
+			if !errors.As(err, &g) {
+				return s.recvEnd(sess, err)
+			}
+			// Garbage on the wire: skip the line or frame and charge the
+			// budget instead of killing a session that may hold hours of
+			// tuning progress.
+			if err := s.tolerate(sess, g.Error()); err != nil {
+				return err
+			}
+			continue
+		}
+		switch msg.Op {
 		case "fetch":
-			if havePending {
+			if lockstep && len(out) == 1 {
 				// The report never arrived (the measurement crashed, or the
 				// report line was garbage and got skipped): mark the pending
 				// point failed with the worst-case penalty so the simplex
 				// moves on, charge one fault, and serve the fetch.
-				if terr := lo.tolerate("fetch while a report is pending — scoring the lost point as failed"); terr != nil {
-					return lo.fail(terr.Error())
-				}
-				pending.reply <- sess.penalty
-				havePending = false
-			}
-			select {
-			case req := <-sess.evals:
-				pending, havePending = req, true
-				sess.state.outstanding.Store(1)
-				s.m().ConfigsServed.Inc(lo.shard)
-				if err := lo.send(message{Op: "config", Values: req.cfg, Fidelity: req.fidelity}); err != nil {
+				if err := s.tolerate(sess, "fetch while a report is pending — scoring the lost point as failed"); err != nil {
 					return err
 				}
-			case res := <-sess.resultCh:
-				err := s.sendBest(lo.send, sess, res)
-				if err == nil {
-					end.Completed = true
-				}
-				return err
-			case err := <-sess.errCh:
-				return lo.fail(err.Error())
+				out = s.resolve(sess, out, 0, sess.penalty)
 			}
+			credits++
 		case "report":
-			if !havePending {
-				return lo.fail("report without a pending configuration")
+			i := 0
+			switch {
+			case lockstep:
+				if len(out) == 0 {
+					return s.fail(sess, "report without a pending configuration")
+				}
+			case !msg.hasID:
+				if err := s.tolerate(sess, "report without id in a pipelined session"); err != nil {
+					return err
+				}
+				continue
+			default:
+				if i = slices.IndexFunc(out, func(r evalReq) bool { return r.id == msg.id }); i < 0 {
+					if err := s.tolerate(sess, fmt.Sprintf("report for unknown id %d", msg.id)); err != nil {
+						return err
+					}
+					continue
+				}
 			}
-			perf := m.Perf
+			perf := msg.Perf
 			if search.IsFailure(perf, sess.dir) {
-				// A non-finite (or absurd) report marks the pending point
-				// failed: worst-case penalty, one fault charged.
-				if terr := lo.tolerate(fmt.Sprintf("non-finite performance report %v", perf)); terr != nil {
-					return lo.fail(terr.Error())
+				// A non-finite (or absurd) report marks the point failed:
+				// worst-case penalty, one fault charged.
+				if err := s.tolerate(sess, fmt.Sprintf("non-finite performance report %v", perf)); err != nil {
+					return err
 				}
 				perf = sess.penalty
 			} else {
 				perf = search.Sanitize(perf, sess.dir)
 			}
-			s.m().ReportsReceived.Inc(lo.shard)
-			sess.noteChars(m.Characteristics)
-			pending.reply <- perf
-			havePending = false
-			sess.state.outstanding.Store(0)
-			if lo.acks() {
-				if err := lo.send(message{Op: "ok"}); err != nil {
+			m.ReportsReceived.Inc(sess.shard)
+			sess.noteChars(msg.Characteristics)
+			out = s.resolve(sess, out, i, perf)
+			if lockstep && sess.acks() {
+				if err := sess.send(message{Op: "ok"}); err != nil {
 					return err
 				}
 			}
 		case "quit":
-			if lo.acks() {
-				lo.send(message{Op: "ok"}) //nolint:errcheck // closing anyway
+			if sess.acks() {
+				sess.send(message{Op: "ok"}) //nolint:errcheck // closing anyway
 			}
 			return nil
 		default:
-			return lo.fail(fmt.Sprintf("unknown op %q", m.Op))
+			return s.fail(sess, fmt.Sprintf("unknown op %q", msg.Op))
 		}
 	}
 }
 
-// servePipelined is the protocol v2 message loop: the session holds up to
-// sess.window outstanding configurations, fetches are credits the client
-// may pipeline, and reports arrive out of order keyed by correlation id.
-// Reads move to a goroutine so a fetch that cannot be answered yet (the
-// kernel is between points) never blocks report processing.
-func (s *Server) servePipelined(sess *session, end *SessionEnd, lo loop) error {
-	m := s.m()
-	type line struct {
-		msg message
-		err error
-	}
-	lines := make(chan line)
-	recvDone := make(chan error, 1)
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			msg, err := lo.tr.recv()
-			if err != nil {
-				var g *garbageError
-				if errors.As(err, &g) {
-					// Tolerable: hand it to the main loop for a budget
-					// charge and keep reading.
-					select {
-					case lines <- line{err: g}:
-						continue
-					case <-stop:
-						return
-					}
-				}
-				recvDone <- err
-				return
-			}
-			select {
-			case lines <- line{msg: msg}:
-			case <-stop:
-				return
-			}
-		}
-	}()
-
-	outstanding := map[int]evalReq{}
-	credits := 0 // fetches received and not yet answered
-	nextID := 0
-	defer func() {
-		// A session dying with configurations in flight must not leak
-		// pipeline depth on the gauge.
-		for range outstanding {
-			m.SessionOutstanding.Dec()
-		}
-	}()
-	for {
-		// Arms are enabled only when legal: the kernel's next point needs
-		// a credit and window room; the final best needs a credit to
-		// answer (the kernel only finishes after every outstanding report
-		// arrived, so best never overtakes one).
-		var evalC chan evalReq
-		if credits > 0 && len(outstanding) < sess.window {
-			evalC = sess.evals
-		}
-		var resC chan *search.Result
-		if credits > 0 {
-			resC = sess.resultCh
-		}
-		select {
-		case ln := <-lines:
-			if ln.err != nil {
-				if terr := lo.tolerate(ln.err.Error()); terr != nil {
-					return lo.fail(terr.Error())
-				}
-				continue
-			}
-			switch ln.msg.Op {
-			case "fetch":
-				credits++
-			case "report":
-				if !ln.msg.hasID {
-					if terr := lo.tolerate("report without id in a pipelined session"); terr != nil {
-						return lo.fail(terr.Error())
-					}
-					continue
-				}
-				req, ok := outstanding[ln.msg.id]
-				if !ok {
-					if terr := lo.tolerate(fmt.Sprintf("report for unknown id %d", ln.msg.id)); terr != nil {
-						return lo.fail(terr.Error())
-					}
-					continue
-				}
-				perf := ln.msg.Perf
-				if search.IsFailure(perf, sess.dir) {
-					if terr := lo.tolerate(fmt.Sprintf("non-finite performance report %v", perf)); terr != nil {
-						return lo.fail(terr.Error())
-					}
-					perf = sess.penalty
-				} else {
-					perf = search.Sanitize(perf, sess.dir)
-				}
-				delete(outstanding, ln.msg.id)
-				sess.state.outstanding.Store(int64(len(outstanding)))
-				m.SessionOutstanding.Dec()
-				m.ReportsReceived.Inc(lo.shard)
-				sess.noteChars(ln.msg.Characteristics)
-				req.reply <- perf // buffered: the kernel picks it up
-			case "quit":
-				if lo.acks() {
-					lo.send(message{Op: "ok"}) //nolint:errcheck // closing anyway
-				}
-				return nil
-			default:
-				return lo.fail(fmt.Sprintf("unknown op %q", ln.msg.Op))
-			}
-		case req := <-evalC:
-			id := nextID
-			nextID++
-			credits--
-			outstanding[id] = req
-			sess.state.outstanding.Store(int64(len(outstanding)))
-			m.ConfigsServed.Inc(lo.shard)
-			m.SessionOutstanding.Inc()
-			m.BatchSize.Observe(float64(len(outstanding)))
-			if err := lo.send(message{Op: "config", id: id, hasID: true, Values: req.cfg, Fidelity: req.fidelity}); err != nil {
-				return err
-			}
-		case res := <-resC:
-			err := s.sendBest(lo.send, sess, res)
-			if err == nil {
-				end.Completed = true
-			}
-			return err
-		case err := <-sess.errCh:
-			return lo.fail(err.Error())
-		case err := <-recvDone:
-			return s.recvEnd(err, lo)
-		}
-	}
+// resolve hands perf to the kernel call waiting on out[i] and drops that
+// configuration from out.
+func (s *Server) resolve(sess *session, out []evalReq, i int, perf float64) []evalReq {
+	reply := out[i].reply
+	out = append(out[:i], out[i+1:]...)
+	sess.state.outstanding.Store(int64(len(out)))
+	s.m().SessionOutstanding.Dec()
+	reply <- perf // buffered: the kernel picks it up
+	return out
 }
 
-func (s *Server) sendBest(send func(message) error, sess *session, res *search.Result) error {
+func (s *Server) sendBest(sess *session, res *search.Result) error {
 	m := message{Op: "best", Evals: res.Evals, Perf: res.BestPerf}
 	if len(res.BestConfig) > 0 {
 		m.Values = sess.bestToWire(res.BestConfig)
 	}
-	return send(m)
+	return sess.send(m)
 }
 
 // startSession parses the registration, builds the search space (using the
 // Appendix B adapter for restricted specs) and launches the kernel
 // goroutine.
-func (s *Server) startSession(reg message, id string, st *sessionState, log *slog.Logger) (*session, error) {
+func (s *Server) startSession(sess *session, reg message) error {
 	spec, err := rsl.Parse(reg.RSL)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	dir := search.Maximize
 	switch reg.Direction {
@@ -1158,7 +1103,7 @@ func (s *Server) startSession(reg message, id string, st *sessionState, log *slo
 	case "min":
 		dir = search.Minimize
 	default:
-		return nil, fmt.Errorf("server: unknown direction %q", reg.Direction)
+		return fmt.Errorf("server: unknown direction %q", reg.Direction)
 	}
 	maxEvals := reg.MaxEvals
 	if maxEvals <= 0 || maxEvals > s.MaxEvalsCap {
@@ -1173,18 +1118,15 @@ func (s *Server) startSession(reg message, id string, st *sessionState, log *slo
 		}
 	}
 
-	sess := &session{
-		names:      spec.Names(),
-		dir:        dir,
-		penalty:    search.FailurePenalty(dir),
-		window:     window,
-		evals:      make(chan evalReq),
-		resultCh:   make(chan *search.Result, 1),
-		errCh:      make(chan error, 1),
-		abort:      make(chan struct{}),
-		kernelDone: make(chan struct{}),
-		state:      st,
-	}
+	st, log := sess.state, sess.log
+	sess.names = spec.Names()
+	sess.dir = dir
+	sess.penalty = search.FailurePenalty(dir)
+	sess.window = window
+	sess.evals = make(chan evalReq)
+	sess.resultCh = make(chan *search.Result, 1)
+	sess.errCh = make(chan error, 1)
+	sess.abort = make(chan struct{})
 
 	// The inversion objective: hand the configuration to the message loop
 	// and block until the client reports its performance. Each call
@@ -1232,7 +1174,7 @@ func (s *Server) startSession(reg message, id string, st *sessionState, log *slo
 		// Search normalized coordinates; decode before the client sees them.
 		adapterSpace, _, err := spec.SearchAdapter(nil, 64)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		space = adapterSpace
 		g := float64(adapterSpace.Params[0].Max)
@@ -1254,7 +1196,7 @@ func (s *Server) startSession(reg message, id string, st *sessionState, log *slo
 	} else {
 		space, err = spec.Static()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		sess.bestToWire = func(cfg search.Config) []int { return cfg }
 		obj = search.FidelityObjectiveFunc(blockMeasure)
@@ -1303,7 +1245,7 @@ func (s *Server) startSession(reg message, id string, st *sessionState, log *slo
 	// JSONL trace records.
 	ev := search.NewEvaluator(space, obj)
 	ev.MaxEvals = maxEvals
-	tracer := search.StampSession(search.MultiTracer(st, s.Tracer), id)
+	tracer := search.StampSession(search.MultiTracer(st, s.Tracer), sess.id)
 	ev.Tracer = tracer
 	sess.tracer = tracer
 	// The measure-once layer: exact hits (this session, peers, prior runs)
@@ -1318,6 +1260,7 @@ func (s *Server) startSession(reg message, id string, st *sessionState, log *slo
 		ev.External = layer
 	}
 
+	sess.kernelDone = make(chan struct{})
 	go func() {
 		defer close(sess.kernelDone)
 		// The kernel's last ExtraRestart poll happens inside the search
@@ -1458,15 +1401,15 @@ func (s *Server) startSession(reg message, id string, st *sessionState, log *slo
 		sess.deposited = store.Record(key, depositChars, dir, res.Trace[depositedThrough:].Measured())
 		sess.resultCh <- res
 	}()
-	return sess, nil
+	return nil
 }
 
 // ListenAndServe is a convenience for main functions: listen and block until
-// the server is shut down. When neither Logger nor the deprecated Logf is
-// configured, it installs the obs default (structured text on stderr) —
-// a daemon should never run blind.
+// the server is shut down. When Logger is not configured, it installs the
+// obs default (structured text on stderr) — a daemon should never run
+// blind.
 func (s *Server) ListenAndServe(addr string) error {
-	if s.Logger == nil && s.Logf == nil {
+	if s.Logger == nil {
 		s.Logger = obs.Default() // before Listen: handlers read it unlocked
 	}
 	a, err := s.Listen(addr)
