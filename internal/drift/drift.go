@@ -91,8 +91,7 @@ type Status struct {
 }
 
 // Detector tracks one session's live workload against its matched
-// centroid. Safe for concurrent use: the connection's message loop
-// observes while the kernel goroutine reads and rebases.
+// centroid. Safe for concurrent use.
 type Detector struct {
 	mu   sync.Mutex
 	opts Options

@@ -28,11 +28,12 @@
 package evalcache
 
 import (
-	"errors"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"harmony/internal/search"
 )
 
 // DefaultShards is the lock-shard count of a Cache.
@@ -44,10 +45,6 @@ const DefaultShards = 16
 // record, so dropping entries only costs future hits.
 const DefaultMaxEntries = 1 << 18
 
-// ErrCanceled is returned by Do when the caller's cancel channel closes
-// while waiting on a peer's in-flight measurement.
-var ErrCanceled = errors.New("evalcache: wait for in-flight measurement canceled")
-
 // entry is one memoized truth: the measured performance and what the
 // measurement cost (hits are credited with that much saved wall-clock).
 type entry struct {
@@ -55,12 +52,26 @@ type entry struct {
 	cost time.Duration
 }
 
-// flight is one in-flight measurement other callers may coalesce onto.
+// flight is one claimed measurement: its leader settles or abandons it,
+// and every other claimant of the key waits on it. It implements
+// search.Claim.
 type flight struct {
-	done   chan struct{} // closed when the leader finishes (or fails)
-	perf   float64       // valid when !failed, after done
-	cost   time.Duration // ditto
-	failed bool          // leader panicked; followers must retry
+	c     *Cache
+	sh    *shard
+	key   string
+	start time.Time
+	done  chan struct{} // closed when the leader settles or abandons
+	perf  float64       // valid when !failed, after done
+	cost  time.Duration // ditto
+	// failed means the leader abandoned the claim; followers claim again.
+	failed bool
+	// hit marks a claim the memo answered: waiting on it is a hit, not a
+	// coalesced measurement.
+	hit bool
+	// layer and cfg, set on a full-fidelity claim through a Layer, route
+	// the leader's settled truth to the layer's gate and calibration.
+	layer *Layer
+	cfg   search.Config
 }
 
 type shard struct {
@@ -143,7 +154,7 @@ func (c *Cache) Peek(key string) (float64, bool) {
 	return e.perf, ok
 }
 
-// Put memoizes a truth obtained outside Do — warm fills from the durable
+// Put memoizes a truth obtained outside a claim — warm fills from the durable
 // experience store, seeded historical pairs. cost is what re-measuring
 // would take (0 when unknown); future hits are credited with it.
 func (c *Cache) Put(key string, perf float64, cost time.Duration) {
@@ -174,88 +185,81 @@ func (c *Cache) storeLocked(sh *shard, key string, perf float64, cost time.Durat
 	}
 }
 
-// Do returns the truth for key, measuring at most once across concurrent
-// callers:
-//
-//   - a memo hit returns immediately (counted as a hit);
-//   - when another caller is already measuring key, Do waits for that
-//     measurement and shares its result (counted as coalesced; saved
-//     wall-clock credited with the leader's cost);
-//   - otherwise this caller becomes the leader, runs measure, memoizes the
-//     result and wakes the followers.
-//
-// A panic in measure unwinds the leader (after waking followers), and the
-// followers elect a new leader — a dying session must not poison its peers.
-// cancel, when non-nil and closed while waiting on a peer's measurement,
-// makes Do return ErrCanceled (the leader itself is never canceled here:
-// its measure closure is expected to watch its own session lifetime).
-//
-// coalesced reports that the result came from a peer's measurement or from
-// a racing insert rather than this caller's own measure run.
-func (c *Cache) Do(key string, measure func() float64, cancel <-chan struct{}) (perf float64, coalesced bool, err error) {
-	sh := c.shard(key)
-	waited := false
-	for {
-		sh.mu.Lock()
-		if e, ok := sh.vals[key]; ok {
-			sh.mu.Unlock()
-			if waited {
-				// We piggybacked on a peer's work (or lost a race to a
-				// deposit): the measurement cost was saved.
-				c.metrics.Coalesced.Inc()
-				c.metrics.SavedSeconds.Add(e.cost.Seconds())
-			} else {
-				c.metrics.Hits.Inc()
-				c.metrics.SavedSeconds.Add(e.cost.Seconds())
-			}
-			return e.perf, true, nil
-		}
-		if f := sh.inflight[key]; f != nil {
-			sh.mu.Unlock()
-			waited = true
-			select {
-			case <-f.done:
-			case <-cancel:
-				return 0, false, ErrCanceled
-			}
-			if !f.failed {
-				c.metrics.Coalesced.Inc()
-				c.metrics.SavedSeconds.Add(f.cost.Seconds())
-				return f.perf, true, nil
-			}
-			continue // leader died; loop to (maybe) take over
-		}
-		// Become the leader.
-		f := &flight{done: make(chan struct{})}
-		sh.inflight[key] = f
-		sh.mu.Unlock()
+// closed is the done channel of claims the memo answered.
+var closed = func() chan struct{} { ch := make(chan struct{}); close(ch); return ch }()
 
-		start := time.Now()
-		ok := false
-		func() {
-			defer func() {
-				// Runs on both clean return and panic: publish the outcome,
-				// clear the in-flight slot, wake followers. On panic the
-				// panic keeps unwinding through Do to the caller.
-				sh.mu.Lock()
-				delete(sh.inflight, key)
-				if ok {
-					f.perf, f.cost = perf, time.Since(start)
-					c.storeLocked(sh, key, f.perf, f.cost)
-				} else {
-					f.failed = true
-				}
-				sh.mu.Unlock()
-				close(f.done)
-				if ok {
-					c.metrics.Size.Set(float64(c.len.Load()))
-				}
-			}()
-			perf = measure()
-			ok = true
-		}()
-		return perf, false, nil
+// claim returns the measurement ticket for key, so that key is measured at
+// most once across concurrent claimants:
+//
+//   - a memo hit returns a resolved follower claim (counted as a hit);
+//   - when another caller leads key, claim returns its flight to wait on
+//     (counted as coalesced, with the leader's cost credited as saved, once
+//     Wait returns its result);
+//   - otherwise the caller becomes the leader (lead == true): it measures
+//     and then must Settle or Abandon the flight. l, when non-nil, is the
+//     Layer the leader's settled truth for cfg is reported to.
+//
+// Claiming does not block, so one caller can lead several keys at once and
+// wait on its peers' keys only after settling its own.
+func (c *Cache) claim(key string, l *Layer, cfg search.Config) (f *flight, lead bool) {
+	sh := c.shard(key)
+	sh.mu.Lock()
+	if e, ok := sh.vals[key]; ok {
+		sh.mu.Unlock()
+		c.metrics.Hits.Inc()
+		c.metrics.SavedSeconds.Add(e.cost.Seconds())
+		return &flight{done: closed, perf: e.perf, hit: true}, false
 	}
+	if f := sh.inflight[key]; f != nil {
+		sh.mu.Unlock()
+		return f, false
+	}
+	f = &flight{c: c, sh: sh, key: key, start: time.Now(), done: make(chan struct{}), layer: l, cfg: cfg}
+	sh.inflight[key] = f
+	sh.mu.Unlock()
+	return f, true
+}
+
+// Settle memoizes the leader's measurement and wakes the followers.
+func (f *flight) Settle(perf float64) {
+	c, sh := f.c, f.sh
+	f.perf, f.cost = perf, time.Since(f.start)
+	sh.mu.Lock()
+	delete(sh.inflight, f.key)
+	c.storeLocked(sh, f.key, perf, f.cost)
+	sh.mu.Unlock()
+	close(f.done)
+	c.metrics.Size.Set(float64(c.len.Load()))
+	if f.layer != nil {
+		f.layer.observe(f.key, f.cfg, perf)
+	}
+}
+
+// Abandon releases a leader's claim unmeasured — its session is going away.
+// The followers wake and claim again, and one of them takes over: a dying
+// session must not poison its peers.
+func (f *flight) Abandon() {
+	f.sh.mu.Lock()
+	delete(f.sh.inflight, f.key)
+	f.failed = true
+	f.sh.mu.Unlock()
+	close(f.done)
+}
+
+// Wait blocks until the flight's leader settles (ok) or abandons it (!ok:
+// the caller must claim again). The wait is bounded by the leader's own
+// measurement.
+func (f *flight) Wait() (perf float64, ok bool) {
+	<-f.done
+	if f.failed {
+		return 0, false
+	}
+	if !f.hit {
+		m := f.c.metrics
+		m.Coalesced.Inc()
+		m.SavedSeconds.Add(f.cost.Seconds())
+	}
+	return f.perf, true
 }
 
 // Len returns the number of resident entries.

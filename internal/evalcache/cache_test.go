@@ -51,13 +51,13 @@ func TestDoMemoizes(t *testing.T) {
 	calls := 0
 	measure := func() float64 { calls++; return 7 }
 
-	perf, coalesced, err := c.Do("k", measure, nil)
-	if err != nil || perf != 7 || coalesced {
-		t.Fatalf("first Do = %v, %v, %v", perf, coalesced, err)
+	perf, coalesced := do(c, "k", measure)
+	if perf != 7 || coalesced {
+		t.Fatalf("first claim = %v, %v", perf, coalesced)
 	}
-	perf, coalesced, err = c.Do("k", measure, nil)
-	if err != nil || perf != 7 || !coalesced {
-		t.Fatalf("second Do = %v, %v, %v, want memo hit", perf, coalesced, err)
+	perf, coalesced = do(c, "k", measure)
+	if perf != 7 || !coalesced {
+		t.Fatalf("second claim = %v, %v, want memo hit", perf, coalesced)
 	}
 	if calls != 1 {
 		t.Fatalf("measure ran %d times, want 1", calls)
@@ -75,8 +75,8 @@ func TestDoSingleflight(t *testing.T) {
 
 	const n = 8
 	var calls atomic.Int32
-	started := make(chan struct{})  // leader entered measure
-	release := make(chan struct{})  // allow the leader to finish
+	started := make(chan struct{}) // leader entered measure
+	release := make(chan struct{}) // allow the leader to finish
 	measure := func() float64 {
 		calls.Add(1)
 		close(started)
@@ -86,21 +86,20 @@ func TestDoSingleflight(t *testing.T) {
 
 	var wg sync.WaitGroup
 	perfs := make([]float64, n)
-	errs := make([]error, n)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		perfs[0], _, errs[0] = c.Do("k", measure, nil)
+		perfs[0], _ = do(c, "k", measure)
 	}()
 	<-started // the leader is inside measure; everyone else must coalesce
 	for i := 1; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			perfs[i], _, errs[i] = c.Do("k", func() float64 {
+			perfs[i], _ = do(c, "k", func() float64 {
 				t.Error("follower ran its own measurement")
 				return 0
-			}, nil)
+			})
 		}(i)
 	}
 	// Give the followers a moment to park on the flight, then release.
@@ -109,8 +108,8 @@ func TestDoSingleflight(t *testing.T) {
 	wg.Wait()
 
 	for i := range perfs {
-		if errs[i] != nil || perfs[i] != 3.25 {
-			t.Fatalf("caller %d: perf=%v err=%v", i, perfs[i], errs[i])
+		if perfs[i] != 3.25 {
+			t.Fatalf("caller %d: perf=%v", i, perfs[i])
 		}
 	}
 	if calls.Load() != 1 {
@@ -142,11 +141,11 @@ func TestDoLeaderPanic(t *testing.T) {
 				t.Error("leader did not re-panic")
 			}
 		}()
-		c.Do("k", func() float64 { //nolint:errcheck
+		do(c, "k", func() float64 {
 			close(inMeasure)
 			<-die
 			panic(errors.New("objective died"))
-		}, nil)
+		})
 	}()
 	<-inMeasure
 
@@ -154,9 +153,9 @@ func TestDoLeaderPanic(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		perf, coalesced, err := c.Do("k", func() float64 { return 9 }, nil)
-		if err != nil || coalesced {
-			t.Errorf("follower retry: perf=%v coalesced=%v err=%v", perf, coalesced, err)
+		perf, coalesced := do(c, "k", func() float64 { return 9 })
+		if coalesced {
+			t.Errorf("follower retry: perf=%v coalesced=%v", perf, coalesced)
 		}
 		retried <- perf
 	}()
@@ -170,41 +169,6 @@ func TestDoLeaderPanic(t *testing.T) {
 	// The takeover's truth is memoized.
 	if perf, ok := c.Peek("k"); !ok || perf != 9 {
 		t.Fatalf("after takeover Peek = %v, %v", perf, ok)
-	}
-}
-
-// TestDoCancel: a follower whose session dies while waiting on a peer's
-// measurement gets ErrCanceled instead of hanging forever.
-func TestDoCancel(t *testing.T) {
-	c := New(0, 0, nil)
-	inMeasure := make(chan struct{})
-	release := make(chan struct{})
-	defer close(release)
-
-	go func() {
-		c.Do("k", func() float64 { //nolint:errcheck
-			close(inMeasure)
-			<-release
-			return 1
-		}, nil)
-	}()
-	<-inMeasure
-
-	cancel := make(chan struct{})
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := c.Do("k", func() float64 { return 2 }, cancel)
-		errc <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	close(cancel)
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("err = %v, want ErrCanceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("canceled follower never returned")
 	}
 }
 
@@ -247,7 +211,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 				k := keys[(g+i)%len(keys)]
 				switch i % 3 {
 				case 0:
-					c.Do(k, func() float64 { return float64(len(k)) }, nil) //nolint:errcheck
+					do(c, k, func() float64 { return float64(len(k)) })
 				case 1:
 					c.Lookup(k)
 				default:

@@ -7,8 +7,9 @@ import (
 	"harmony/internal/search"
 )
 
-// The Layer must implement the fidelity-aware external-cache contract.
-var _ search.FidelityExternalCache = (*evalcache.Layer)(nil)
+// The Layer must implement the (config, fidelity)-keyed external-cache
+// contract.
+var _ search.ExternalCache = (*evalcache.Layer)(nil)
 
 func TestLayerFidelityKeying(t *testing.T) {
 	layer := &evalcache.Layer{Cache: evalcache.New(0, 0, nil)}
@@ -19,9 +20,9 @@ func TestLayerFidelityKeying(t *testing.T) {
 		t.Fatal("empty layer answered a probe")
 	}
 	calls := 0
-	got := layer.MeasureAt(cfg, 0.25, func() float64 { calls++; return 111 })
+	got := evalcache.MeasureVia(layer, cfg, 0.25, func() float64 { calls++; return 111 })
 	if got != 111 || calls != 1 {
-		t.Fatalf("MeasureAt = %v after %d calls, want 111 after 1", got, calls)
+		t.Fatalf("MeasureVia = %v after %d calls, want 111 after 1", got, calls)
 	}
 
 	// The same (config, fidelity) pair is now answered measurement-free…
@@ -38,7 +39,7 @@ func TestLayerFidelityKeying(t *testing.T) {
 	}
 
 	// Once the full truth is measured, it answers every fidelity (promotion).
-	layer.Measure(cfg, func() float64 { return 100 })
+	evalcache.MeasureVia(layer, cfg, 1, func() float64 { return 100 })
 	for _, fid := range []float64{0.125, 0.25, 0.5, 1} {
 		perf, est, ok := layer.LookupAt(cfg, fid)
 		if !ok || est || perf != 100 {
@@ -51,9 +52,9 @@ func TestLayerFidelityFullDelegates(t *testing.T) {
 	layer := &evalcache.Layer{Cache: evalcache.New(0, 0, nil)}
 	cfg := search.Config{1, 2}
 	// Full fidelity (0 and ≥1) must be indistinguishable from the plain path.
-	perf := layer.MeasureAt(cfg, 1, func() float64 { return 7 })
+	perf := evalcache.MeasureVia(layer, cfg, 1, func() float64 { return 7 })
 	if perf != 7 {
-		t.Fatalf("MeasureAt(1) = %v, want 7", perf)
+		t.Fatalf("MeasureVia(1) = %v, want 7", perf)
 	}
 	if got, est, ok := layer.LookupAt(cfg, 0); !ok || est || got != 7 {
 		t.Fatalf("LookupAt(0) = %v/%v/%v, want 7/false/true", got, est, ok)

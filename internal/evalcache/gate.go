@@ -317,8 +317,8 @@ func isFinite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
-// Layer binds a Cache (exact memo + singleflight) and an optional Gate to
-// one evaluator, implementing search.ExternalCache. Several sessions'
+// Layer binds a Cache (exact memo + claims) and an optional Gate to one
+// evaluator, implementing search.ExternalCache. Several sessions'
 // layers may share one Cache and Gate (the server's shared scope); the
 // layer itself is cheap per-session state.
 type Layer struct {
@@ -328,14 +328,9 @@ type Layer struct {
 	// Exact-only mode (nil Gate) is trajectory-preserving; gated mode is
 	// not, and is therefore opt-in.
 	Gate *Gate
-	// Cancel, when non-nil, aborts waits on peer in-flight measurements
-	// (the server wires the session's abort channel). A canceled wait
-	// panics ErrCanceled, which the server's kernel recovery treats like a
-	// client disconnect.
-	Cancel <-chan struct{}
 	// TruthCheckEvery, when positive, forces every Nth gate-answered probe
 	// of this layer to a real measurement anyway: Lookup declines the
-	// estimate (holding it aside), Measure pays the round-trip, and the
+	// estimate (holding it aside), a real measurement is paid, and the
 	// absolute error between the two is observed on the metrics bundle's
 	// EstimateAbsError histogram. The measured truth enters the memo and
 	// the gate as usual, so a truth check is never wasted work.
@@ -348,7 +343,7 @@ type Layer struct {
 	pending map[string]float64 // cfg key -> declined estimate, awaiting truth
 }
 
-// Lookup implements search.ExternalCache: exact memo first, then the gate.
+// Lookup answers a full-fidelity probe: exact memo first, then the gate.
 func (l *Layer) Lookup(cfg search.Config) (perf float64, estimated, ok bool) {
 	key := cfg.Key()
 	if perf, ok := l.Cache.Lookup(key); ok {
@@ -358,7 +353,7 @@ func (l *Layer) Lookup(cfg search.Config) (perf float64, estimated, ok bool) {
 		if perf, ok := l.Gate.Estimate(cfg); ok {
 			if l.takeTruthCheck(key, perf) {
 				// Calibration: decline the estimate so the evaluator pays a
-				// real measurement; Measure correlates it back by key. No
+				// real measurement; Settle correlates it back by key. No
 				// wall-clock is credited — none was saved.
 				return 0, false, false
 			}
@@ -374,7 +369,7 @@ func (l *Layer) Lookup(cfg search.Config) (perf float64, estimated, ok bool) {
 
 // takeTruthCheck paces calibration: it reports whether this gate-answered
 // probe is the layer's Nth and must be measured for real, parking the
-// estimate until Measure resolves it.
+// estimate until the measurement settles.
 func (l *Layer) takeTruthCheck(key string, est float64) bool {
 	if l.TruthCheckEvery <= 0 {
 		return false
@@ -392,36 +387,48 @@ func (l *Layer) takeTruthCheck(key string, est float64) bool {
 	return true
 }
 
-// Measure implements search.ExternalCache: singleflight through the shared
-// cache, feeding the measured truth to the gate.
-func (l *Layer) Measure(cfg search.Config, measure func() float64) float64 {
-	key := cfg.Key()
-	perf, _, err := l.Cache.Do(key, measure, l.Cancel)
-	if err != nil {
-		panic(err) // ErrCanceled: the session is going away
-	}
+// observe feeds a leader's settled full-fidelity truth to the gate and
+// closes any truth check pending on key.
+func (l *Layer) observe(key string, cfg search.Config, perf float64) {
 	if l.Gate != nil {
 		l.Gate.Observe(cfg, perf)
 	}
-	if l.TruthCheckEvery > 0 {
-		l.calMu.Lock()
-		est, pending := l.pending[key]
-		if pending {
-			delete(l.pending, key)
-		}
-		l.calMu.Unlock()
-		if pending {
-			m := l.Cache.metrics
-			m.TruthChecks.Inc()
-			m.EstimateAbsError.Observe(math.Abs(perf - est))
-			if l.Gate != nil {
-				// Close the calibration loop: a run of bad checks tightens
-				// the gate's acceptance, sustained accuracy re-widens it.
-				l.Gate.RecordTruthError(math.Abs(perf-est), perf)
-			}
+	l.closeCheck(key, perf)
+}
+
+// checking reports whether a truth check is pending on key.
+func (l *Layer) checking(key string) bool {
+	if l.TruthCheckEvery <= 0 {
+		return false
+	}
+	l.calMu.Lock()
+	defer l.calMu.Unlock()
+	_, pending := l.pending[key]
+	return pending
+}
+
+// closeCheck resolves the truth check pending on key, if any, with the
+// measured perf.
+func (l *Layer) closeCheck(key string, perf float64) {
+	if l.TruthCheckEvery <= 0 {
+		return
+	}
+	l.calMu.Lock()
+	est, pending := l.pending[key]
+	if pending {
+		delete(l.pending, key)
+	}
+	l.calMu.Unlock()
+	if pending {
+		m := l.Cache.metrics
+		m.TruthChecks.Inc()
+		m.EstimateAbsError.Observe(math.Abs(perf - est))
+		if l.Gate != nil {
+			// Close the calibration loop: a run of bad checks tightens
+			// the gate's acceptance, sustained accuracy re-widens it.
+			l.Gate.RecordTruthError(math.Abs(perf-est), perf)
 		}
 	}
-	return perf
 }
 
 // fidelityKey returns the memo key for a (config, fidelity) pair. Full
@@ -434,13 +441,13 @@ func fidelityKey(key string, fidelity float64) string {
 	return key + "@" + strconv.FormatFloat(fidelity, 'g', -1, 64)
 }
 
-// LookupAt implements search.FidelityExternalCache with promotion-aware
-// reuse: a full-fidelity truth in the memo answers a reduced-fidelity
-// probe (the real number is strictly better information than a noisy
-// short run), but a reduced-fidelity entry only ever answers its own
-// (config, fidelity) pair — it is never promoted to a full-fidelity
-// answer. The estimation gate is a full-fidelity instrument and stays out
-// of reduced-fidelity probes entirely.
+// LookupAt implements search.ExternalCache with promotion-aware reuse: a
+// full-fidelity truth in the memo answers a reduced-fidelity probe (the
+// real number is strictly better information than a noisy short run), but
+// a reduced-fidelity entry only ever answers its own (config, fidelity)
+// pair — it is never promoted to a full-fidelity answer. The estimation
+// gate is a full-fidelity instrument and stays out of reduced-fidelity
+// probes entirely.
 func (l *Layer) LookupAt(cfg search.Config, fidelity float64) (perf float64, estimated, ok bool) {
 	if search.FullFidelity(fidelity) {
 		return l.Lookup(cfg)
@@ -455,18 +462,36 @@ func (l *Layer) LookupAt(cfg search.Config, fidelity float64) (perf float64, est
 	return 0, false, false
 }
 
-// MeasureAt implements search.FidelityExternalCache: singleflight keyed on
-// (config, fidelity). Reduced-fidelity observations never feed the gate —
-// its plane is fitted through ground truth only.
-func (l *Layer) MeasureAt(cfg search.Config, fidelity float64, measure func() float64) float64 {
-	if search.FullFidelity(fidelity) {
-		return l.Measure(cfg, measure)
+// Claim implements search.ExternalCache: a claim on the shared cache, keyed
+// on (config, fidelity). A full-fidelity leader's settled truth also feeds
+// the gate; reduced-fidelity observations never do — its plane is fitted
+// through ground truth only.
+func (l *Layer) Claim(cfg search.Config, fidelity float64) (search.Claim, bool) {
+	key := cfg.Key()
+	if !search.FullFidelity(fidelity) {
+		return l.Cache.claim(fidelityKey(key, fidelity), nil, nil)
 	}
-	perf, _, err := l.Cache.Do(fidelityKey(cfg.Key(), fidelity), measure, l.Cancel)
-	if err != nil {
-		panic(err) // ErrCanceled: the session is going away
+	f, lead := l.Cache.claim(key, l, cfg)
+	if !lead && l.checking(key) {
+		return checkedWait{f, l, key}, false
 	}
-	return perf
+	return f, lead
+}
+
+// checkedWait is a follower's claim on a key its layer holds a truth check
+// for: the peer's measurement is a real one, so it closes the check.
+type checkedWait struct {
+	*flight
+	l   *Layer
+	key string
+}
+
+func (c checkedWait) Wait() (float64, bool) {
+	perf, ok := c.flight.Wait()
+	if ok {
+		c.l.closeCheck(c.key, perf)
+	}
+	return perf, ok
 }
 
 // Fill hydrates both the memo and the gate with a prior-run truth (the

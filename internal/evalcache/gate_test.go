@@ -166,7 +166,7 @@ func TestLayerTruthCheckCalibration(t *testing.T) {
 	}
 	const bias = 0.75
 	measured := 0
-	got := layer.Measure(target, func() float64 {
+	got := MeasureVia(layer, target, 0, func() float64 {
 		measured++
 		return planar(target) + bias
 	})
@@ -190,9 +190,46 @@ func TestLayerTruthCheckCalibration(t *testing.T) {
 	}
 
 	// A plain measurement with no pending check must not observe errors.
-	layer.Measure(search.Config{10, 10}, func() float64 { return 1 })
+	MeasureVia(layer, search.Config{10, 10}, 0, func() float64 { return 1 })
 	if c := m.EstimateAbsError.Count(); c != 1 {
 		t.Fatalf("plain measurement polluted calibration: %d observations", c)
+	}
+}
+
+// TestLayerTruthCheckClosedByPeer: a truth check whose configuration a
+// peer session is already measuring is closed by the peer's measurement —
+// the follower's layer records the calibration error without measuring.
+func TestLayerTruthCheckClosedByPeer(t *testing.T) {
+	sp := gateSpace(t)
+	m := NewMetrics(obs.NewRegistry())
+	g := NewGate(sp, GateOptions{}, m)
+	observeGrid(g, planar, 50, 50)
+	cache := New(0, 0, m)
+	layer := &Layer{Cache: cache, Gate: g, TruthCheckEvery: 1}
+	peer := &Layer{Cache: cache, Gate: g}
+
+	target := search.Config{47, 53}
+	lead, isLead := peer.Claim(target, 0)
+	if !isLead {
+		t.Fatal("peer did not lead the first claim")
+	}
+	if _, _, ok := layer.Lookup(target); ok {
+		t.Fatal("truth-checked probe was answered from the gate; want a forced miss")
+	}
+	follow, isLead := layer.Claim(target, 0)
+	if isLead {
+		t.Fatal("second claim led a configuration the peer is measuring")
+	}
+	const bias = 0.5
+	lead.Settle(planar(target) + bias)
+	if perf, ok := follow.Wait(); !ok || perf != planar(target)+bias {
+		t.Fatalf("follower Wait = %v, %v", perf, ok)
+	}
+	if v := m.TruthChecks.Value(); v != 1 {
+		t.Fatalf("truth checks = %d, want 1 (closed by the peer's measurement)", v)
+	}
+	if s := m.EstimateAbsError.Sum(); math.Abs(s-bias) > 1e-9 {
+		t.Fatalf("abs-error sum = %v, want the bias %v", s, bias)
 	}
 }
 
@@ -325,7 +362,7 @@ func TestLayerTruthCheckFeedsAdaptation(t *testing.T) {
 	for _, dx := range []int{-10, -5, 0, 5, 10} {
 		for _, dy := range []int{-10, -5, 0, 5, 10} {
 			cfg := search.Config{50 + dx, 50 + dy}
-			l.Measure(cfg, func() float64 { return curved(cfg) })
+			MeasureVia(l, cfg, 0, func() float64 { return curved(cfg) })
 		}
 	}
 	_, _, n0 := l.Gate.EffectiveThresholds()
@@ -337,7 +374,7 @@ func TestLayerTruthCheckFeedsAdaptation(t *testing.T) {
 			t.Fatalf("truth-check-every-1 lookup of %v was answered, want declined", cfg)
 		}
 		cfg := cfg
-		l.Measure(cfg, func() float64 { return curved(cfg) })
+		MeasureVia(l, cfg, 0, func() float64 { return curved(cfg) })
 	}
 	if m.TruthChecks.Value() == 0 {
 		t.Fatal("no truth checks ran (gate never answered?)")

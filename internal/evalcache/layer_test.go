@@ -180,7 +180,7 @@ func TestLayerGateFallsBackToMeasurement(t *testing.T) {
 		t.Fatal("empty layer answered a probe")
 	}
 	measured := false
-	perf := layer.Measure(cfg, func() float64 { measured = true; return quad(cfg) })
+	perf := evalcache.MeasureVia(layer, cfg, 0, func() float64 { measured = true; return quad(cfg) })
 	if !measured || perf != quad(cfg) {
 		t.Fatalf("measure fallback: measured=%v perf=%v", measured, perf)
 	}
@@ -207,7 +207,7 @@ func TestLayerGateAnswersWhenSupported(t *testing.T) {
 	for _, dx := range []int{-6, -3, 0, 3, 6} {
 		for _, dy := range []int{-6, -3, 0, 3, 6} {
 			cfg := search.Config{30 + dx, 30 + dy}
-			layer.Measure(cfg, func() float64 { return plane(cfg) })
+			evalcache.MeasureVia(layer, cfg, 0, func() float64 { return plane(cfg) })
 		}
 	}
 	target := search.Config{31, 29}
@@ -245,5 +245,67 @@ func TestLayerWarmFill(t *testing.T) {
 	}
 	if layer.Gate.Len() != 1 {
 		t.Fatalf("gate records after fill = %d, want 1", layer.Gate.Len())
+	}
+}
+
+// batchFunc adapts a function to search.BatchObjective.
+type batchFunc func(ps []search.Probe)
+
+func (f batchFunc) Measure(cfg search.Config) float64 {
+	ps := []search.Probe{{Config: cfg}}
+	f(ps)
+	return ps[0].Perf
+}
+
+func (f batchFunc) MeasureBatch(ps []search.Probe) { f(ps) }
+
+// TestBatchLeadsBeforeFollowing: one batch may lead some configurations
+// and follow a peer's claim on others; it measures its own first and only
+// then waits on the peer. A leads X and Y and, while measuring them, waits
+// for B to measure Z; B's batch follows A's Y and leads Z. Waiting on Y
+// before measuring Z would deadlock the pair.
+func TestBatchLeadsBeforeFollowing(t *testing.T) {
+	sp := layerSpace(t)
+	layer := &evalcache.Layer{Cache: evalcache.New(0, 0, nil)}
+	x, y, z := []float64{1, 1}, []float64{2, 2}, []float64{3, 3}
+	resolve := func(ps []search.Probe) {
+		for i := range ps {
+			ps[i].Perf, ps[i].Done = quad(ps[i].Config), true
+		}
+	}
+
+	bMeasured := make(chan []search.Probe, 1)
+	bDone := make(chan error, 1)
+	a := search.NewEvaluator(sp, batchFunc(func(ps []search.Probe) {
+		b := search.NewEvaluator(sp, batchFunc(func(ps []search.Probe) {
+			bMeasured <- append([]search.Probe(nil), ps...)
+			resolve(ps)
+		}))
+		b.External = layer
+		go func() {
+			_, _, err := b.EvalBatch([][]float64{y, z}, 2)
+			bDone <- err
+		}()
+		select {
+		case got := <-bMeasured:
+			if len(got) != 1 || got[0].Config.Key() != "3,3" {
+				t.Errorf("B measured %v, want only its own Z", got)
+			}
+		case <-time.After(5 * time.Second):
+			t.Error("B never measured Z while A held Y")
+		}
+		resolve(ps)
+	}))
+	a.External = layer
+	if _, _, err := a.EvalBatch([][]float64{x, y}, 2); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-bDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("B never received A's Y")
 	}
 }

@@ -148,10 +148,11 @@ func TestTraceBestPrefersFullFidelity(t *testing.T) {
 	}
 }
 
-// fakeFidCache implements FidelityExternalCache and records routing.
+// fakeFidCache implements ExternalCache and records the fidelity of every
+// call.
 type fakeFidCache struct {
-	lookups, lookupAts, measures, measureAts int
-	store                                    map[string]float64
+	lookups, claims []float64
+	store           map[string]float64
 }
 
 func (f *fakeFidCache) key(cfg Config, fid float64) string {
@@ -161,31 +162,25 @@ func (f *fakeFidCache) key(cfg Config, fid float64) string {
 	return cfg.Key() + "@low"
 }
 
-func (f *fakeFidCache) Lookup(cfg Config) (float64, bool, bool) {
-	f.lookups++
-	p, ok := f.store[cfg.Key()]
-	return p, false, ok
-}
-
-func (f *fakeFidCache) Measure(cfg Config, measure func() float64) float64 {
-	f.measures++
-	p := measure()
-	f.store[cfg.Key()] = p
-	return p
-}
-
 func (f *fakeFidCache) LookupAt(cfg Config, fid float64) (float64, bool, bool) {
-	f.lookupAts++
+	f.lookups = append(f.lookups, fid)
 	p, ok := f.store[f.key(cfg, fid)]
 	return p, false, ok
 }
 
-func (f *fakeFidCache) MeasureAt(cfg Config, fid float64, measure func() float64) float64 {
-	f.measureAts++
-	p := measure()
-	f.store[f.key(cfg, fid)] = p
-	return p
+func (f *fakeFidCache) Claim(cfg Config, fid float64) (Claim, bool) {
+	f.claims = append(f.claims, fid)
+	return fakeClaim{f: f, key: f.key(cfg, fid)}, true
 }
+
+type fakeClaim struct {
+	f   *fakeFidCache
+	key string
+}
+
+func (c fakeClaim) Settle(perf float64)   { c.f.store[c.key] = perf }
+func (c fakeClaim) Abandon()              {}
+func (c fakeClaim) Wait() (float64, bool) { return 0, false }
 
 func TestEvalConfigAtRoutesThroughFidelityExternal(t *testing.T) {
 	obj := &countingFidObjective{}
@@ -196,37 +191,13 @@ func TestEvalConfigAtRoutesThroughFidelityExternal(t *testing.T) {
 	if _, _, err := ev.EvalConfigAt(Config{1, 2}, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if ext.lookupAts != 1 || ext.measureAts != 1 {
-		t.Fatalf("routing: lookupAts=%d measureAts=%d, want 1/1", ext.lookupAts, ext.measureAts)
+	if len(ext.lookups) != 1 || len(ext.claims) != 1 || ext.lookups[0] != 0.5 || ext.claims[0] != 0.5 {
+		t.Fatalf("routing: lookups=%v claims=%v, want one of each at fidelity 0.5", ext.lookups, ext.claims)
 	}
-	if ext.lookups != 0 || ext.measures != 0 {
-		t.Fatalf("full-fidelity external path used for a low probe (%d/%d)", ext.lookups, ext.measures)
+	if _, ok := ext.store["1,2@low"]; !ok || len(ext.store) != 1 {
+		t.Fatalf("settled entries %v, want only the low-fidelity key", ext.store)
 	}
 	if obj.low != 1 {
 		t.Fatalf("objective low calls = %d, want 1", obj.low)
 	}
-
-	// An External that is NOT fidelity-aware is bypassed for low probes.
-	obj2 := &countingFidObjective{}
-	ev2 := NewEvaluator(fidelitySpace(), obj2)
-	ev2.External = plainExternal{store: map[string]float64{}}
-	if _, _, err := ev2.EvalConfigAt(Config{1, 2}, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if obj2.low != 1 {
-		t.Fatalf("plain external: objective low calls = %d, want 1 (direct measurement)", obj2.low)
-	}
-}
-
-type plainExternal struct{ store map[string]float64 }
-
-func (p plainExternal) Lookup(cfg Config) (float64, bool, bool) {
-	v, ok := p.store[cfg.Key()]
-	return v, false, ok
-}
-
-func (p plainExternal) Measure(cfg Config, measure func() float64) float64 {
-	v := measure()
-	p.store[cfg.Key()] = v
-	return v
 }

@@ -239,18 +239,43 @@ func (t Trace) InitialWindow(k int) Trace {
 	return t[:k]
 }
 
+// BatchObjective is an Objective that measures a whole batch of
+// configurations in one call: the tuning server, whose client measures them
+// over the wire. The Evaluator hands it every batch it needs measured (one
+// configuration for Eval, many for EvalBatch and Speculate) instead of
+// fanning Measure out over worker goroutines.
+//
+// MeasureBatch sets Perf and Done on each probe it resolves. It may stop
+// early by panicking: the probes it resolved before then keep Done set, and
+// the Evaluator commits (EvalBatch) and settles them before the panic
+// continues, so a measurement that was paid for is never dropped.
+type BatchObjective interface {
+	Objective
+	MeasureBatch(ps []Probe)
+}
+
+// Probe is one configuration in a measurement batch.
+type Probe struct {
+	Config Config
+	// Fidelity is the requested measurement fidelity (0 or ≥1: full).
+	Fidelity float64
+	// Perf is the measured performance, valid once Done is set.
+	Perf float64
+	Done bool
+}
+
 // ExternalCache is the measure-once layer an Evaluator consults between
 // its own per-session bookkeeping and the real objective: a cross-session
-// config→perf memo with singleflight coalescing, optionally backed by the
-// §4.3 estimation gate (see the evalcache package).
+// (config, fidelity)→perf memo with singleflight coalescing, optionally
+// backed by the §4.3 estimation gate (see the evalcache package).
 //
-// Contract: Lookup answers with a previously measured truth (estimated ==
-// false) or a gate estimate (estimated == true); Measure obtains the truth
-// for cfg, calling measure at most once across concurrent duplicate
-// requests (other callers of the same configuration share the one result)
-// and remembering it for future Lookups. Implementations must be safe for
-// concurrent use — EvalBatch and Speculate call them from worker
-// goroutines.
+// Contract: LookupAt answers with a previously measured truth (estimated ==
+// false) or a gate estimate (estimated == true). Reuse is promotion-aware: a
+// full-fidelity truth may answer a lower-fidelity probe, but a low-fidelity
+// observation never answers a full-fidelity one. Claim registers the
+// caller's intent to measure: the leader (lead == true) measures and then
+// settles or abandons the claim; every other caller waits on it and shares
+// the leader's result. Implementations must be safe for concurrent use.
 //
 // Externally answered probes are committed to the trace exactly like
 // measurements (budget charge, trace index, tracer event), so with a
@@ -258,20 +283,21 @@ func (t Trace) InitialWindow(k int) Trace {
 // is byte-identical to an uncached run — only the number of real objective
 // invocations drops.
 type ExternalCache interface {
-	Lookup(cfg Config) (perf float64, estimated, ok bool)
-	Measure(cfg Config, measure func() float64) float64
+	LookupAt(cfg Config, fidelity float64) (perf float64, estimated, ok bool)
+	Claim(cfg Config, fidelity float64) (c Claim, lead bool)
 }
 
-// FidelityExternalCache is an ExternalCache that additionally keys entries
-// on (config, fidelity). Reuse is promotion-aware: a full-fidelity truth
-// may answer a lower-fidelity probe (the real number is strictly better
-// information than a noisy short run), but a low-fidelity observation must
-// never answer a full-fidelity probe. External layers that do not
-// implement it are simply bypassed for reduced-fidelity evaluations.
-type FidelityExternalCache interface {
-	ExternalCache
-	LookupAt(cfg Config, fidelity float64) (perf float64, estimated, ok bool)
-	MeasureAt(cfg Config, fidelity float64, measure func() float64) float64
+// Claim is one configuration's measurement ticket from an ExternalCache.
+type Claim interface {
+	// Settle publishes the leader's measurement to the layer and its
+	// followers.
+	Settle(perf float64)
+	// Abandon releases a leader's claim unmeasured; one follower takes
+	// over.
+	Abandon()
+	// Wait blocks a follower until the leader settles (ok) or abandons
+	// (!ok: claim again).
+	Wait() (perf float64, ok bool)
 }
 
 // Evaluator wraps an Objective with exploration counting, a snap-to-grid
@@ -309,6 +335,9 @@ type Evaluator struct {
 	// committed measurement materializes its key string. Safe because
 	// EvalConfig runs on the evaluator's own goroutine.
 	keyBuf []byte
+	// one is measureOne's batch of one, reused for the same reason: a
+	// single evaluation allocates nothing to reach a BatchObjective.
+	one [1]Probe
 }
 
 // appendKey appends cfg's canonical key form (identical to Config.Key) to b.
@@ -355,7 +384,7 @@ func (e *Evaluator) EvalConfig(cfg Config) (Config, float64, error) {
 	if e.MaxEvals > 0 && len(e.trace) >= e.MaxEvals {
 		return nil, 0, ErrBudget
 	}
-	perf, estimated := e.measure(cfg)
+	perf, estimated := e.measureOne(cfg, 0)
 	e.commitKeyed(cfg, string(e.keyBuf), perf, estimated)
 	return cfg, perf, nil
 }
@@ -401,7 +430,7 @@ func (e *Evaluator) EvalConfigAt(cfg Config, fidelity float64) (Config, float64,
 	if e.MaxEvals > 0 && len(e.trace) >= e.MaxEvals {
 		return nil, 0, ErrBudget
 	}
-	perf, estimated := e.measureAt(cfg, fidelity)
+	perf, estimated := e.measureOne(cfg, fidelity)
 	e.commitFidelity(cfg, string(e.keyBuf), perf, estimated, fidelity)
 	return cfg, perf, nil
 }
@@ -411,29 +440,6 @@ func (e *Evaluator) EvalConfigAt(cfg Config, fidelity float64) (Config, float64,
 func appendFidelity(b []byte, f float64) []byte {
 	b = append(b, '@')
 	return strconv.AppendFloat(b, f, 'g', -1, 64)
-}
-
-// measureAt is measure with a fidelity request: the external layer is
-// consulted only when it understands (config, fidelity) keying, and the
-// objective only shortens its horizon when it implements
-// FidelityObjective.
-func (e *Evaluator) measureAt(cfg Config, fidelity float64) (perf float64, estimated bool) {
-	if e.External != nil && !e.DisableCache {
-		if fc, ok := e.External.(FidelityExternalCache); ok {
-			if perf, est, ok := fc.LookupAt(cfg, fidelity); ok {
-				return perf, est
-			}
-			return fc.MeasureAt(cfg, fidelity, func() float64 { return e.rawMeasureAt(cfg, fidelity) }), false
-		}
-	}
-	return e.rawMeasureAt(cfg, fidelity), false
-}
-
-func (e *Evaluator) rawMeasureAt(cfg Config, fidelity float64) float64 {
-	if fo, ok := e.Objective.(FidelityObjective); ok {
-		return fo.MeasureAt(cfg, fidelity)
-	}
-	return e.Objective.Measure(cfg)
 }
 
 // commitFidelity commits a reduced-fidelity evaluation: the dedup cache
@@ -450,18 +456,117 @@ func (e *Evaluator) commitFidelity(cfg Config, key string, perf float64, estimat
 	}
 }
 
-// measure obtains the performance for cfg: through the external
-// measure-once layer when one is wired (exact hit, coalesced peer
-// measurement or gate estimate), through the real objective otherwise.
-// Safe to call from EvalBatch/Speculate worker goroutines.
-func (e *Evaluator) measure(cfg Config) (perf float64, estimated bool) {
-	if e.External == nil || e.DisableCache {
-		return e.Objective.Measure(cfg), false
+// measureOne measures one configuration through the measure path.
+func (e *Evaluator) measureOne(cfg Config, fidelity float64) (perf float64, estimated bool) {
+	var est [1]bool
+	e.one[0] = Probe{Config: cfg, Fidelity: fidelity}
+	e.measure(e.one[:], est[:], 1)
+	return e.one[0].Perf, est[0]
+}
+
+// measure is the one measure path: it resolves every probe in ps, setting
+// est for the ones the estimation gate answered. The external layer answers
+// what it knows; the objective measures what this batch claims, in one
+// batch; then the batch waits for the configurations peers are measuring,
+// and measures itself any a peer abandoned. A panicking objective stops the
+// batch: the probes it resolved keep Done set and are settled, the rest are
+// abandoned to any follower, and the panic continues.
+func (e *Evaluator) measure(ps []Probe, est []bool, workers int) {
+	ext := e.External
+	if ext == nil || e.DisableCache {
+		e.measureRaw(ps, workers)
+		return
 	}
-	if perf, est, ok := e.External.Lookup(cfg); ok {
-		return perf, est
+	for i := range ps {
+		ps[i].Perf, est[i], ps[i].Done = ext.LookupAt(ps[i].Config, ps[i].Fidelity)
 	}
-	return e.External.Measure(cfg, func() float64 { return e.Objective.Measure(cfg) }), false
+	claims := make([]Claim, len(ps))
+	for {
+		var leads []Probe
+		var at []int
+		following := false
+		for i := range ps {
+			if ps[i].Done {
+				continue
+			}
+			c, lead := ext.Claim(ps[i].Config, ps[i].Fidelity)
+			claims[i] = c
+			if !lead {
+				following = true
+				continue
+			}
+			leads, at = append(leads, ps[i]), append(at, i)
+		}
+		if len(leads) > 0 {
+			e.measureLeads(ps, leads, at, claims, workers)
+		}
+		if !following {
+			return
+		}
+		// The batch's own claims are settled; only now wait on peers, so two
+		// batches that follow each other's leads cannot deadlock.
+		for i := range ps {
+			if !ps[i].Done {
+				ps[i].Perf, ps[i].Done = claims[i].Wait()
+			}
+		}
+	}
+}
+
+// measureLeads measures the probes this batch leads, copies them back to
+// their places at in ps, and settles each claim, or abandons it when the
+// objective panicked before resolving it.
+func (e *Evaluator) measureLeads(ps, leads []Probe, at []int, claims []Claim, workers int) {
+	defer func() {
+		for j, p := range leads {
+			i := at[j]
+			ps[i] = p
+			if p.Done {
+				claims[i].Settle(p.Perf)
+			} else {
+				claims[i].Abandon()
+			}
+		}
+	}()
+	e.measureRaw(leads, workers)
+}
+
+// measureRaw measures ps with the objective: one MeasureBatch call for a
+// BatchObjective, up to workers concurrent Measure calls otherwise. A panic
+// in a plain objective's worker re-raises on the caller after every worker
+// finished, the lowest index first, which keeps propagation deterministic.
+func (e *Evaluator) measureRaw(ps []Probe, workers int) {
+	if bo, ok := e.Objective.(BatchObjective); ok {
+		bo.MeasureBatch(ps)
+		return
+	}
+	if workers <= 1 || len(ps) == 1 {
+		for i := range ps {
+			ps[i].Perf, ps[i].Done = e.rawMeasure(ps[i].Config, ps[i].Fidelity), true
+		}
+		return
+	}
+	panics := runWorkers(len(ps), workers, func(i int) {
+		ps[i].Perf = e.rawMeasure(ps[i].Config, ps[i].Fidelity)
+		ps[i].Done = true
+	})
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+}
+
+// rawMeasure calls the objective once. It shortens the horizon only for a
+// reduced-fidelity request to a FidelityObjective; everything else is
+// measured in full.
+func (e *Evaluator) rawMeasure(cfg Config, fidelity float64) float64 {
+	if !FullFidelity(fidelity) {
+		if fo, ok := e.Objective.(FidelityObjective); ok {
+			return fo.MeasureAt(cfg, fidelity)
+		}
+	}
+	return e.Objective.Measure(cfg)
 }
 
 // commit appends one evaluation to the cache and trace and emits its

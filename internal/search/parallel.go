@@ -20,7 +20,8 @@ func Synchronized(obj Objective) Objective {
 }
 
 // EvalBatch measures the configurations nearest to the given points, running
-// up to workers measurements concurrently (sequentially when workers <= 1).
+// up to workers measurements concurrently (sequentially when workers <= 1;
+// a BatchObjective receives every configuration to measure in one call).
 // The returned slices follow the input order for the longest prefix the
 // evaluation budget allows; when the budget truncates the batch, err is
 // ErrBudget and the slices cover the measured prefix.
@@ -82,38 +83,29 @@ func (e *Evaluator) EvalBatch(pts [][]float64, workers int) ([]Config, []float64
 			allowed = 0
 		}
 	}
-	measured := make([]float64, allowed)
-	estimated := make([]bool, allowed)
-	panics := runWorkers(allowed, workers, func(i int) {
-		measured[i], estimated[i] = e.measure(need[i])
-	})
-
-	// A panic in any worker must unwind the caller's goroutine, not crash
-	// the process: the server's blocking objective panics errAborted when a
-	// client disconnects mid-batch, and that panic flows through here. Every
-	// cleanly measured configuration is committed first, in input order —
-	// the panic path only arises when the session is dying, and the partial
-	// trace the server deposits should keep every measurement the client
-	// paid for, regardless of where in the batch the disconnect struck. The
-	// first (lowest-index) panic then re-raises, which keeps propagation
-	// deterministic.
-	var repanic any
-
-	// Commit in input order. Tracer events follow the commit order — not
-	// the (nondeterministic) measurement completion order — so the event
-	// stream stays deterministic under parallel evaluation.
-	for i := 0; i < allowed; i++ {
-		if p := panics[i]; p != nil {
-			if repanic == nil {
-				repanic = p
+	ps := make([]Probe, allowed)
+	est := make([]bool, allowed)
+	for i := range ps {
+		ps[i].Config = need[i]
+	}
+	func() {
+		// Commit in input order. Tracer events follow the commit order — not
+		// the (nondeterministic) measurement completion order — so the event
+		// stream stays deterministic under parallel evaluation. The commit
+		// also runs when the objective panics mid-batch (the server's
+		// objective does when its client disconnects): the panic path only
+		// arises when the session is dying, and the partial trace the server
+		// deposits should keep every measurement the client paid for,
+		// wherever in the batch the disconnect struck.
+		defer func() {
+			for i := range ps {
+				if ps[i].Done {
+					e.commit(ps[i].Config, ps[i].Perf, est[i])
+				}
 			}
-			continue
-		}
-		e.commit(need[i], measured[i], estimated[i])
-	}
-	if repanic != nil {
-		panic(repanic)
-	}
+		}()
+		e.measure(ps, est, workers)
+	}()
 
 	// Assemble results for the longest answerable prefix.
 	outC := make([]Config, 0, len(pts))
@@ -198,9 +190,10 @@ func (s *Speculation) Len() int {
 // the committed cache, trace, budget accounting and tracer stream are
 // therefore byte-identical to the sequential kernel; only wall-clock
 // changes. Candidates beyond the remaining evaluation budget are not
-// measured (the sequential kernel could never commit them). The Objective
-// must be safe for concurrent use; a panic in any measurement goroutine is
-// re-raised on the caller's goroutine. With workers <= 1 (or a disabled
+// measured (the sequential kernel could never commit them). A plain
+// Objective must be safe for concurrent use (a BatchObjective receives the
+// round in one call); a panic in any measurement is re-raised on the
+// caller's goroutine. With workers <= 1 (or a disabled
 // cache, whose re-measure-everything semantics have no speculative
 // equivalent) the round is empty and probes fall back to real evaluations.
 func (e *Evaluator) Speculate(pts [][]float64, workers int) *Speculation {
@@ -224,7 +217,7 @@ func (e *Evaluator) Speculate(pts [][]float64, workers int) *Speculation {
 			// The measure-once layer may already know this candidate (a
 			// prior run, a peer session, or an earlier discarded round);
 			// answer it for free instead of queueing a measurement.
-			if perf, est, ok := e.External.Lookup(cfg); ok {
+			if perf, est, ok := e.External.LookupAt(cfg, 0); ok {
 				spec.perfs[key] = perf
 				spec.est[key] = est
 				continue
@@ -244,19 +237,15 @@ func (e *Evaluator) Speculate(pts [][]float64, workers int) *Speculation {
 	if len(need) == 0 {
 		return spec
 	}
-	perfs := make([]float64, len(need))
+	ps := make([]Probe, len(need))
 	ests := make([]bool, len(need))
-	panics := runWorkers(len(need), workers, func(i int) {
-		perfs[i], ests[i] = e.measure(need[i])
-	})
-	for _, p := range panics {
-		if p != nil {
-			panic(p) // nothing was committed; unwind the caller
-		}
+	for i := range ps {
+		ps[i].Config = need[i]
 	}
-	for i, cfg := range need {
-		key := cfg.Key()
-		spec.perfs[key] = perfs[i]
+	e.measure(ps, ests, workers) // a panic unwinds the caller; nothing was committed
+	for i, p := range ps {
+		key := p.Config.Key()
+		spec.perfs[key] = p.Perf
 		spec.est[key] = ests[i]
 	}
 	return spec

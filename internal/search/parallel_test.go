@@ -2,6 +2,7 @@ package search
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -199,5 +200,84 @@ func TestNelderMeadParallelBudgetSmallerThanSimplex(t *testing.T) {
 	}
 	if res.Evals != 2 || res.Converged {
 		t.Errorf("truncated parallel run: evals %d converged %v", res.Evals, res.Converged)
+	}
+}
+
+// batchRecorder is a BatchObjective that records every batch it is handed
+// and resolves its probes in reverse order, optionally stopping (by
+// panicking) after `stopAfter` probes of a batch.
+type batchRecorder struct {
+	batches   [][]int
+	stopAfter int
+}
+
+func (b *batchRecorder) Measure(cfg Config) float64 { return float64(cfg[0]) }
+
+func (b *batchRecorder) MeasureBatch(ps []Probe) {
+	var xs []int
+	for _, p := range ps {
+		xs = append(xs, p.Config[0])
+	}
+	b.batches = append(b.batches, xs)
+	for n, i := 0, len(ps)-1; i >= 0; n, i = n+1, i-1 {
+		if b.stopAfter > 0 && n == b.stopAfter {
+			panic(errSentinel)
+		}
+		ps[i].Perf, ps[i].Done = float64(ps[i].Config[0]), true
+	}
+}
+
+// TestEvalBatchHandsBatchObjectiveOneCall: a BatchObjective receives every
+// configuration a parallel batch needs in one call, in input order, and the
+// trace commits in input order however the objective resolved them. A lone
+// evaluation is a batch of one.
+func TestEvalBatchHandsBatchObjectiveOneCall(t *testing.T) {
+	s := MustSpace(Param{Name: "x", Min: 0, Max: 100, Step: 1, Default: 0})
+	obj := &batchRecorder{}
+	ev := NewEvaluator(s, obj)
+	if _, _, err := ev.EvalConfig(Config{7}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ev.EvalBatch([][]float64{{10}, {20}, {7}, {30}, {20}, {40}}, 2); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int{{7}, {10, 20, 30, 40}}
+	if len(obj.batches) != len(want) {
+		t.Fatalf("batches = %v, want %v", obj.batches, want)
+	}
+	for i := range want {
+		if !slices.Equal(obj.batches[i], want[i]) {
+			t.Fatalf("batches = %v, want %v", obj.batches, want)
+		}
+	}
+	var got []int
+	for _, e := range ev.Trace() {
+		got = append(got, e.Config[0])
+	}
+	if !slices.Equal(got, []int{7, 10, 20, 30, 40}) {
+		t.Fatalf("trace order = %v, want input order", got)
+	}
+}
+
+// TestEvalBatchBatchObjectiveCutShort: when a BatchObjective stops mid-batch
+// the probes it resolved are committed in input order before the panic
+// reaches the caller.
+func TestEvalBatchBatchObjectiveCutShort(t *testing.T) {
+	s := MustSpace(Param{Name: "x", Min: 0, Max: 100, Step: 1, Default: 0})
+	ev := NewEvaluator(s, &batchRecorder{stopAfter: 2})
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		ev.EvalBatch([][]float64{{10}, {20}, {30}, {40}}, 4)
+	}()
+	if recovered != errSentinel {
+		t.Fatalf("recovered %v, want the objective's panic", recovered)
+	}
+	var got []int
+	for _, e := range ev.Trace() {
+		got = append(got, e.Config[0])
+	}
+	if !slices.Equal(got, []int{30, 40}) {
+		t.Fatalf("trace after the cut = %v, want the reported 30, 40 in input order", got)
 	}
 }

@@ -86,15 +86,13 @@ func (s *Server) warmFill(key string, space *search.Space, nc *namespaceCache) {
 }
 
 // evalLayer builds the measure-once layer for one session, or nil when the
-// cache is off. cancel is the session's abort channel: a follower blocked
-// on a peer's in-flight measurement must not outlive its own session.
-func (s *Server) evalLayer(key string, space *search.Space, cancel <-chan struct{}) *evalcache.Layer {
+// cache is off.
+func (s *Server) evalLayer(key string, space *search.Space) *evalcache.Layer {
 	switch s.EvalCache {
 	case CacheSession:
 		nc := s.newNamespaceCache(space)
 		s.warmFill(key, space, nc)
-		return &evalcache.Layer{Cache: nc.cache, Gate: nc.gate, Cancel: cancel,
-			TruthCheckEvery: s.GateOptions.TruthCheckEvery}
+		return &evalcache.Layer{Cache: nc.cache, Gate: nc.gate, TruthCheckEvery: s.GateOptions.TruthCheckEvery}
 	case CacheShared:
 		s.cacheMu.Lock()
 		nc := s.caches[key]
@@ -113,8 +111,7 @@ func (s *Server) evalLayer(key string, space *search.Space, cancel <-chan struct
 			// cold) cache — fills are hints, not correctness.
 			s.warmFill(key, space, nc)
 		}
-		return &evalcache.Layer{Cache: nc.cache, Gate: nc.gate, Cancel: cancel,
-			TruthCheckEvery: s.GateOptions.TruthCheckEvery}
+		return &evalcache.Layer{Cache: nc.cache, Gate: nc.gate, TruthCheckEvery: s.GateOptions.TruthCheckEvery}
 	}
 	return nil
 }

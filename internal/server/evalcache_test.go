@@ -1,6 +1,9 @@
 package server
 
 import (
+	"bytes"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -163,5 +166,74 @@ func TestSharedCacheCoalescesConcurrentSessions(t *testing.T) {
 	}
 	if m.Hits.Value()+m.Coalesced.Value() == 0 {
 		t.Fatal("neither exact hits nor coalesced measurements were recorded")
+	}
+}
+
+// TestSharedCacheLeaderDisconnectTakeover: session A leads a configuration
+// of the shared cache and its client disconnects before reporting it, while
+// session B of the same namespace follows that configuration. A's kernel
+// unwinds and abandons its claim; B takes over, measures the configuration
+// itself and completes. Nothing is left running afterwards.
+func TestSharedCacheLeaderDisconnectTakeover(t *testing.T) {
+	base := settleGoroutines(0)
+	s, addr, m := startCacheServer(t, CacheShared)
+
+	// A: a raw lockstep session that takes the first configuration and
+	// never reports it.
+	a := rawDial(t, addr)
+	a.write(`{"op":"register","rsl":` + strconv.Quote(quadRSL) + `,"app":"webapp","max_evals":150,"improved":true}`)
+	if _, reg := a.read(); reg.Op != "registered" {
+		t.Fatalf("A register reply = %+v", reg)
+	}
+	a.write(`{"op":"fetch"}`)
+	_, cfg := a.read()
+	if cfg.Op != "config" {
+		t.Fatalf("A's first reply = %+v, want a config", cfg)
+	}
+	x := search.Config(cfg.Values)
+
+	// B: the same registration, so its kernel asks for X first and follows
+	// A's claim on it.
+	b := dial(t, addr)
+	if _, err := b.Register(quadRSL, RegisterOptions{App: "webapp", MaxEvals: 150, Improved: true}); err != nil {
+		t.Fatal(err)
+	}
+	var measured []search.Config
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.Tune(func(cfg search.Config) float64 {
+			measured = append(measured, cfg)
+			return cacheQuad(cfg)
+		})
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if bytes.Contains(bytes.Join(stacks(), nil), []byte("evalcache.(*flight).Wait(")) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("B never waited on A's claim")
+		}
+	}
+	a.conn.Close()
+
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("B's session: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("B never completed after A disconnected")
+	}
+	if len(measured) == 0 || !slices.Equal(measured[0], x) {
+		t.Fatalf("B's first measurement = %v, want the abandoned %v", measured, x)
+	}
+	if n := m.Coalesced.Value(); n != 0 {
+		t.Fatalf("coalesced = %d, want 0: nobody measured X for B", n)
+	}
+	b.Close()
+	s.Close()
+	if all := settleGoroutines(base); all > base {
+		t.Errorf("%d goroutines after teardown, baseline %d", all, base)
 	}
 }

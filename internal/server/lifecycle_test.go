@@ -3,9 +3,12 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -242,57 +245,93 @@ func TestCloseBoundedAgainstStalledServer(t *testing.T) {
 	}
 }
 
-// sessionGoroutines counts the live goroutines running this package's code
-// outside the tests themselves, and how many of them are plain-connection
-// reader goroutines.
-func sessionGoroutines() (all, readers int) {
+// stacks returns the stack of every live goroutine.
+func stacks() [][]byte {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
-	for _, g := range bytes.Split(buf, []byte("\n\n")) {
-		if !bytes.Contains(g, []byte("harmony/internal/server.")) ||
-			bytes.Contains(g, []byte("harmony/internal/server.Test")) {
-			continue
-		}
-		all++
-		if bytes.Contains(g, []byte("(*session).read(")) {
-			readers++
-		}
-	}
-	return all, readers
+	return bytes.Split(buf, []byte("\n\n"))
 }
 
-// TestSessionGoroutineBudget pins the goroutines one session costs. A plain
-// window-1 session, over v1 JSON and over v3, reads its socket on its
-// message loop's own goroutine: no reader goroutine ever starts. A plain
-// window>1 session starts exactly one. A mux session reads its inbox and
-// starts none. Whatever the framing, tearing down the client and the
+// sessionGoroutines counts the live goroutines running this package's code,
+// client or server, outside the tests themselves.
+func sessionGoroutines() (all int) {
+	for _, g := range stacks() {
+		if bytes.Contains(g, []byte("harmony/internal/server.")) &&
+			!bytes.Contains(g, []byte("harmony/internal/server.Test")) {
+			all++
+		}
+	}
+	return all
+}
+
+// settleGoroutines polls until sessionGoroutines is at most want, for up
+// to five seconds, and returns the last count.
+func settleGoroutines(want int) (all int) {
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if all = sessionGoroutines(); all <= want || time.Now().After(deadline) {
+			return all
+		}
+	}
+}
+
+// serverShape classifies the server side's goroutines, bar the accept loop:
+// sessions counts those running the session loop, kernels those running
+// search code (a kernel on a goroutine of its own shows up here, but not in
+// sessions), and extra everything else the server started.
+func serverShape() (sessions, kernels int, extra []string) {
+	for _, g := range stacks() {
+		fromServer := bytes.Contains(g, []byte("harmony/internal/server.(*Server).")) ||
+			bytes.Contains(g, []byte("created by harmony/internal/server.(*Server).")) ||
+			bytes.Contains(g, []byte("created by harmony/internal/server.(*muxConn).")) ||
+			bytes.Contains(g, []byte("created by harmony/internal/server.(*session)."))
+		if !fromServer || bytes.Contains(g, []byte("(*Server).acceptLoop(")) {
+			continue
+		}
+		session := bytes.Contains(g, []byte("harmony/internal/server.(*Server).serve("))
+		if session {
+			sessions++
+		}
+		if bytes.Contains(g, []byte("harmony/internal/search.")) || bytes.Contains(g, []byte("harmony/internal/mfsearch.")) {
+			kernels++
+		}
+		switch {
+		case session:
+		case bytes.Contains(g, []byte("(*muxConn).demux(")):
+			extra = append(extra, "demux")
+		case bytes.Contains(g, []byte("(*corkedWriter).run(")):
+			extra = append(extra, "writer")
+		default:
+			lines := strings.SplitN(string(g), "\n", 3)
+			extra = append(extra, lines[len(lines)-2]) // the innermost frame
+		}
+	}
+	slices.Sort(extra)
+	return sessions, kernels, extra
+}
+
+// TestSessionGoroutineBudget pins the goroutines one session costs. The
+// session's kernel runs on the session's own goroutine, and every session
+// reads its wire there too: a plain session, lockstep or pipelined, starts
+// no other goroutine, and a mux session adds only its connection's demux
+// and corked writer. Whatever the framing, tearing down the client and the
 // server returns the count to its baseline.
 func TestSessionGoroutineBudget(t *testing.T) {
 	cases := []struct {
 		name          string
 		proto, window int
 		mux           bool
-		readers       int
+		extra         []string
 	}{
-		{"v1-json-lockstep", 2, 1, false, 0},
-		{"v3-lockstep", 3, 1, false, 0},
-		{"v2-json-window4", 2, 4, false, 1},
-		{"v3-window4", 3, 4, false, 1},
-		{"mux-lockstep", 3, 1, true, 0},
-		{"mux-window4", 3, 4, true, 0},
-	}
-	// settle polls until the goroutine count is at most want.
-	settle := func(want int) (all, readers int) {
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-			all, readers = sessionGoroutines()
-			if all <= want || time.Now().After(deadline) {
-				return all, readers
-			}
-		}
+		{"v1-json-lockstep", 2, 1, false, nil},
+		{"v3-lockstep", 3, 1, false, nil},
+		{"v2-json-window4", 2, 4, false, nil},
+		{"v3-window4", 3, 4, false, nil},
+		{"mux-lockstep", 3, 1, true, []string{"demux", "writer"}},
+		{"mux-window4", 3, 4, true, []string{"demux", "writer"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base, _ := settle(0)
+			base := settleGoroutines(0)
 			s := NewServer()
 			addr, err := s.Listen("127.0.0.1:0")
 			if err != nil {
@@ -312,27 +351,31 @@ func TestSessionGoroutineBudget(t *testing.T) {
 			if _, err := c.Register(quadRSL, opts); err != nil {
 				t.Fatal(err)
 			}
-			var maxReaders atomic.Int32
+			var mu sync.Mutex
+			var bad []string
 			measure := func(cfg search.Config) float64 {
-				if _, r := sessionGoroutines(); int32(r) > maxReaders.Load() {
-					maxReaders.Store(int32(r))
-				}
 				time.Sleep(200 * time.Microsecond) // let the server reach its wait
+				sessions, kernels, extra := serverShape()
+				mu.Lock()
+				if sessions != 1 || kernels != 1 || !slices.Equal(extra, tc.extra) {
+					bad = append(bad, fmt.Sprintf("sessions=%d kernels=%d extra=%v", sessions, kernels, extra))
+				}
+				mu.Unlock()
 				return quadPeak(cfg)
 			}
 			if _, err := c.TuneParallel(measure, tc.window); err != nil {
 				t.Fatal(err)
 			}
-			if got := int(maxReaders.Load()); got != tc.readers {
-				t.Errorf("reader goroutines during the session = %d, want %d", got, tc.readers)
+			if len(bad) > 0 {
+				t.Errorf("server goroutines during the session: %v (want 1 session goroutine running the only kernel, extra %v)", bad[0], tc.extra)
 			}
 			c.Close()
 			if mx != nil {
 				mx.Close()
 			}
 			s.Close()
-			if all, readers := settle(base); all > base {
-				t.Errorf("%d goroutines (%d readers) after teardown, baseline %d", all, readers, base)
+			if all := settleGoroutines(base); all > base {
+				t.Errorf("%d goroutines after teardown, baseline %d", all, base)
 			}
 		})
 	}

@@ -7,16 +7,15 @@ package server
 // tuning sessions (see wire.go for the frame layout). The connection
 // goroutine turns into a demultiplexer: it reads frames, routes each to its
 // session's bounded inbox, and runs one goroutine per session executing the
-// one message loop (Server.serve) a plain connection runs, reading the inbox
-// where a plain session reads its socket.
+// one session loop (Server.serve, kernel included) a plain connection runs,
+// reading the inbox where a plain session reads its socket.
 // Replies from every session funnel through one corkedWriter, the type the
 // client end uses too: take a queued frame, drain everything queued, yield
 // the processor once and drain again, then flush once. The yield is needed
 // because Go runs the goroutine a channel send wakes next, so each reply
-// chain (demux → session → kernel → session → writer) runs depth-first and
-// a drain without it finds only the reply that woke the writer. On the
-// benchmark's mux-fleet workload the yield takes the server from 1.03 to
-// 4.24 frames per flush.
+// chain (demux → session → writer) runs depth-first and a drain without it
+// finds only the reply that woke the writer. On the benchmark's mux-fleet
+// workload the yield takes the server from 1.03 to 4.24 frames per flush.
 //
 // Flow control is credit-based and per-session: a session's credit is its
 // inbox capacity (2×window+4 — a conforming client can never exceed its
@@ -94,7 +93,7 @@ type muxConn struct {
 
 // serveMux runs a multiplexed connection: demux loop on this goroutine, one
 // corked-writer goroutine, one goroutine per session running the same
-// message loop a plain connection runs. first is the session handle()
+// session loop a plain connection runs. first is the session handle()
 // opened; the negotiation register attaches it as token 1.
 func (s *Server) serveMux(first *session, bw *binWire, w *bufio.Writer, beforeWrite func(), reg message, remote, connID string) error {
 	m := s.m()
@@ -244,8 +243,8 @@ func (mc *muxConn) register(reg message, connFault func(string) error) error {
 	return nil
 }
 
-// attach binds sess to token tok, registers it and, once the kernel runs,
-// installs it in the table and starts its goroutine. A registration the
+// attach binds sess to token tok, registers it and, once the kernel is
+// ready, installs it in the table and starts its goroutine. A registration the
 // server cannot accept is answered on tok and ends the session here.
 func (mc *muxConn) attach(tok uint64, sess *session, reg message) error {
 	s := mc.s
@@ -410,9 +409,9 @@ func (cw *corkedWriter) run() {
 // flush commits one batch with a single Flush: m, every frame already
 // queued, and, after yielding the processor once, every frame queued in the
 // meantime. The yield is what makes the cork work. Go runs the goroutine a
-// channel send wakes next, so each reply chain (demux → session → kernel →
-// session → writer) runs depth-first, and a drain without the yield finds
-// only the frame that woke the writer. Gosched lets the sessions woken by
+// channel send wakes next, so each reply chain (demux → session → writer)
+// runs depth-first, and a drain without the yield finds only the frame that
+// woke the writer. Gosched lets the sessions woken by
 // the same read batch queue their frames first; with nothing else runnable
 // it returns at once, so an idle connection still answers a lone frame
 // immediately. Yielding again while frames keep arriving measured no better.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -423,5 +424,102 @@ func TestPipelinedMetrics(t *testing.T) {
 	}
 	if v := s.Metrics.SessionOutstanding.Value(); v != 0 {
 		t.Errorf("session_outstanding = %v after session end, want 0", v)
+	}
+}
+
+// dispatchSequence runs one raw window-4 session over the given framing (2
+// for v2 JSON, 3 for v3 frames) and returns every config frame the server
+// sent, as "id:values@fidelity". The client holds four fetch credits and,
+// whenever the server pauses for reports, answers the configs it holds in
+// reverse order and refills its credits.
+func dispatchSequence(t *testing.T, addr string, proto int) []string {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+	var tr transport = newJSONWire(br, w, nil, nil)
+	if proto == 3 {
+		if _, err := conn.Write(v3Magic[:]); err != nil {
+			t.Fatal(err)
+		}
+		tr = newBinWire(br, w, nil, nil)
+	}
+	// Writes may fail once the server has sent best and hung up; the reader
+	// tells those runs apart from broken ones.
+	send := func(m message) { tr.send(m) } //nolint:errcheck
+	in, done := make(chan message), make(chan struct{})
+	defer close(done)
+	go func() {
+		defer close(in)
+		for {
+			m, err := tr.recv()
+			if err != nil {
+				return
+			}
+			select {
+			case in <- m:
+			case <-done:
+				return
+			}
+		}
+	}()
+	send(message{Op: "register", RSL: quadRSL, MaxEvals: 60, Improved: true, Window: 4})
+	if m := <-in; m.Op != "registered" || m.Window != 4 {
+		t.Fatalf("register reply = %+v", m)
+	}
+	for i := 0; i < 4; i++ {
+		send(message{Op: "fetch"})
+	}
+	var seq []string
+	var held []message
+	for {
+		select {
+		case m, ok := <-in:
+			switch {
+			case !ok:
+				t.Fatal("connection closed before best")
+			case m.Op == "best":
+				return seq
+			case m.Op != "config" || !m.hasID:
+				t.Fatalf("unexpected frame %+v", m)
+			}
+			seq = append(seq, fmt.Sprintf("%d:%v@%v", m.id, m.Values, m.Fidelity))
+			held = append(held, m)
+		case <-time.After(2 * time.Millisecond):
+			// The server waits for reports: answer what it sent, newest
+			// first.
+			for i := len(held) - 1; i >= 0; i-- {
+				r := message{Op: "report", Perf: quadPeak(search.Config(held[i].Values))}
+				r.id, r.hasID = held[i].id, true
+				send(r)
+			}
+			for range held {
+				send(message{Op: "fetch"})
+			}
+			held = held[:0]
+		}
+	}
+}
+
+// TestPipelinedDispatchOrderDeterministic: the kernel hands each batch to the
+// session in one call, so the configs of a batch go out in the batch's own
+// order, whatever order their reports come back in. The whole sequence of
+// config frames — ids and values — is the same on every run and on both
+// framings.
+func TestPipelinedDispatchOrderDeterministic(t *testing.T) {
+	_, addr := startServer(t)
+	want := dispatchSequence(t, addr, 2)
+	if len(want) < 20 {
+		t.Fatalf("session dispatched only %d configs", len(want))
+	}
+	for run := 0; run < 5; run++ {
+		for _, proto := range []int{2, 3} {
+			if got := dispatchSequence(t, addr, proto); !slices.Equal(got, want) {
+				t.Fatalf("run %d, proto %d: dispatch sequence diverged\ngot  %v\nwant %v", run, proto, got, want)
+			}
+		}
 	}
 }

@@ -132,7 +132,7 @@ type message struct {
 	Msg string `json:"msg,omitempty"`
 
 	// id/hasID are the transport-normalized correlation id, the form the
-	// message loop and the binary framing use. decode/encode translate to
+	// session's exchange and the binary framing use. decode/encode translate to
 	// and from the pointer-encoded JSON field: on the JSON wire nothing
 	// changes, and the binary hot path never allocates a *int.
 	id    int

@@ -73,9 +73,9 @@ type Server struct {
 	// interleaves sessions demultiplexably. The sink must be safe for
 	// concurrent Emit. Set it before Listen.
 	Tracer search.Tracer
-	// OnSessionEnd, when set, is called after a session's handler and
-	// kernel goroutine have both finished — one call per connection, from
-	// the connection's goroutine. Intended for metrics and tests.
+	// OnSessionEnd, when set, is called once per session after its kernel
+	// has finished, from the session's goroutine. Intended for metrics and
+	// tests.
 	OnSessionEnd func(SessionEnd)
 	// Experience is the cross-session prior-run store: sessions that
 	// declare workload characteristics deposit their tuning traces and
@@ -383,8 +383,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 	}
-	// Hard cutoff: sever every remaining connection. Handlers unwind, the
-	// kernel goroutines deposit partial traces, and the wait completes.
+	// Hard cutoff: sever every remaining connection. Sessions unwind their
+	// kernels, deposit partial traces, and the wait completes.
 	severed := s.tab().Close()
 	<-done
 	drain := time.Since(start)
@@ -443,60 +443,34 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// evalReq is one pending measurement crossing from the kernel to the
-// message loop: the client-facing configuration plus the reply channel the
-// requesting objective call blocks on. Carrying the reply per-request (the
-// channel is buffered so the loop never blocks on delivery) is what lets a
-// pipelined session resolve out-of-order reports to the right waiting
-// kernel goroutine.
-type evalReq struct {
-	// id is the correlation id the loop assigns at dispatch.
-	id  int
-	cfg search.Config
-	// fidelity is the requested measurement fidelity: 0 means full (the
-	// field stays off the wire), f ∈ (0, 1) asks the client for a cheap
-	// partial measurement (multi-fidelity kernels only).
-	fidelity float64
-	reply    chan float64
-}
-
-// replyChanPool recycles evalReq reply channels across measurements and
-// sessions — one per evaluation otherwise, which is the single hottest
-// allocation site on the measurement path. A channel may be returned only
-// when it is provably empty and unreferenced: consumed by the kernel, or
-// never handed to the message loop. The abort-without-reply path drops the
-// channel instead — a late delivery may still be in flight there.
-var replyChanPool = sync.Pool{New: func() any { return make(chan float64, 1) }}
-
 // session is one tuning session from its first byte to its end-of-session
 // bookkeeping: its identity and state twin, its wire, and — once
-// registration succeeds — the bridge between the blocking search kernel and
-// the message loop. A plain connection carries one session; a mux
-// connection carries one per attached token. Either way the session opens in
-// openSession, registers in register, runs serve and ends in endSession.
+// registration succeeds — its kernel, which runs on the session's own
+// goroutine and measures through the wire. A plain connection carries one
+// session; a mux connection carries one per attached token. Either way the
+// session opens in openSession, registers in register, runs serve and ends
+// in endSession.
 type session struct {
+	srv *Server
 	id  string
 	log *slog.Logger
 	end SessionEnd
 	// budget is how many faults the session tolerates before it fails.
 	budget int
 	// state is the session's control-plane twin (never nil): the trace
-	// stream and the message loop keep it current, the API snapshots it.
+	// stream and the exchange keep it current, the API snapshots it.
 	state *sessionState
 
 	// send writes one reply: through the connection's framing on a plain
 	// connection, token-stamped through the corked writer on a mux one.
 	send func(m message) error
-	// tr is a plain connection's framing. The loop reads it on its own
-	// goroutine until it first has to wait on the kernel and the wire at
-	// once; from then on a reader goroutine reads tr and feeds in. A mux
-	// session has no tr: in is its inbox, fed by the connection's demux.
+	// tr is a plain connection's framing, read on the session's goroutine.
+	// A mux session has no tr: in is its inbox, fed by the connection's
+	// demux.
 	tr transport
 	in chan muxItem
 	// termErr is the terminal read condition, written before in closes.
 	termErr error
-	// stop closes when the loop exits, releasing a blocked reader.
-	stop chan struct{}
 	// proto is the negotiated framing generation: 2 for the JSON line
 	// protocol (v1/v2 share it), 3 for binary frames, mux included.
 	proto int
@@ -505,53 +479,58 @@ type session struct {
 	// token is the session's v4-mux token; 0 on a plain connection.
 	token uint64
 
-	// The kernel bridge, set by startSession.
-	space *search.Space
+	// The kernel and its exchange, set by startSession.
 	names []string
 	dir   search.Direction
 	// penalty is the worst-case performance used to score failed
 	// evaluations (search.FailurePenalty for the session's direction).
 	penalty float64
-	// bestToWire maps the kernel's best configuration (which lives in the
-	// searched space — normalized coordinates for restricted specs) to the
-	// client-facing parameter values. Configurations flowing through evals
-	// are already client-facing.
-	bestToWire func(search.Config) []int
+	// toWire maps a configuration of the searched space (normalized
+	// coordinates for restricted specs) to the client-facing parameter
+	// values.
+	toWire func(search.Config) []int
 	// window is the granted pipeline depth: how many configurations may be
 	// outstanding at once and how many points the kernel measures
 	// concurrently. 1 is the lockstep v1 exchange.
-	window   int
-	evals    chan evalReq
-	resultCh chan *search.Result
-	errCh    chan error
-	abort    chan struct{}
-	// kernelDone closes when the kernel goroutine has fully unwound (and
-	// any partial-trace deposit has happened); nil until the kernel starts.
-	// endSession waits on it, so Server.Shutdown transitively waits for
-	// kernels too.
-	kernelDone chan struct{}
-	warm       bool // a prior experience seeded this session
-	// deposited is written by the kernel goroutine before kernelDone
-	// closes and read by endSession after it — no lock needed.
+	window int
+	// credits counts fetches received and not yet answered; out holds the
+	// outstanding configurations in dispatch order (at most window, so a
+	// scan finds a report's); nextID is the next correlation id.
+	credits, nextID int
+	out             []outstanding
+	// tune runs the kernel to its end: the final result, or nil once the
+	// session ended with the returned error.
+	tune func() (*search.Result, error)
+	warm bool // a prior experience seeded this session
+	// deposited reports that the session's trace entered the store.
 	deposited bool
 	// detector is the session's workload-drift detector, nil unless the
 	// server enables detection and the registration carried
-	// characteristics. The message loop observes into it; the kernel
-	// goroutine reads and rebases it.
+	// characteristics.
 	detector *drift.Detector
 	// tracer is the session's stamped trace stream (set at registration),
-	// kept here so the message loop can emit drift events onto the same
+	// kept here so the exchange can emit drift events onto the same
 	// demultiplexable stream the kernel uses.
 	tracer search.Tracer
-	// driftPending hands a detector trip from the message loop to the
-	// kernel's next ExtraRestart poll.
-	driftPending atomic.Bool
+	// drifted hands a detector trip from the exchange to the kernel's next
+	// ExtraRestart poll.
+	drifted bool
 }
 
+// outstanding is one configuration sent and not yet reported: its
+// correlation id and the batch probe its report resolves.
+type outstanding struct {
+	id int
+	p  *search.Probe
+}
+
+// sessionEnd unwinds the kernel when the wire ends the session mid-tuning:
+// err is the session's terminal error, nil for a quit or a clean close.
+type sessionEnd struct{ err error }
+
 // noteChars folds one report's observed workload characteristics into the
-// session's drift detector. Called from the message loop; a session
-// without a detector (detection off, or no characteristics registered)
-// ignores them.
+// session's drift detector. A session without a detector (detection off, or
+// no characteristics registered) ignores them.
 func (sess *session) noteChars(chars []float64) {
 	if sess.detector == nil || len(chars) == 0 {
 		return
@@ -559,7 +538,7 @@ func (sess *session) noteChars(chars []float64) {
 	dist, fired := sess.detector.Observe(chars)
 	sess.state.setDriftDistance(dist)
 	if fired {
-		sess.driftPending.Store(true)
+		sess.drifted = true
 		st := sess.detector.Status()
 		sess.tracer.Emit(search.Event{
 			Time: time.Now(), Type: search.EventDrift,
@@ -574,19 +553,13 @@ func (sess *session) noteChars(chars []float64) {
 // the flow control, which lets clients coalesce report+fetch into one write.
 func (sess *session) acks() bool { return sess.proto < 3 }
 
-// recv reads the session's next wire message: from tr while no reader
-// goroutine exists, from in after.
+// recv reads the session's next wire message: from its connection, or from
+// its inbox on a mux connection.
 func (sess *session) recv() (message, error) {
 	if sess.in == nil {
 		return sess.tr.recv()
 	}
 	it, ok := <-sess.in
-	return sess.item(it, ok)
-}
-
-// item unpacks one inbox receive the way recv reports it: a message, a
-// tolerable garbage error, or the terminal condition once in is closed.
-func (sess *session) item(it muxItem, ok bool) (message, error) {
 	switch {
 	case !ok:
 		return message{}, sess.termErr
@@ -595,40 +568,6 @@ func (sess *session) item(it muxItem, ok bool) (message, error) {
 	}
 	return it.m, nil
 }
-
-// inbox returns the channel the loop selects on beside the kernel. A plain
-// connection starts its reader goroutine here, the first time the loop has
-// to wait on both; a mux session's inbox already exists.
-func (sess *session) inbox() chan muxItem {
-	if sess.in == nil {
-		sess.in, sess.stop = make(chan muxItem), make(chan struct{})
-		go sess.read()
-	}
-	return sess.in
-}
-
-// read is a plain connection's reader goroutine: it hands every message,
-// and every tolerable garbage error, to the loop until the transport fails,
-// then closes in with the terminal condition.
-func (sess *session) read() {
-	for {
-		msg, err := sess.tr.recv()
-		var g *garbageError
-		if err != nil && !errors.As(err, &g) {
-			sess.termErr = err
-			close(sess.in)
-			return
-		}
-		select {
-		case sess.in <- muxItem{m: msg, err: g}:
-		case <-sess.stop:
-			return
-		}
-	}
-}
-
-// errAborted signals the kernel goroutine that the client went away.
-var errAborted = errors.New("server: session aborted")
 
 // errNoRegister ends a connection that closed before registering.
 var errNoRegister = errors.New("server: client closed before registering")
@@ -642,6 +581,7 @@ func (s *Server) openSession(remote, connID string, shard int) *session {
 	m.SessionsStarted.Inc()
 	m.SessionsActive.Inc()
 	sess := &session{
+		srv:    s,
 		id:     id,
 		log:    s.logger().With("session", id, "remote", remote, "conn", connID),
 		end:    SessionEnd{ID: id},
@@ -653,19 +593,14 @@ func (s *Server) openSession(remote, connID string, shard int) *session {
 	return sess
 }
 
-// endSession is the one end-of-session tail. It unblocks the kernel and
-// waits for it to unwind — an abnormal end deposits the partial trace
-// before kernelDone closes, so prior-run data is never lost (§4.2) — then
-// settles the metrics, logs the outcome, retires the state twin and reports
-// through OnSessionEnd. It returns err.
+// endSession is the one end-of-session tail: it settles the metrics, logs
+// the outcome, retires the state twin and reports through OnSessionEnd. The
+// kernel has already returned or unwound (an abnormal end deposited the
+// partial trace on the way, so prior-run data is never lost, §4.2). It
+// returns err.
 func (s *Server) endSession(sess *session, err error) error {
 	end := &sess.end
-	if sess.kernelDone != nil {
-		close(sess.abort)
-		<-sess.kernelDone
-		end.Warm, end.Deposited = sess.warm, sess.deposited
-	}
-	end.Err = err
+	end.Warm, end.Deposited, end.Err = sess.warm, sess.deposited, err
 	m := s.m()
 	if end.Completed {
 		m.SessionsCompleted.Inc()
@@ -906,25 +841,12 @@ func (s *Server) tolerate(sess *session, what string) error {
 	return nil
 }
 
-// serve answers the registration and runs the session's message loop —
-// the one loop every session runs: lockstep v1, pipelined v2, either over v3
-// frames, and each session of a mux connection.
-//
-// The session holds up to window outstanding configurations. Fetches are
-// credits the client may pipeline; each is answered once the kernel has a
-// point ready, and reports resolve outstanding configurations by
-// correlation id. Window 1 is the lockstep v1 exchange, whose JSON bytes are
-// pinned to prior releases: configs carry no id, an id-less report resolves
-// the one pending configuration, a fetch while one is pending scores it
-// with the failure penalty, and the JSON framing acknowledges reports.
-//
-// The loop picks its wait from the session's state: the kernel only while
-// it holds a credit with nothing outstanding (nothing the client sends can
-// matter until a config goes out), the wire only with no credit or a full
-// window (the kernel cannot be answered), and both in between. A plain
-// connection reads the wire on this goroutine until it first reaches that
-// middle state, which a window-1 session never does: lockstep sessions run
-// without a reader goroutine and its handoff.
+// serve answers the registration, runs the session's kernel on this
+// goroutine, and sends its final best in answer to a fetch — the one session
+// loop every session runs: lockstep v1, pipelined v2, either over v3 frames,
+// and each session of a mux connection. The kernel drives the wire: each
+// batch it measures goes out through MeasureBatch, which reads the
+// session's messages until the batch is resolved.
 func (s *Server) serve(sess *session) error {
 	reply := message{Op: "registered", Names: sess.names, Warm: sess.warm}
 	if sess.window > 1 {
@@ -935,163 +857,171 @@ func (s *Server) serve(sess *session) error {
 	if err := sess.send(reply); err != nil {
 		return err
 	}
-	m := s.m()
-	lockstep := sess.window == 1
-	// out holds the outstanding configurations in dispatch order; there are
-	// at most window of them, so a scan finds a report's.
-	out := make([]evalReq, 0, sess.window)
-	credits, nextID := 0, 0 // credits: fetches received and not yet answered
-	defer func() {
-		// A session dying with configurations in flight must not leak
-		// pipeline depth on the gauge.
-		m.SessionOutstanding.Add(-float64(len(out)))
-		if sess.stop != nil {
-			close(sess.stop)
+	// A session dying with configurations in flight must not leak pipeline
+	// depth on the gauge.
+	defer func() { s.m().SessionOutstanding.Add(-float64(len(sess.out))) }()
+	res, err := sess.tune()
+	if res == nil {
+		return err
+	}
+	for sess.credits == 0 {
+		if end, err := s.step(sess); end {
+			return err
 		}
-	}()
-	for {
-		var msg message
-		var err error
-		if credits == 0 || len(out) == sess.window {
-			msg, err = sess.recv()
-		} else {
-			// A credit and window room: the kernel's next point or final
-			// best can go out. The wire joins the wait only while reports
-			// are outstanding.
-			var in chan muxItem
-			if len(out) > 0 {
-				in = sess.inbox()
-			}
-			select {
-			case it, ok := <-in:
-				msg, err = sess.item(it, ok)
-			case req := <-sess.evals:
-				credits--
-				req.id = nextID
-				nextID++
-				out = append(out, req)
-				sess.state.outstanding.Store(int64(len(out)))
-				m.ConfigsServed.Inc(sess.shard)
-				m.SessionOutstanding.Inc()
-				m.BatchSize.Observe(float64(len(out)))
-				cfg := message{Op: "config", Values: req.cfg, Fidelity: req.fidelity}
-				if !lockstep {
-					cfg.id, cfg.hasID = req.id, true
-				}
-				if err := sess.send(cfg); err != nil {
-					return err
-				}
-				continue
-			case res := <-sess.resultCh:
-				// The kernel finishes only after every outstanding report
-				// arrived, so best never overtakes one.
-				err := s.sendBest(sess, res)
-				if err == nil {
-					sess.end.Completed = true
-				}
-				return err
-			case err := <-sess.errCh:
-				return s.fail(sess, err.Error())
-			}
-		}
-		if err != nil {
-			var g *garbageError
-			if !errors.As(err, &g) {
-				return s.recvEnd(sess, err)
-			}
-			// Garbage on the wire: skip the line or frame and charge the
-			// budget instead of killing a session that may hold hours of
-			// tuning progress.
-			if err := s.tolerate(sess, g.Error()); err != nil {
-				return err
+	}
+	best := message{Op: "best", Evals: res.Evals, Perf: res.BestPerf}
+	if len(res.BestConfig) > 0 {
+		best.Values = sess.toWire(res.BestConfig)
+	}
+	if err := sess.send(best); err != nil {
+		return err
+	}
+	sess.end.Completed = true
+	return nil
+}
+
+// Measure implements search.Objective as a batch of one.
+func (sess *session) Measure(cfg search.Config) float64 {
+	ps := []search.Probe{{Config: cfg}}
+	sess.MeasureBatch(ps)
+	return ps[0].Perf
+}
+
+// MeasureBatch implements search.BatchObjective: the session's client
+// measures the batch. Configurations go out in input order as fetch credits
+// and window room allow, and the session's messages are read until every
+// probe is reported. When the wire ends the session first, MeasureBatch
+// unwinds the kernel with a sessionEnd panic; the probes already reported
+// keep Done set, so the kernel commits them before the session deposits its
+// partial trace.
+//
+// Window 1 is the lockstep v1 exchange, whose JSON bytes are pinned to prior
+// releases: configs carry no id and the JSON framing acknowledges reports.
+// Full fidelity goes out as 0, so the field stays off the wire and
+// single-fidelity exchanges remain byte-identical on every framing.
+func (sess *session) MeasureBatch(ps []search.Probe) {
+	s, m := sess.srv, sess.srv.m()
+	for next := 0; next < len(ps) || len(sess.out) > 0; {
+		if next == len(ps) || sess.credits == 0 || len(sess.out) == sess.window {
+			if end, err := s.step(sess); end {
+				panic(sessionEnd{err})
 			}
 			continue
 		}
-		switch msg.Op {
-		case "fetch":
-			if lockstep && len(out) == 1 {
-				// The report never arrived (the measurement crashed, or the
-				// report line was garbage and got skipped): mark the pending
-				// point failed with the worst-case penalty so the simplex
-				// moves on, charge one fault, and serve the fetch.
-				if err := s.tolerate(sess, "fetch while a report is pending — scoring the lost point as failed"); err != nil {
-					return err
-				}
-				out = s.resolve(sess, out, 0, sess.penalty)
-			}
-			credits++
-		case "report":
-			i := 0
-			switch {
-			case lockstep:
-				if len(out) == 0 {
-					return s.fail(sess, "report without a pending configuration")
-				}
-			case !msg.hasID:
-				if err := s.tolerate(sess, "report without id in a pipelined session"); err != nil {
-					return err
-				}
-				continue
-			default:
-				if i = slices.IndexFunc(out, func(r evalReq) bool { return r.id == msg.id }); i < 0 {
-					if err := s.tolerate(sess, fmt.Sprintf("report for unknown id %d", msg.id)); err != nil {
-						return err
-					}
-					continue
-				}
-			}
-			perf := msg.Perf
-			if search.IsFailure(perf, sess.dir) {
-				// A non-finite (or absurd) report marks the point failed:
-				// worst-case penalty, one fault charged.
-				if err := s.tolerate(sess, fmt.Sprintf("non-finite performance report %v", perf)); err != nil {
-					return err
-				}
-				perf = sess.penalty
-			} else {
-				perf = search.Sanitize(perf, sess.dir)
-			}
-			m.ReportsReceived.Inc(sess.shard)
-			sess.noteChars(msg.Characteristics)
-			out = s.resolve(sess, out, i, perf)
-			if lockstep && sess.acks() {
-				if err := sess.send(message{Op: "ok"}); err != nil {
-					return err
-				}
-			}
-		case "quit":
-			if sess.acks() {
-				sess.send(message{Op: "ok"}) //nolint:errcheck // closing anyway
-			}
-			return nil
-		default:
-			return s.fail(sess, fmt.Sprintf("unknown op %q", msg.Op))
+		p, id := &ps[next], sess.nextID
+		next++
+		sess.nextID++
+		sess.credits--
+		sess.out = append(sess.out, outstanding{id: id, p: p})
+		sess.state.outstanding.Store(int64(len(sess.out)))
+		m.ConfigsServed.Inc(sess.shard)
+		m.SessionOutstanding.Inc()
+		m.BatchSize.Observe(float64(len(sess.out)))
+		cfg := message{Op: "config", Values: sess.toWire(p.Config)}
+		if !search.FullFidelity(p.Fidelity) {
+			cfg.Fidelity = p.Fidelity
+		}
+		if sess.window > 1 {
+			cfg.id, cfg.hasID = id, true
+		}
+		if err := sess.send(cfg); err != nil {
+			panic(sessionEnd{err})
 		}
 	}
 }
 
-// resolve hands perf to the kernel call waiting on out[i] and drops that
-// configuration from out.
-func (s *Server) resolve(sess *session, out []evalReq, i int, perf float64) []evalReq {
-	reply := out[i].reply
-	out = append(out[:i], out[i+1:]...)
-	sess.state.outstanding.Store(int64(len(out)))
-	s.m().SessionOutstanding.Dec()
-	reply <- perf // buffered: the kernel picks it up
-	return out
+// step reads and handles one wire message: a fetch adds a credit, a report
+// resolves its outstanding configuration by correlation id, garbage is
+// charged to the failure budget. end reports that the session is over, with
+// err its terminal error (nil for a quit or a clean close).
+//
+// In lockstep an id-less report resolves the one pending configuration, and
+// a fetch while one is pending scores it with the failure penalty.
+func (s *Server) step(sess *session) (end bool, err error) {
+	msg, err := sess.recv()
+	if err != nil {
+		var g *garbageError
+		if !errors.As(err, &g) {
+			return true, s.recvEnd(sess, err)
+		}
+		// Garbage on the wire: skip the line or frame and charge the
+		// budget instead of killing a session that may hold hours of
+		// tuning progress.
+		err = s.tolerate(sess, g.Error())
+		return err != nil, err
+	}
+	lockstep := sess.window == 1
+	switch msg.Op {
+	case "fetch":
+		if lockstep && len(sess.out) == 1 {
+			// The report never arrived (the measurement crashed, or the
+			// report line was garbage and got skipped): mark the pending
+			// point failed with the worst-case penalty so the simplex
+			// moves on, charge one fault, and serve the fetch.
+			if err := s.tolerate(sess, "fetch while a report is pending — scoring the lost point as failed"); err != nil {
+				return true, err
+			}
+			s.resolve(sess, 0, sess.penalty)
+		}
+		sess.credits++
+	case "report":
+		i := 0
+		switch {
+		case lockstep:
+			if len(sess.out) == 0 {
+				return true, s.fail(sess, "report without a pending configuration")
+			}
+		case !msg.hasID:
+			err := s.tolerate(sess, "report without id in a pipelined session")
+			return err != nil, err
+		default:
+			if i = slices.IndexFunc(sess.out, func(o outstanding) bool { return o.id == msg.id }); i < 0 {
+				err := s.tolerate(sess, fmt.Sprintf("report for unknown id %d", msg.id))
+				return err != nil, err
+			}
+		}
+		perf := msg.Perf
+		if search.IsFailure(perf, sess.dir) {
+			// A non-finite (or absurd) report marks the point failed:
+			// worst-case penalty, one fault charged.
+			if err := s.tolerate(sess, fmt.Sprintf("non-finite performance report %v", perf)); err != nil {
+				return true, err
+			}
+			perf = sess.penalty
+		} else {
+			perf = search.Sanitize(perf, sess.dir)
+		}
+		s.m().ReportsReceived.Inc(sess.shard)
+		sess.noteChars(msg.Characteristics)
+		s.resolve(sess, i, perf)
+		if lockstep && sess.acks() {
+			if err := sess.send(message{Op: "ok"}); err != nil {
+				return true, err
+			}
+		}
+	case "quit":
+		if sess.acks() {
+			sess.send(message{Op: "ok"}) //nolint:errcheck // closing anyway
+		}
+		return true, nil
+	default:
+		return true, s.fail(sess, fmt.Sprintf("unknown op %q", msg.Op))
+	}
+	return false, nil
 }
 
-func (s *Server) sendBest(sess *session, res *search.Result) error {
-	m := message{Op: "best", Evals: res.Evals, Perf: res.BestPerf}
-	if len(res.BestConfig) > 0 {
-		m.Values = sess.bestToWire(res.BestConfig)
-	}
-	return sess.send(m)
+// resolve scores out[i]'s probe with perf and drops it from out.
+func (s *Server) resolve(sess *session, i int, perf float64) {
+	p := sess.out[i].p
+	p.Perf, p.Done = perf, true
+	sess.out = append(sess.out[:i], sess.out[i+1:]...)
+	sess.state.outstanding.Store(int64(len(sess.out)))
+	s.m().SessionOutstanding.Dec()
 }
 
 // startSession parses the registration, builds the search space (using the
-// Appendix B adapter for restricted specs) and launches the kernel
-// goroutine.
+// Appendix B adapter for restricted specs) and readies the kernel the
+// session runs.
 func (s *Server) startSession(sess *session, reg message) error {
 	spec, err := rsl.Parse(reg.RSL)
 	if err != nil {
@@ -1123,53 +1053,9 @@ func (s *Server) startSession(sess *session, reg message) error {
 	sess.dir = dir
 	sess.penalty = search.FailurePenalty(dir)
 	sess.window = window
-	sess.evals = make(chan evalReq)
-	sess.resultCh = make(chan *search.Result, 1)
-	sess.errCh = make(chan error, 1)
-	sess.abort = make(chan struct{})
-
-	// The inversion objective: hand the configuration to the message loop
-	// and block until the client reports its performance. Each call
-	// carries its own reply channel, so up to `window` of these may block
-	// concurrently (the kernel's parallel batch and speculation phases)
-	// and out-of-order reports resolve to the right caller. Full fidelity
-	// is normalized to 0 here so the wire field stays absent and
-	// single-fidelity exchanges remain byte-identical on every framing.
-	blockMeasure := func(cfg search.Config, fidelity float64) float64 {
-		if search.FullFidelity(fidelity) {
-			fidelity = 0
-		}
-		req := evalReq{cfg: cfg, fidelity: fidelity, reply: replyChanPool.Get().(chan float64)}
-		select {
-		case sess.evals <- req:
-		case <-sess.abort:
-			// Never reached the message loop: the channel is still empty.
-			replyChanPool.Put(req.reply)
-			panic(errAborted)
-		}
-		select {
-		case perf := <-req.reply:
-			replyChanPool.Put(req.reply)
-			return perf
-		case <-sess.abort:
-			// The abort may race a reply the message loop already delivered
-			// (the reply channel is buffered): a measurement the client paid
-			// for must be committed, not discarded, so the partial trace
-			// keeps every reported point.
-			select {
-			case perf := <-req.reply:
-				replyChanPool.Put(req.reply)
-				return perf
-			default:
-				// The loop may still deliver a late reply into this channel;
-				// it cannot be recycled.
-			}
-			panic(errAborted)
-		}
-	}
+	sess.out = make([]outstanding, 0, window)
 
 	var space *search.Space
-	var obj search.Objective
 	if spec.Restricted() {
 		// Search normalized coordinates; decode before the client sees them.
 		adapterSpace, _, err := spec.SearchAdapter(nil, 64)
@@ -1178,7 +1064,7 @@ func (s *Server) startSession(sess *session, reg message) error {
 		}
 		space = adapterSpace
 		g := float64(adapterSpace.Params[0].Max)
-		decodeCfg := func(cfg search.Config) search.Config {
+		sess.toWire = func(cfg search.Config) []int {
 			u := make([]float64, len(cfg))
 			for i, v := range cfg {
 				u[i] = float64(v) / g
@@ -1189,19 +1075,13 @@ func (s *Server) startSession(sess *session, reg message) error {
 			}
 			return dec
 		}
-		sess.bestToWire = func(cfg search.Config) []int { return decodeCfg(cfg) }
-		obj = search.FidelityObjectiveFunc(func(cfg search.Config, fidelity float64) float64 {
-			return blockMeasure(decodeCfg(cfg), fidelity)
-		})
 	} else {
 		space, err = spec.Static()
 		if err != nil {
 			return err
 		}
-		sess.bestToWire = func(cfg search.Config) []int { return cfg }
-		obj = search.FidelityObjectiveFunc(blockMeasure)
+		sess.toWire = func(cfg search.Config) []int { return cfg }
 	}
-	sess.space = space
 
 	var init search.InitStrategy = search.ExtremeInit{}
 	if reg.Improved {
@@ -1236,14 +1116,15 @@ func (s *Server) startSession(sess *session, reg message) error {
 	// The session's state twin mirrors registration outcome and, through
 	// the tracer fan-out below, every kernel event — the control plane's
 	// read path.
-	st.registered(reg.App, dir, space.Dim(), window, sess.warm, sess.bestToWire)
+	st.registered(reg.App, dir, space.Dim(), window, sess.warm, sess.toWire)
 
-	// The kernel owns the evaluator: holding it here (instead of inside
-	// NelderMead) lets the abort path read the partial trace after the
-	// kernel has unwound. The state twin rides the same trace stream as
-	// the configured sink, so the control plane sees exactly what the
-	// JSONL trace records.
-	ev := search.NewEvaluator(space, obj)
+	// The session is the kernel's objective: its client measures every
+	// batch over the wire. Holding the evaluator here (instead of inside
+	// NelderMead) lets a wire end read the partial trace after the kernel
+	// has unwound. The state twin rides the same trace stream as the
+	// configured sink, so the control plane sees exactly what the JSONL
+	// trace records.
+	ev := search.NewEvaluator(space, sess)
 	ev.MaxEvals = maxEvals
 	tracer := search.StampSession(search.MultiTracer(st, s.Tracer), sess.id)
 	ev.Tracer = tracer
@@ -1253,20 +1134,17 @@ func (s *Server) startSession(sess *session, reg message) error {
 	// optional estimation gate answers well-supported probes from the §4.3
 	// plane fit. The layer keys by kernel-space configurations — the same
 	// coordinates experiences are stored in — so warm fills and live
-	// probes meet in one namespace. Cancel ties follower waits to this
-	// session's lifetime.
-	layer := s.evalLayer(key, space, sess.abort)
+	// probes meet in one namespace.
+	layer := s.evalLayer(key, space)
 	if layer != nil {
 		ev.External = layer
 	}
 
-	sess.kernelDone = make(chan struct{})
-	go func() {
-		defer close(sess.kernelDone)
+	sess.tune = func() (res *search.Result, err error) {
 		// The kernel's last ExtraRestart poll happens inside the search
-		// call; once the goroutine unwinds, a re-tune request could only be
-		// dropped on the floor — close the window so the API refuses instead
-		// (and account for the one request the race may have let in).
+		// call; once it returns, a re-tune request could only be dropped on
+		// the floor — close the window so the API refuses instead (and
+		// account for the one request the race may have let in).
 		defer func() {
 			if st.closeRetunes() {
 				log.Warn("re-tune request arrived after the kernel's final poll; dropped", "app", reg.App)
@@ -1282,32 +1160,32 @@ func (s *Server) startSession(sess *session, reg message) error {
 		depositedThrough := 0
 		depositChars := reg.Characteristics
 		defer func() {
-			if rec := recover(); rec != nil {
-				err, isErr := rec.(error)
-				// evalcache.ErrCanceled is a follower wait cut short by this
-				// session's abort — the same "client went away" condition as
-				// errAborted, surfacing through the measure-once layer.
-				if isErr && (errors.Is(err, errAborted) || errors.Is(err, evalcache.ErrCanceled)) {
-					// Abnormal disconnect: deposit whatever was measured so
-					// the experience survives for future sessions (§4.2) —
-					// and say so: a silently dropped (or silently kept)
-					// partial trace is invisible to operators otherwise.
-					// Measured() keeps gate estimates out of the store: an
-					// estimate must never masquerade as prior-run truth.
-					// Only the tail past the per-phase deposit cursor goes
-					// in: segments before a drift boundary were already
-					// deposited under their own phase's identity.
-					tr := ev.Trace()
-					sess.deposited = store.Record(key, depositChars, dir, tr[depositedThrough:].Measured())
-					if sess.deposited {
-						s.m().PartialDeposits.Inc()
-					}
-					log.Warn("abnormal disconnect: partial trace",
-						"trace_len", len(tr), "deposited", sess.deposited, "app", reg.App)
-					return
-				}
-				sess.errCh <- fmt.Errorf("server: kernel panic: %v", rec)
+			rec := recover()
+			if rec == nil {
+				return
 			}
+			end, ok := rec.(sessionEnd)
+			if !ok {
+				res, err = nil, s.fail(sess, fmt.Sprintf("server: kernel panic: %v", rec))
+				return
+			}
+			// The wire ended the session mid-kernel: deposit whatever was
+			// measured so the experience survives for future sessions
+			// (§4.2) — and say so: a silently dropped (or silently kept)
+			// partial trace is invisible to operators otherwise. Measured()
+			// keeps gate estimates out of the store: an estimate must never
+			// masquerade as prior-run truth. Only the tail past the
+			// per-phase deposit cursor goes in: segments before a drift
+			// boundary were already deposited under their own phase's
+			// identity.
+			tr := ev.Trace()
+			sess.deposited = store.Record(key, depositChars, dir, tr[depositedThrough:].Measured())
+			if sess.deposited {
+				s.m().PartialDeposits.Inc()
+			}
+			log.Warn("abnormal disconnect: partial trace",
+				"trace_len", len(tr), "deposited", sess.deposited, "app", reg.App)
+			res, err = nil, end.err
 		}()
 		nmOpts := search.NelderMeadOptions{
 			Init:      init,
@@ -1315,9 +1193,9 @@ func (s *Server) startSession(sess *session, reg message) error {
 			MaxEvals:  maxEvals,
 			// A pipelined session turns the window into kernel-side
 			// concurrency: the initial simplex, shrink steps and the
-			// speculative candidate rounds evaluate up to window points
-			// at once through blockMeasure. window 1 is the sequential
-			// lockstep kernel, unchanged.
+			// speculative candidate rounds send up to window points at
+			// once. window 1 is the sequential lockstep kernel,
+			// unchanged.
 			Parallel: sess.window,
 			Tracer:   tracer,
 			// A pending workload drift or an operator's re-tune request
@@ -1327,9 +1205,10 @@ func (s *Server) startSession(sess *session, reg message) error {
 		}
 		if det := sess.detector; det != nil {
 			nmOpts.ExtraRestart = func() bool {
-				if !sess.driftPending.CompareAndSwap(true, false) {
+				if !sess.drifted {
 					return st.takeRetune()
 				}
+				sess.drifted = false
 				// Warm in-session re-tune at a drift boundary. First close
 				// out the finished phase: its measurements become a prior-run
 				// experience under the workload identity they were measured
@@ -1372,8 +1251,6 @@ func (s *Server) startSession(sess *session, reg message) error {
 				return true
 			}
 		}
-		var res *search.Result
-		var err error
 		if s.SearchKernel == KernelHyperband {
 			// Multi-fidelity triage over reduced-fidelity client
 			// measurements, then the very same simplex options as the
@@ -1390,8 +1267,7 @@ func (s *Server) startSession(sess *session, reg message) error {
 			res, err = search.NelderMeadWithEvaluator(space, ev, nmOpts)
 		}
 		if err != nil {
-			sess.errCh <- err
-			return
+			return nil, s.fail(sess, err.Error())
 		}
 		// Deposit the session's tuning experience for future sessions.
 		// Measured() drops estimation-gate answers — only ground truth
@@ -1399,8 +1275,8 @@ func (s *Server) startSession(sess *session, reg message) error {
 		// in under the last phase's live workload vector; earlier phases
 		// were already deposited at their boundaries.
 		sess.deposited = store.Record(key, depositChars, dir, res.Trace[depositedThrough:].Measured())
-		sess.resultCh <- res
-	}()
+		return res, nil
+	}
 	return nil
 }
 

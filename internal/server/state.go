@@ -89,7 +89,7 @@ type SessionSnapshot struct {
 }
 
 // sessionState is the live mutable twin of a SessionSnapshot. The trace
-// stream (kernel goroutine) and the message loop update it through a
+// stream and the session's exchange update it through a
 // per-session mutex or lone atomics — never a server-wide or shard lock —
 // so an API snapshot can only ever contend with its own session for the
 // few writes of one field copy, and the fetch/report hot path never waits
@@ -102,7 +102,7 @@ type sessionState struct {
 	toWire func(search.Config) []int
 	dir    search.Direction
 
-	// outstanding and faults are updated from the message loop's hot path;
+	// outstanding and faults are updated from the exchange's hot path;
 	// lone atomics keep those updates wait-free.
 	outstanding atomic.Int64
 	faults      atomic.Int64
