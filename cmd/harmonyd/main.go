@@ -97,7 +97,6 @@ func main() {
 	driftThreshold := flag.Float64("drift-threshold", drift.DefaultThreshold, "drift detector: squared-error distance from the matched centroid that counts as drifted")
 	driftWindow := flag.Int("drift-window", drift.DefaultWindow, "drift detector: consecutive over-threshold observations required before a re-tune triggers (hysteresis)")
 	maxWindow := flag.Int("max-window", 0, "pipeline depth cap granted to protocol v2/v3 clients (0 = default 32; 1 or negative forces lockstep)")
-	connShards := flag.Int("conn-shards", 0, "connection-table stripe count, rounded up to a power of two (0 = default 64); raise for very high session churn")
 	maxMuxSessions := flag.Int("max-mux-sessions", 0, "concurrent sessions allowed per multiplexed (v4-mux) connection (0 = default 256; negative refuses mux negotiation)")
 	obsCfg := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
@@ -121,7 +120,6 @@ func main() {
 	s.FailureBudget = *failureBudget
 	s.EvalCache = cacheScope
 	s.MaxWindow = *maxWindow
-	s.ConnShards = *connShards
 	s.MaxMuxSessions = *maxMuxSessions
 	s.EstimateGate = *estimateGate
 	s.DriftDetect = *driftDetect

@@ -33,9 +33,12 @@ const (
 	// DefaultKeepRecords is how many best measurements each experience
 	// retains through compaction.
 	DefaultKeepRecords = 256
-	// DefaultShards is the lock-shard count of the in-memory view.
-	DefaultShards = 16
 )
+
+// shardCount is the lock-stripe count of the in-memory view. Namespaces
+// hash onto stripes and compaction runs under a stripe's lock, so a
+// namespace compacting stalls only the namespaces sharing its stripe.
+const shardCount = 16
 
 // Filenames inside a data directory.
 const (
@@ -59,8 +62,6 @@ type Options struct {
 	CompactAbove int
 	MergeDist    float64
 	KeepRecords  int
-	// Shards is the lock-shard count (default DefaultShards).
-	Shards int
 	// Logger receives recovery and snapshot events; nil discards.
 	Logger *slog.Logger
 	// Metrics receives the expdb_* family; nil disables at ~zero cost.
@@ -79,9 +80,6 @@ func (o *Options) fill() {
 	}
 	if o.KeepRecords == 0 {
 		o.KeepRecords = DefaultKeepRecords
-	}
-	if o.Shards <= 0 {
-		o.Shards = DefaultShards
 	}
 	if o.Logger == nil {
 		o.Logger = obs.Nop()
@@ -228,7 +226,7 @@ func NewMemory(opts Options) *Store {
 
 // newStore builds the empty in-memory view; opts are already filled.
 func newStore(opts Options) *Store {
-	s := &Store{opts: opts, shards: make([]*shard, opts.Shards)}
+	s := &Store{opts: opts, shards: make([]*shard, shardCount)}
 	for i := range s.shards {
 		s.shards[i] = &shard{ns: map[string]*namespace{}}
 	}

@@ -167,12 +167,21 @@ func nelderMeadWithRestarts(space *Space, ev *Evaluator, opts NelderMeadOptions)
 	if err != nil {
 		return nil, err
 	}
+	// Planned restarts come first; after them the ExtraRestart hook is
+	// polled, so an operator's re-tune request arriving mid-run takes effect
+	// at the next convergence. Each restart runs a fresh simplex around the
+	// incumbent best at half the previous scale. Budget exhaustion (or
+	// nothing measured) ends the loop: restarting would be futile.
 	scale := 0.5
-	for r := 0; r < opts.Restarts; r++ {
-		if !res.Converged || len(res.BestConfig) == 0 {
-			break // out of budget (or nothing measured): restarting is futile
+	for r := 0; res.Converged && len(res.BestConfig) > 0; r++ {
+		phase := Event{Type: EventPhase, Op: "restart", Iter: r + 1, Perf: res.BestPerf}
+		if r >= opts.Restarts {
+			if opts.ExtraRestart == nil || !opts.ExtraRestart() {
+				break
+			}
+			phase = Event{Type: EventPhase, Op: "retune", Perf: res.BestPerf}
 		}
-		emit(opts.Tracer, Event{Type: EventPhase, Op: "restart", Iter: r + 1, Perf: res.BestPerf})
+		emit(opts.Tracer, phase)
 		restartOpts := opts
 		restartOpts.Init = scaledInit{
 			center: space.Continuous(res.BestConfig),
@@ -183,27 +192,6 @@ func nelderMeadWithRestarts(space *Space, ev *Evaluator, opts NelderMeadOptions)
 			return nil, err
 		}
 		res = next // the shared trace already spans all restarts
-		scale /= 2
-	}
-	// Operator-driven extra restarts: polled only after convergence, so a
-	// re-tune request arriving mid-run takes effect at the next natural
-	// stopping point. Budget exhaustion ends the loop exactly like the
-	// planned restarts above.
-	for opts.ExtraRestart != nil && res.Converged && len(res.BestConfig) > 0 {
-		if !opts.ExtraRestart() {
-			break
-		}
-		emit(opts.Tracer, Event{Type: EventPhase, Op: "retune", Perf: res.BestPerf})
-		restartOpts := opts
-		restartOpts.Init = scaledInit{
-			center: space.Continuous(res.BestConfig),
-			frac:   scale,
-		}
-		next, err := nelderMead(space, ev, restartOpts)
-		if err != nil {
-			return nil, err
-		}
-		res = next
 		scale /= 2
 	}
 	return res, nil

@@ -2,6 +2,7 @@ package search
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -480,5 +481,92 @@ func TestNelderMeadRestartsWithExhaustedBudget(t *testing.T) {
 	}
 	if res.Evals > 8 {
 		t.Errorf("budget exceeded: %d", res.Evals)
+	}
+}
+
+// TestNelderMeadRestartSequence pins what the restart loop does for two
+// planned restarts followed by an ExtraRestart hook that funds two more and
+// then declines: the phase events it announces, the shared trace and the
+// evaluation count. The reference spells the same sequence out by hand:
+// the first search, then one search per restart from a scaled simplex
+// around the incumbent best, the scale halving each time.
+func TestNelderMeadRestartSequence(t *testing.T) {
+	s, obj := quadSpace()
+	tracer := &CollectTracer{}
+	polls := 0
+	res, err := NelderMead(s, obj, NelderMeadOptions{
+		Direction: Maximize, MaxEvals: 2000, Init: DistributedInit{},
+		Restarts: 2, Tracer: tracer,
+		ExtraRestart: func() bool {
+			polls++
+			return polls <= 2
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type phase struct {
+		op   string
+		iter int
+		perf float64
+	}
+	var got []phase
+	for _, e := range tracer.Events {
+		if e.Type == EventPhase {
+			got = append(got, phase{e.Op, e.Iter, e.Perf})
+		}
+	}
+
+	opts := NelderMeadOptions{Direction: Maximize, MaxEvals: 2000, Init: DistributedInit{}}
+	opts.fill(s.Dim())
+	ev := NewEvaluator(s, obj)
+	ev.MaxEvals = opts.MaxEvals
+	ref, err := nelderMead(s, ev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []phase
+	scale := 0.5
+	for r, op := range []string{"restart", "restart", "retune", "retune"} {
+		if !ref.Converged {
+			t.Fatalf("reference search %d did not converge", r)
+		}
+		iter := 0
+		if op == "restart" {
+			iter = r + 1
+		}
+		want = append(want, phase{op, iter, ref.BestPerf})
+		opts.Init = scaledInit{center: s.Continuous(ref.BestConfig), frac: scale}
+		if ref, err = nelderMead(s, ev, opts); err != nil {
+			t.Fatal(err)
+		}
+		scale /= 2
+	}
+
+	if len(got) != len(want) {
+		t.Fatalf("phase events = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("phase event %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if polls != 3 {
+		t.Errorf("ExtraRestart polled %d times, want 3 (two funded, one declined)", polls)
+	}
+	if res.Evals != ref.Evals || len(res.Trace) != len(ref.Trace) {
+		t.Fatalf("evals = %d (trace %d), reference %d (trace %d)", res.Evals, len(res.Trace), ref.Evals, len(ref.Trace))
+	}
+	for i := range ref.Trace {
+		g, w := res.Trace[i], ref.Trace[i]
+		if !slices.Equal(g.Config, w.Config) || g.Perf != w.Perf {
+			t.Fatalf("trace[%d] = %v @ %v, reference %v @ %v", i, g.Config, g.Perf, w.Config, w.Perf)
+		}
+	}
+	// Five converged searches in 86 evaluations; a change here moves the
+	// reference too, so pin the count itself.
+	if res.Evals != 86 {
+		t.Errorf("evals = %d, want 86", res.Evals)
 	}
 }

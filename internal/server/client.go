@@ -353,46 +353,14 @@ func (c *Client) send(m message) error {
 	return nil
 }
 
-// sendBatch queues several messages and flushes once — one socket write
-// for a v3 report+fetch exchange.
-func (c *Client) sendBatch(ms ...message) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	bt, ok := c.tr.(batchTransport)
-	if !ok {
-		for _, m := range ms {
-			if err := c.tr.send(m); err != nil {
-				c.logTransport("write "+m.Op, err)
-				return fmt.Errorf("%w: write: %v", ErrServerGone, err)
-			}
-		}
-		return nil
-	}
-	if err := bt.sendBatch(ms...); err != nil {
-		c.logTransport("write batch", err)
-		return fmt.Errorf("%w: write: %v", ErrServerGone, err)
-	}
-	return nil
-}
-
-// sendPair coalesces exactly two messages into one flush through the
-// client-owned scratch pair — the allocation-free form of sendBatch for the
-// report+fetch exchange that dominates a tuning session.
+// sendPair coalesces two messages into one flush through the client-owned
+// scratch pair, so the report+fetch exchange that dominates a tuning session
+// never allocates a variadic slice.
 func (c *Client) sendPair(a, b message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	bt, ok := c.tr.(batchTransport)
-	if !ok {
-		for _, m := range []message{a, b} {
-			if err := c.tr.send(m); err != nil {
-				c.logTransport("write "+m.Op, err)
-				return fmt.Errorf("%w: write: %v", ErrServerGone, err)
-			}
-		}
-		return nil
-	}
 	c.pair[0], c.pair[1] = a, b
-	err := bt.sendBatch(c.pair[:]...)
+	err := c.tr.sendBatch(c.pair[:]...)
 	c.pair[0], c.pair[1] = message{}, message{} // no stale slice references
 	if err != nil {
 		c.logTransport("write batch", err)
@@ -544,8 +512,7 @@ func (c *Client) Report(perf float64) error {
 // fidelity the matching config requested. Fidelity 0 (or ≥1) keeps the
 // field off the wire — the classic full-fidelity report, byte-identical.
 func (c *Client) ReportAt(perf, fidelity float64) error {
-	if err := c.send(message{Op: "report", Perf: perf, Fidelity: wireFidelity(fidelity),
-		Characteristics: c.observedChars()}); err != nil {
+	if err := c.send(c.report(perf, fidelity)); err != nil {
 		return err
 	}
 	if c.proto >= 3 {
@@ -582,12 +549,18 @@ func (c *Client) ReportAndFetchAt(perf, reported float64) (cfg search.Config, fi
 		}
 		return c.FetchAt()
 	}
-	pair := message{Op: "report", Perf: perf, Fidelity: wireFidelity(reported),
-		Characteristics: c.observedChars()}
-	if err := c.sendPair(pair, message{Op: "fetch"}); err != nil {
+	if err := c.sendPair(c.report(perf, reported), message{Op: "fetch"}); err != nil {
 		return nil, 0, false, err
 	}
 	return c.fetchReply()
+}
+
+// report builds the report message every Tune variant sends: the
+// measurement, its wire fidelity and the observed characteristics (see
+// SetObserved). Pipelined callers add the correlation id.
+func (c *Client) report(perf, fidelity float64) message {
+	return message{Op: "report", Perf: perf, Fidelity: wireFidelity(fidelity),
+		Characteristics: c.observedChars()}
 }
 
 // wireFidelity normalizes a fidelity for the wire: only a genuine partial
@@ -654,8 +627,9 @@ func (c *Client) ReportID(id int, perf float64) error {
 // ReportIDAt is the fidelity-aware ReportID, echoing the fidelity the
 // correlated config requested (0 for a full measurement).
 func (c *Client) ReportIDAt(id int, perf, fidelity float64) error {
-	return c.send(message{Op: "report", id: id, hasID: true, Perf: perf,
-		Fidelity: wireFidelity(fidelity), Characteristics: c.observedChars()})
+	m := c.report(perf, fidelity)
+	m.id, m.hasID = id, true
+	return c.send(m)
 }
 
 // TuneParallel runs the whole tuning session with up to `workers`
@@ -756,15 +730,11 @@ func (c *Client) TuneParallelAt(measure func(search.Config, float64) float64, wo
 				case <-failed:
 					return
 				case j := <-jobs:
-					perf := measure(j.cfg, j.fid)
+					r := c.report(measure(j.cfg, j.fid), j.fid)
+					r.id, r.hasID = j.id, true
 					// One flush for the report and the replenishing fetch
-					// credit — on binary v3 framing that is a single socket
-					// write per measurement.
-					err := c.sendPair(
-						message{Op: "report", id: j.id, hasID: true, Perf: perf,
-							Fidelity: wireFidelity(j.fid)},
-						message{Op: "fetch"},
-					)
+					// credit: a single socket write per measurement.
+					err := c.sendPair(r, message{Op: "fetch"})
 					if err != nil {
 						// A write racing the final best is benign: the
 						// session is already over.

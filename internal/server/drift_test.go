@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"harmony/internal/evalcache"
@@ -44,8 +45,17 @@ func TestDriftDetectTriggersWarmRetune(t *testing.T) {
 	charsA := []float64{0.8, 0.2}
 	charsB := []float64{0.1, 0.9}
 
-	for _, proto := range []int{2, 3} {
-		t.Run(fmt.Sprintf("proto%d", proto), func(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		proto, window int
+	}{
+		{"proto2", 2, 0},
+		{"proto3", 3, 0},
+		// Pipelined reports must carry the observed characteristics too,
+		// or the detector never trips.
+		{"proto3-window4", 3, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			tracer := &collectTracer{}
 			s := NewServer()
 			s.DriftDetect = true
@@ -61,7 +71,7 @@ func TestDriftDetectTriggersWarmRetune(t *testing.T) {
 			c := dial(t, addr.String())
 			if _, err := c.Register(quadRSL, RegisterOptions{
 				MaxEvals: 400, Improved: true, App: "drifting",
-				Characteristics: charsA, Proto: proto,
+				Characteristics: charsA, Proto: tc.proto, Window: tc.window,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -70,17 +80,22 @@ func TestDriftDetectTriggersWarmRetune(t *testing.T) {
 			// The workload drifts after a dozen measurements: the reported
 			// characteristics switch to B and the optimum jumps from (20,45)
 			// to (50,10).
-			n := 0
-			best, err := c.Tune(func(cfg search.Config) float64 {
-				n++
+			var n atomic.Int64
+			measure := func(cfg search.Config) float64 {
 				px, py := 20, 45
-				if n > 12 {
+				if n.Add(1) > 12 {
 					c.SetObserved(charsB)
 					px, py = 50, 10
 				}
 				dx, dy := float64(cfg[0]-px), float64(cfg[1]-py)
 				return 1000 - dx*dx - dy*dy
-			})
+			}
+			var best *Best
+			if tc.window > 1 {
+				best, err = c.TuneParallel(measure, tc.window)
+			} else {
+				best, err = c.Tune(measure)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +164,7 @@ func TestDriftDetectTriggersWarmRetune(t *testing.T) {
 				c2 := dial(t, addr.String())
 				if _, err := c2.Register(quadRSL, RegisterOptions{
 					MaxEvals: 60, Improved: true, App: "drifting",
-					Characteristics: chars, Proto: proto,
+					Characteristics: chars, Proto: tc.proto,
 				}); err != nil {
 					t.Fatal(err)
 				}

@@ -43,13 +43,11 @@ type Metrics struct {
 	// (harmony_warm_starts_total).
 	WarmStarts *obs.Counter
 	// ConfigsServed counts configurations handed to clients
-	// (harmony_configs_served_total). It is striped: every session bumps
-	// the stripe matching its connection-table shard, so thousands of
-	// concurrent sessions never contend on one cache line. Value() sums.
-	ConfigsServed *obs.ShardedCounter
+	// (harmony_configs_served_total).
+	ConfigsServed *obs.Counter
 	// ReportsReceived counts performance reports accepted from clients
-	// (harmony_reports_received_total). Striped like ConfigsServed.
-	ReportsReceived *obs.ShardedCounter
+	// (harmony_reports_received_total).
+	ReportsReceived *obs.Counter
 	// SessionOutstanding is the number of configurations currently in
 	// flight across all sessions, lockstep (at most one each) and
 	// pipelined alike (harmony_session_outstanding).
@@ -117,8 +115,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Deposits:           reg.Counter("harmony_deposits_total", "Tuning traces deposited into the experience store."),
 		PartialDeposits:    reg.Counter("harmony_partial_deposits_total", "Partial traces deposited on abnormal disconnect."),
 		WarmStarts:         reg.Counter("harmony_warm_starts_total", "Sessions warm-started from prior experience."),
-		ConfigsServed:      reg.ShardedCounter("harmony_configs_served_total", "Configurations served to clients for measurement.", DefaultConnShards),
-		ReportsReceived:    reg.ShardedCounter("harmony_reports_received_total", "Performance reports accepted from clients.", DefaultConnShards),
+		ConfigsServed:      reg.Counter("harmony_configs_served_total", "Configurations served to clients for measurement."),
+		ReportsReceived:    reg.Counter("harmony_reports_received_total", "Performance reports accepted from clients."),
 		SessionOutstanding: reg.Gauge("harmony_session_outstanding", "Configurations currently in flight across all sessions."),
 		BatchSize:          reg.Histogram("harmony_session_batch_size", "Pipeline depth at each config dispatch (lockstep sessions observe 1).", []float64{1, 2, 4, 8, 16, 32}),
 		AcceptRetries:      reg.Counter("harmony_accept_retries_total", "Transient listener Accept failures survived by the retry loop."),

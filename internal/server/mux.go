@@ -70,7 +70,6 @@ type muxItem struct {
 // the corked writer, and the tombstone ring.
 type muxConn struct {
 	s           *Server
-	shard       int
 	connID      string
 	remote      string
 	budget      int
@@ -105,7 +104,7 @@ func (s *Server) serveMux(first *session, bw *binWire, w *bufio.Writer, beforeWr
 		maxSessions = DefaultMaxMuxSessions
 	}
 	mc := &muxConn{
-		s: s, shard: first.shard, connID: connID, remote: remote,
+		s: s, connID: connID, remote: remote,
 		budget: first.budget, log: first.log, maxSessions: maxSessions,
 		// 64 queued replies hold a batch from every session of a busy
 		// connection; past that, senders wait for the next flush.
@@ -239,7 +238,7 @@ func (mc *muxConn) register(reg message, connFault func(string) error) error {
 		return nil
 	}
 	// A failed registration ends that session alone.
-	mc.attach(tok, s.openSession(mc.remote, mc.connID, mc.shard), reg) //nolint:errcheck
+	mc.attach(tok, s.openSession(mc.remote, mc.connID), reg) //nolint:errcheck
 	return nil
 }
 

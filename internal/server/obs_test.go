@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"log/slog"
 	"strings"
 	"testing"
@@ -142,9 +143,8 @@ func TestFaultMatrixMetricsAndTrace(t *testing.T) {
 	if got := count("harmony_deposits_total"); got < 2 {
 		t.Errorf("deposits = %d, want >= 2", got)
 	}
-	// The hot-path counters are striped; re-register as sharded to share.
-	scount := func(name string) uint64 { return reg.ShardedCounter(name, "", 1).Value() }
-	if cs, rr := scount("harmony_configs_served_total"), scount("harmony_reports_received_total"); cs == 0 || rr == 0 {
+	cs, rr := count("harmony_configs_served_total"), count("harmony_reports_received_total")
+	if cs == 0 || rr == 0 {
 		t.Errorf("configs served = %d, reports received = %d, want nonzero", cs, rr)
 	}
 	if g := reg.Gauge("harmony_sessions_active", "").Value(); g != 0 {
@@ -155,6 +155,10 @@ func TestFaultMatrixMetricsAndTrace(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE harmony_session_failures_total counter",
 		"# TYPE harmony_session_faults_total counter",
+		"# TYPE harmony_configs_served_total counter",
+		"# TYPE harmony_reports_received_total counter",
+		fmt.Sprintf("\nharmony_configs_served_total %d\n", cs),
+		fmt.Sprintf("\nharmony_reports_received_total %d\n", rr),
 		"# TYPE harmony_sessions_active gauge",
 	} {
 		if !strings.Contains(expo.String(), want) {

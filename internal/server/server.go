@@ -74,8 +74,10 @@ type Server struct {
 	// concurrent Emit. Set it before Listen.
 	Tracer search.Tracer
 	// OnSessionEnd, when set, is called once per session after its kernel
-	// has finished, from the session's goroutine. Intended for metrics and
-	// tests.
+	// has finished, from the session's goroutine. A plain connection's
+	// session ends after the connection is closed and released from the
+	// server's connection table; a mux session ends while its shared
+	// connection may still carry peers. Intended for metrics and tests.
 	OnSessionEnd func(SessionEnd)
 	// Experience is the cross-session prior-run store: sessions that
 	// declare workload characteristics deposit their tuning traces and
@@ -111,17 +113,6 @@ type Server struct {
 	// negative refuses mux negotiation entirely (the register is answered
 	// with a protocol error). Set it before Listen.
 	MaxMuxSessions int
-	// ConnShards is the live-connection table stripe count (0 =
-	// DefaultConnShards; rounded up to a power of two). Every connect,
-	// disconnect and hot-path counter update touches only its own stripe,
-	// so thousands of concurrent short sessions never serialize on one
-	// lock. Set it before Listen.
-	ConnShards int
-	// SessionHistory is how many finished sessions the state registry
-	// retains for the control plane's session browser (0 =
-	// DefaultSessionHistory; negative disables retention). Running
-	// sessions are always visible.
-	SessionHistory int
 	// SearchKernel selects the per-session tuning kernel: "" or "simplex"
 	// (the historical Nelder–Mead loop, trajectory-pinned) or "hyperband"
 	// (multi-fidelity successive halving over reduced-fidelity probes,
@@ -155,11 +146,10 @@ type Server struct {
 	// window); zero values select the drift package defaults.
 	DriftOptions drift.Options
 
-	lnMu      sync.Mutex
-	listener  net.Listener
-	tableOnce sync.Once
-	connTab   *connTable
-	wg        sync.WaitGroup
+	lnMu     sync.Mutex
+	listener net.Listener
+	conns    connTable
+	wg       sync.WaitGroup
 
 	// stateMu guards the session-state registry (running map + finished
 	// ring). Hot-path updates never take it: each session writes through
@@ -275,11 +265,76 @@ func NewServer() *Server {
 	return &Server{MaxEvalsCap: 10_000}
 }
 
-// tab resolves the sharded live-connection table, building it on first use
-// so ConnShards set before Listen takes effect.
-func (s *Server) tab() *connTable {
-	s.tableOnce.Do(func() { s.connTab = newConnTable(s.ConnShards) })
-	return s.connTab
+// connTable tracks live connections for Shutdown's hard cutoff: one map
+// under one mutex, with the closed flag under the same lock. Track checks
+// closed while holding it, so a Track racing Close either fails or lands
+// before the sweep that severs it; no connection outlives the cutoff. The
+// table is touched once per connection, never per exchange, so one lock
+// is enough. The zero value is ready to use.
+type connTable struct {
+	mu     sync.Mutex
+	closed bool
+	seq    uint64
+	conns  map[uint64]net.Conn
+}
+
+// Track registers a live connection and returns its token. It reports
+// false when the table is closed (the server is shutting down).
+func (t *connTable) Track(conn net.Conn) (uint64, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return 0, false
+	}
+	if t.conns == nil {
+		t.conns = map[uint64]net.Conn{}
+	}
+	t.seq++
+	t.conns[t.seq] = conn
+	return t.seq, true
+}
+
+// Untrack removes a connection by its Track token.
+func (t *connTable) Untrack(token uint64) {
+	t.mu.Lock()
+	delete(t.conns, token)
+	t.mu.Unlock()
+}
+
+// Close marks the table closed (new Tracks fail) and severs every tracked
+// connection, returning how many it closed.
+func (t *connTable) Close() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.closed = true
+	for _, conn := range t.conns {
+		conn.Close()
+	}
+	severed := len(t.conns)
+	t.conns = nil
+	return severed
+}
+
+// MarkClosed flips the closed flag without severing anything — the drain
+// phase of a graceful shutdown.
+func (t *connTable) MarkClosed() {
+	t.mu.Lock()
+	t.closed = true
+	t.mu.Unlock()
+}
+
+// Closed reports whether the table has been closed.
+func (t *connTable) Closed() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.closed
+}
+
+// Len counts tracked connections.
+func (t *connTable) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.conns)
 }
 
 // logger resolves the server's structured logger: Logger when set, a
@@ -300,7 +355,7 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 		return nil, err
 	}
 	s.lnMu.Lock()
-	if s.tab().Closed() {
+	if s.conns.Closed() {
 		s.lnMu.Unlock()
 		ln.Close()
 		return nil, errors.New("server: already closed")
@@ -361,7 +416,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // returns nil when everything drained in time and ctx.Err() after a cutoff.
 func (s *Server) Shutdown(ctx context.Context) error {
 	start := time.Now()
-	s.tab().MarkClosed()
+	s.conns.MarkClosed()
 	s.lnMu.Lock()
 	ln := s.listener
 	s.lnMu.Unlock()
@@ -385,7 +440,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	// Hard cutoff: sever every remaining connection. Sessions unwind their
 	// kernels, deposit partial traces, and the wait completes.
-	severed := s.tab().Close()
+	severed := s.conns.Close()
 	<-done
 	drain := time.Since(start)
 	s.m().SessionsSevered.Add(severed)
@@ -414,7 +469,7 @@ func (s *Server) flushExperience() {
 // the like) for more than a few seconds — the "up but not accepting" state
 // that is otherwise invisible from outside.
 func (s *Server) AcceptLiveness() error {
-	if s.tab().Closed() {
+	if s.conns.Closed() {
 		return errors.New("server: shutting down")
 	}
 	s.lnMu.Lock()
@@ -474,8 +529,6 @@ type session struct {
 	// proto is the negotiated framing generation: 2 for the JSON line
 	// protocol (v1/v2 share it), 3 for binary frames, mux included.
 	proto int
-	// shard is the metric stripe for the hot-path counters.
-	shard int
 	// token is the session's v4-mux token; 0 on a plain connection.
 	token uint64
 
@@ -575,7 +628,7 @@ var errNoRegister = errors.New("server: client closed before registering")
 // openSession starts one session's bookkeeping: an ID, a state twin in the
 // registry, a logger carrying both, and the started/active counts that
 // endSession settles. Plain and mux sessions alike open here.
-func (s *Server) openSession(remote, connID string, shard int) *session {
+func (s *Server) openSession(remote, connID string) *session {
 	id := obs.NewID()
 	m := s.m()
 	m.SessionsStarted.Inc()
@@ -587,7 +640,6 @@ func (s *Server) openSession(remote, connID string, shard int) *session {
 		end:    SessionEnd{ID: id},
 		budget: s.failureBudget(),
 		state:  s.trackState(id, remote, connID),
-		shard:  shard,
 	}
 	sess.log.Debug("session started")
 	return sess
@@ -631,21 +683,26 @@ func (s *Server) endSession(sess *session, err error) error {
 // negotiation, hand the connection to serveMux, whose first session is the
 // one opened here.
 func (s *Server) handle(conn net.Conn) error {
-	token, ok := s.tab().Track(conn)
+	token, ok := s.conns.Track(conn)
 	if !ok {
 		conn.Close()
 		return errors.New("server: shutting down")
 	}
-	defer s.tab().Untrack(token)
-	defer conn.Close()
-
+	release := func() {
+		conn.Close()
+		s.conns.Untrack(token)
+	}
 	// The connection token names the transport in session snapshots, so the
-	// control plane can group the sessions of one mux connection, and
-	// doubles as the metric stripe: hot-path counters land on the same
-	// shard the session table uses.
+	// control plane can group the sessions of one mux connection.
 	remote := conn.RemoteAddr().String()
 	connID := fmt.Sprintf("conn-%d", token)
-	sess := s.openSession(remote, connID, int(token))
+	sess := s.openSession(remote, connID)
+	// A plain session ends after its connection is released, so whoever
+	// OnSessionEnd wakes finds the connection gone from the table.
+	end := func(err error) error {
+		release()
+		return s.endSession(sess, err)
+	}
 
 	// 16 KiB holds any hot-path unit with room to spare (frames and lines
 	// are tens of bytes; only register envelopes run longer) and keeps the
@@ -674,7 +731,7 @@ func (s *Server) handle(conn net.Conn) error {
 			// franca every generation understands, before hanging up.
 			(&jsonWire{w: w, beforeWrite: beforeWrite}).send(message{Op: "error", Msg: err.Error()}) //nolint:errcheck
 		}
-		return s.endSession(sess, err)
+		return end(err)
 	}
 	sess.tr, sess.send, sess.proto = tr, tr.send, proto
 
@@ -691,7 +748,7 @@ func (s *Server) handle(conn net.Conn) error {
 		default:
 			err = s.recvEnd(sess, err)
 		}
-		return s.endSession(sess, err)
+		return end(err)
 	}
 	switch {
 	case reg.Op != "register":
@@ -711,10 +768,11 @@ func (s *Server) handle(conn net.Conn) error {
 		case s.MaxMuxSessions < 0:
 			err = s.fail(sess, "server refuses multiplexed connections")
 		default:
+			defer release()
 			return s.serveMux(sess, bw, w, beforeWrite, reg, remote, connID)
 		}
 	}
-	return s.endSession(sess, err)
+	return end(err)
 }
 
 // register starts the session's kernel from its registration and records
@@ -914,7 +972,7 @@ func (sess *session) MeasureBatch(ps []search.Probe) {
 		sess.credits--
 		sess.out = append(sess.out, outstanding{id: id, p: p})
 		sess.state.outstanding.Store(int64(len(sess.out)))
-		m.ConfigsServed.Inc(sess.shard)
+		m.ConfigsServed.Inc()
 		m.SessionOutstanding.Inc()
 		m.BatchSize.Observe(float64(len(sess.out)))
 		cfg := message{Op: "config", Values: sess.toWire(p.Config)}
@@ -991,7 +1049,7 @@ func (s *Server) step(sess *session) (end bool, err error) {
 		} else {
 			perf = search.Sanitize(perf, sess.dir)
 		}
-		s.m().ReportsReceived.Inc(sess.shard)
+		s.m().ReportsReceived.Inc()
 		sess.noteChars(msg.Characteristics)
 		s.resolve(sess, i, perf)
 		if lockstep && sess.acks() {

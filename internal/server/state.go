@@ -256,9 +256,9 @@ func (st *sessionState) closeRetunes() (dropped bool) {
 	return dropped
 }
 
-// DefaultSessionHistory is how many finished sessions the registry retains
-// for the control plane when Server.SessionHistory is zero.
-const DefaultSessionHistory = 256
+// sessionHistory is how many finished sessions the registry retains for the
+// control plane's session browser. Running sessions are always visible.
+const sessionHistory = 256
 
 // trackState registers a new running session in the state registry.
 func (s *Server) trackState(id, remote, connID string) *sessionState {
@@ -291,20 +291,14 @@ func (s *Server) finishState(st *sessionState, end SessionEnd) {
 	}
 	st.mu.Unlock()
 
-	keep := s.SessionHistory
-	if keep == 0 {
-		keep = DefaultSessionHistory
-	}
 	s.stateMu.Lock()
 	delete(s.states, st.snap.ID)
-	if keep > 0 {
-		if len(s.doneRing) < keep {
-			s.doneRing = append(s.doneRing, st)
-		} else {
-			s.doneRing[s.doneNext%len(s.doneRing)] = st
-		}
-		s.doneNext++
+	if len(s.doneRing) < sessionHistory {
+		s.doneRing = append(s.doneRing, st)
+	} else {
+		s.doneRing[s.doneNext%sessionHistory] = st
 	}
+	s.doneNext++
 	s.stateMu.Unlock()
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -45,7 +46,6 @@ func TestSessionStateEmitTracksBest(t *testing.T) {
 
 func TestSessionRegistryLifecycleAndRetention(t *testing.T) {
 	s := NewServer()
-	s.SessionHistory = 2
 
 	a := s.trackState("a", "1.2.3.4:1", "conn-1")
 	b := s.trackState("b", "1.2.3.4:2", "conn-2")
@@ -59,11 +59,16 @@ func TestSessionRegistryLifecycleAndRetention(t *testing.T) {
 	s.finishState(a, SessionEnd{Completed: true, Deposited: true})
 	s.finishState(b, SessionEnd{Err: errors.New("boom")})
 	s.finishState(c, SessionEnd{Completed: true})
+	// 254 more finished sessions: 257 in all, one past the ring.
+	for i := 0; i < sessionHistory-2; i++ {
+		id := fmt.Sprintf("f%d", i)
+		s.finishState(s.trackState(id, "5.6.7.8:1", "conn-"+id), SessionEnd{Completed: true})
+	}
 
 	snaps := s.SessionSnapshots()
-	// 1 running + at most 2 retained finished.
-	if len(snaps) != 3 {
-		t.Fatalf("snapshots = %d, want 3 (1 running + history of 2)", len(snaps))
+	// 1 running + the retained history.
+	if len(snaps) != 1+sessionHistory {
+		t.Fatalf("snapshots = %d, want %d (1 running + history of %d)", len(snaps), 1+sessionHistory, sessionHistory)
 	}
 	if snaps[0].ID != "d" || snaps[0].Status != StatusRunning {
 		t.Errorf("running session must sort first, got %s (%s)", snaps[0].ID, snaps[0].Status)

@@ -126,15 +126,12 @@ var errFrameTooBig = errors.New(oversizedMsg)
 // transport abstracts one connection's message framing. recv blocks for
 // the next message; its error is nil, a *garbageError (tolerable, in
 // sync), io.EOF (clean close between messages), io.ErrUnexpectedEOF (death
-// mid-frame), errFrameTooBig, or a fatal transport error.
+// mid-frame), errFrameTooBig, or a fatal transport error. sendBatch queues
+// several messages and flushes once: one socket write for a report+fetch
+// exchange.
 type transport interface {
 	recv() (message, error)
 	send(m message) error
-}
-
-// batchTransport is the coalescing extension: queue several messages and
-// flush once — one socket write for a v3 report+fetch exchange.
-type batchTransport interface {
 	sendBatch(ms ...message) error
 }
 
@@ -191,9 +188,9 @@ func (t *jsonWire) send(m message) error {
 	return t.w.Flush()
 }
 
-// sendBatch on the JSON framing exists for interface symmetry: the v1
-// exchange acknowledges reports, so callers never coalesce there, but a
-// caller that does gets correct (line-per-message) bytes.
+// sendBatch writes one line per message and flushes once. Lockstep v1
+// acknowledges reports, so it never coalesces; pipelined TuneParallel over
+// v2 JSON sends each report and its replenishing fetch this way.
 func (t *jsonWire) sendBatch(ms ...message) error {
 	if t.beforeWrite != nil {
 		t.beforeWrite()

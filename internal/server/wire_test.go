@@ -10,9 +10,11 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -389,21 +391,24 @@ func TestV3MidFrameDisconnect(t *testing.T) {
 	}
 }
 
-// --- sharded connection table ---------------------------------------------
+// --- connection table ------------------------------------------------------
 
 // TestConnTableConcurrentChurn hammers Track/Untrack from many goroutines
-// while Close fires mid-churn: nothing may leak past the cutoff, and the
-// table must end empty. Run with -race.
+// while Close fires mid-churn. Every connection still tracked when Close
+// runs must be severed by it, the table must end empty after that one
+// Close, and Tracks after it must fail. Run with -race.
 func TestConnTableConcurrentChurn(t *testing.T) {
-	tab := newConnTable(8)
+	var tab connTable
 	const workers, perWorker = 16, 200
 	var wg sync.WaitGroup
-	var tracked sync.Map
+	var attempts atomic.Int64
+	kept := make([][]net.Conn, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
+				attempts.Add(1)
 				client, srv := net.Pipe()
 				client.Close()
 				token, ok := tab.Track(srv)
@@ -411,26 +416,42 @@ func TestConnTableConcurrentChurn(t *testing.T) {
 					srv.Close()
 					continue
 				}
-				tracked.Store(token, srv)
 				if i%2 == 0 {
 					tab.Untrack(token)
 					srv.Close()
-					tracked.Delete(token)
+					continue
 				}
+				kept[w] = append(kept[w], srv)
 			}
-		}()
+		}(w)
 	}
-	// Close concurrently with the churn.
-	done := make(chan int, 1)
-	go func() { done <- tab.Close() }()
+	// Close once the churn is well under way.
+	for attempts.Load() < workers*perWorker/4 {
+		runtime.Gosched()
+	}
+	severed := tab.Close()
 	wg.Wait()
-	<-done
-	// Anything tracked after the sweep is swept by a second Close pass or
-	// was already rejected; either way the table must read empty and
-	// further Tracks must fail.
-	tab.Close()
-	if n := tab.Len(); n != 0 {
-		t.Fatalf("table holds %d connections after Close", n)
+
+	n := 0
+	buf := make([]byte, 1)
+	for _, conns := range kept {
+		for _, srv := range conns {
+			n++
+			// The peer end is closed, so a live srv reads io.EOF; only a
+			// severed one reads io.ErrClosedPipe.
+			if _, err := srv.Read(buf); !errors.Is(err, io.ErrClosedPipe) {
+				t.Fatalf("a connection tracked before Close survived it (read err %v)", err)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no connection was tracked before Close: the churn did not overlap it")
+	}
+	if severed < n {
+		t.Errorf("Close severed %d connections, want >= %d", severed, n)
+	}
+	if l := tab.Len(); l != 0 {
+		t.Fatalf("table holds %d connections after Close", l)
 	}
 	_, srv := net.Pipe()
 	defer srv.Close()
@@ -441,11 +462,10 @@ func TestConnTableConcurrentChurn(t *testing.T) {
 
 // TestMixedFramingConcurrentSessions churns concurrent sessions over both
 // framings — some tuning to completion, some disconnecting abruptly — and
-// asserts every session ends and the hot-path counters add up across the
-// stripes. Run with -race: this is the sharded session-table test.
+// asserts every session ends and, once every end was reported, the
+// connection table is empty. Run with -race.
 func TestMixedFramingConcurrentSessions(t *testing.T) {
 	s, addr := startServer(t)
-	s.ConnShards = 4 // force cross-stripe traffic with few shards
 	ends := make(chan SessionEnd, 64)
 	s.OnSessionEnd = func(e SessionEnd) { ends <- e }
 
@@ -489,7 +509,7 @@ func TestMixedFramingConcurrentSessions(t *testing.T) {
 	for i := 0; i < sessions; i++ {
 		waitEnd(t, ends)
 	}
-	if n := s.tab().Len(); n != 0 {
+	if n := s.conns.Len(); n != 0 {
 		t.Errorf("connection table holds %d entries after all sessions ended", n)
 	}
 }
