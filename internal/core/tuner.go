@@ -185,12 +185,19 @@ func (t *Tuner) Run(opts Options) (*Session, error) {
 				init = search.SeededInit{Seeds: seeds, Fallback: init}
 			}
 		}
+		// A trained simplex that confirms the experience's recorded best
+		// stops on the short stall horizon (NelderMeadOptions.PriorBest).
+		var priorBest *float64
+		if trainingUsed > 0 {
+			priorBest = &opts.Experience.Best(1)[0].Perf
+		}
 		phase("live", fmt.Sprintf("kernel=simplex init=%s training_vertices=%d", init.Name(), trainingUsed))
 		res, err = search.NelderMeadWithEvaluator(space, ev, search.NelderMeadOptions{
 			Init:      init,
 			Direction: opts.Direction,
 			MaxEvals:  opts.MaxEvals,
 			RelTol:    opts.RelTol,
+			PriorBest: priorBest,
 			Restarts:  opts.Restarts,
 			Parallel:  opts.Parallel,
 			PBest:     opts.PBest,

@@ -83,7 +83,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
-	w.Write(data) //nolint:errcheck // client gone
+	w.Write(data)         //nolint:errcheck // client gone
 	w.Write([]byte("\n")) //nolint:errcheck
 }
 

@@ -188,7 +188,7 @@ func TestHubConcurrentChurn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	h.Close()
-	h.Close() // idempotent
+	h.Close()                    // idempotent
 	h.Emit(evalEvent("late", 0)) // no-op after close, must not panic
 }
 

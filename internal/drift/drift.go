@@ -93,11 +93,11 @@ type Status struct {
 // Detector tracks one session's live workload against its matched
 // centroid. Safe for concurrent use.
 type Detector struct {
-	mu   sync.Mutex
-	opts Options
-	ref  []float64
-	live []float64
-	n    int
+	mu     sync.Mutex
+	opts   Options
+	ref    []float64
+	live   []float64
+	n      int
 	over   int // consecutive over-threshold observations
 	armed  bool
 	drifts int

@@ -257,7 +257,7 @@ func Table2(cfg Config) (*Table, error) {
 		ID:    "table2",
 		Title: "tuning process with and without prior histories",
 		Header: []string{"workload", "histories", "convergence time (iterations)",
-			"initial mean WIPS (stddev)", "bad iterations"},
+			"initial mean WIPS (stddev)", "bad iterations", "measurements"},
 	}
 	type outcome struct {
 		conv, bad int
@@ -291,7 +291,7 @@ func Table2(cfg Config) (*Table, error) {
 			}
 			t.AddRow(mix.Name, label, fmtI(m.ConvergenceIter),
 				fmt.Sprintf("%.2f (%.2f)", m.InitialMean, m.InitialStdDev),
-				fmtI(m.BadIterations))
+				fmtI(m.BadIterations), fmtI(sess.Result.Evals))
 			key := mix.Name
 			if withHistory {
 				key += "/with"

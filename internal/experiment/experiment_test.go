@@ -233,6 +233,11 @@ func TestTable2PriorHistoriesHelp(t *testing.T) {
 			t.Errorf("%s: with-history bad iterations %v above without %v",
 				tbl.Cell(base, 0), badWith, badWithout)
 		}
+		evalsWithout, evalsWith := cellF(t, tbl, base, 5), cellF(t, tbl, base+1, 5)
+		if evalsWith > evalsWithout {
+			t.Errorf("%s: with-history measurements %v above without %v",
+				tbl.Cell(base, 0), evalsWith, evalsWithout)
+		}
 	}
 }
 

@@ -204,10 +204,10 @@ func TestTrajectoryJSONLFidelity(t *testing.T) {
 	tr := NewTrajectoryJSONL(&buf, search.Maximize)
 	tr.now = func() time.Time { return time.Unix(100, 0) }
 
-	tr.Emit(search.Event{Type: search.EventEval, Perf: 40, Fidelity: 0.25}) // low-fi stand-in best
-	tr.Emit(search.Event{Type: search.EventEval, Perf: 10})                 // first truth evicts it
-	tr.Emit(search.Event{Type: search.EventEval, Perf: 99, Fidelity: 0.5})  // noisy outlier: not best
-	tr.Emit(search.Event{Type: search.EventEval, Perf: 30})                 // truth: best
+	tr.Emit(search.Event{Type: search.EventEval, Perf: 40, Fidelity: 0.25})  // low-fi stand-in best
+	tr.Emit(search.Event{Type: search.EventEval, Perf: 10})                  // first truth evicts it
+	tr.Emit(search.Event{Type: search.EventEval, Perf: 99, Fidelity: 0.5})   // noisy outlier: not best
+	tr.Emit(search.Event{Type: search.EventEval, Perf: 30})                  // truth: best
 	tr.Emit(search.Event{Type: search.EventEval, Perf: 35, Estimated: true}) // gate estimate: not best
 
 	var recs []TrajectoryRecord

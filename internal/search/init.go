@@ -76,7 +76,8 @@ func (DistributedInit) Initial(space *Space) [][]float64 {
 
 // SeededInit wraps another strategy but replaces its leading vertices with
 // caller-provided points (historical configurations from the experience
-// database, §4.2). Missing vertices are filled from the fallback strategy.
+// database, §4.2). Repeated seeds are skipped, and missing vertices are
+// filled from the fallback strategy.
 type SeededInit struct {
 	Seeds    [][]float64
 	Fallback InitStrategy
@@ -91,7 +92,9 @@ func (s SeededInit) Initial(space *Space) [][]float64 {
 	want := dim + 1
 	pts := make([][]float64, 0, want)
 	for _, seed := range s.Seeds {
-		if len(seed) != dim {
+		// A repeated seed (merged experiences can record one configuration
+		// twice) would collapse the simplex by a dimension.
+		if len(seed) != dim || containsPoint(pts, seed) {
 			continue
 		}
 		pts = append(pts, append([]float64(nil), seed...))

@@ -109,18 +109,20 @@ func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p
 			Converged:  converged,
 		}
 	}
+	horizon, confirmed := opts.MaxStall, false
 	finish := func(reason string, iter int, converged bool) *Result {
 		res := result(converged)
 		emit(opts.Tracer, Event{
 			Type: EventConverge, Op: reason, Iter: iter,
 			Perf: res.BestPerf, Config: res.BestConfig,
-			Note: fmt.Sprintf("evals=%d pbest=%d", res.Evals, p),
+			Note: fmt.Sprintf("evals=%d pbest=%d stall=%d%s", res.Evals, p, horizon, confirmedNote(confirmed)),
 		})
 		return res
 	}
 	if budgetHit || len(verts) < dim+1 {
 		return finish("init_budget", 0, false), nil
 	}
+	horizon, confirmed = opts.stallHorizon(ev, verts)
 
 	// converge ends the coarse walk. Leftover budget — the wide walk
 	// typically converges in fewer evaluations than the sequential kernel
@@ -142,6 +144,10 @@ func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p
 		polishOpts := opts
 		polishOpts.PBest = 1 // trajectory-preserving speculative kernel
 		polishOpts.Init = scaledInit{center: space.Continuous(res.BestConfig), frac: polishFrac}
+		// The polish keeps the walk's horizon. Its own start still re-checks
+		// the prior, but a reduced simplex around the incumbent leaves the
+		// incumbent out, so it cannot undo a confirmation the walk made.
+		polishOpts.MaxStall = horizon
 		pres, err := nelderMead(space, ev, polishOpts)
 		if err != nil {
 			return nil, err
@@ -169,7 +175,7 @@ func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p
 		if scale > 0 && spread/scale < opts.RelTol {
 			return converge("reltol", iter)
 		}
-		if stall >= opts.MaxStall {
+		if stall >= horizon {
 			return converge("stall", iter)
 		}
 

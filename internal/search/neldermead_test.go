@@ -303,6 +303,25 @@ func TestSeededInitSkipsDuplicateFallback(t *testing.T) {
 	}
 }
 
+func TestSeededInitSkipsRepeatedSeeds(t *testing.T) {
+	s := MustSpace(
+		Param{Name: "a", Min: 0, Max: 60, Step: 1, Default: 5},
+		Param{Name: "b", Min: 0, Max: 60, Step: 1, Default: 5},
+	)
+	// Two merged copies of one experience repeat every configuration.
+	init := SeededInit{Seeds: [][]float64{{20, 45}, {20, 45}, {21, 45}, {21, 45}}, Fallback: DistributedInit{}}
+	pts := init.Initial(s)
+	if len(pts) != 3 {
+		t.Fatalf("got %d vertices, want 3", len(pts))
+	}
+	if pts[0][0] != 20 || pts[1][0] != 21 {
+		t.Errorf("seeded vertices = %v, want [20 45] then [21 45]", pts[:2])
+	}
+	if containsPoint(pts[:2], pts[2]) {
+		t.Errorf("fallback vertex %v repeats a seed", pts[2])
+	}
+}
+
 func TestNelderMeadImprovedBeatsOriginalOnInteriorOptimum(t *testing.T) {
 	// The paper's core §4.1 claim, on a clean interior-optimum surface: the
 	// distributed initial simplex explores fewer terrible configurations.

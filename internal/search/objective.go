@@ -617,6 +617,19 @@ func (e *Evaluator) Known(cfg Config) (float64, bool) {
 	return perf, ok
 }
 
+// truth reports whether cfg's full-fidelity cached value is a truth: a
+// measured or cache-served evaluation, or a training-stage seed, rather than
+// a gate estimate. The latest full-fidelity trace entry for cfg decides; a
+// value with no such entry was seeded.
+func (e *Evaluator) truth(cfg Config) bool {
+	for i := len(e.trace) - 1; i >= 0; i-- {
+		if t := e.trace[i]; FullFidelity(t.Fidelity) && t.Config.Equal(cfg) {
+			return !t.Estimated
+		}
+	}
+	return true
+}
+
 // KnownConfigs returns all cached full-fidelity configurations in
 // deterministic order. Fidelity-suffixed triage entries are skipped: they
 // are noisy observations, not known truths.

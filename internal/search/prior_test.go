@@ -1,0 +1,237 @@
+package search
+
+import (
+	"fmt"
+	"hash/fnv"
+	"strings"
+	"testing"
+)
+
+// converges collects the EventConverge events of a run, in order.
+type converges []Event
+
+func (c *converges) Emit(e Event) {
+	if e.Type == EventConverge {
+		*c = append(*c, e)
+	}
+}
+
+// optimumSeeds returns a seeded initial simplex whose first vertex is the
+// objective's optimum and whose other vertices sit 30 units away from it
+// along one axis each, so no iteration can improve the best vertex and the
+// simplex stays far from collapsing within a few iterations.
+func optimumSeeds(target []float64) InitStrategy {
+	seeds := [][]float64{append([]float64(nil), target...)}
+	for i := range target {
+		v := append([]float64(nil), target...)
+		v[i] -= 30
+		seeds = append(seeds, v)
+	}
+	return SeededInit{Seeds: seeds, Fallback: DistributedInit{}}
+}
+
+// priorRun runs one search from the optimum-seeded simplex. parallel > 1 on
+// the 8-parameter space takes the multi-point kernel.
+func priorRun(t *testing.T, wide bool, prior *float64, maxStall int) (*Result, converges) {
+	t.Helper()
+	s, obj := quadSpace()
+	target := []float64{60, 30, 75}
+	parallel := 1
+	if wide {
+		s, obj = wideSpace()
+		target = []float64{60, 30, 75, 20, 45, 80, 10, 55}
+		parallel = 4
+	}
+	var conv converges
+	res, err := NelderMead(s, obj, NelderMeadOptions{
+		Direction: Maximize,
+		MaxEvals:  400,
+		RelTol:    1e-12, // only the stall rule ends the run
+		MaxStall:  maxStall,
+		PriorBest: prior,
+		Init:      optimumSeeds(target),
+		Parallel:  parallel,
+		Tracer:    &conv,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(conv) == 0 {
+		t.Fatal("no convergence event")
+	}
+	return res, conv
+}
+
+func kernelName(wide bool) string {
+	if wide {
+		return "multipoint"
+	}
+	return "sequential"
+}
+
+func TestPriorConfirmedStopsAfterFourStalls(t *testing.T) {
+	for _, wide := range []bool{false, true} {
+		t.Run(kernelName(wide), func(t *testing.T) {
+			prior := 1000.0 // the optimum the first seed sits on
+			_, conv := priorRun(t, wide, &prior, 0)
+			first := conv[0]
+			if first.Op != "stall" || first.Iter != confirmedStall {
+				t.Errorf("first convergence = %s at iter %d, want stall at %d", first.Op, first.Iter, confirmedStall)
+			}
+			if !strings.HasSuffix(first.Note, "stall=4 prior-confirmed") {
+				t.Errorf("note = %q, want the confirmed horizon named", first.Note)
+			}
+			// The multi-point polish around the optimum keeps the walk's
+			// confirmed horizon.
+			if wide && (len(conv) < 2 || conv[1].Op != "stall" || !strings.HasSuffix(conv[1].Note, " stall=4")) {
+				t.Errorf("polish convergence = %+v, want a stall on the walk's horizon of 4", conv[1:])
+			}
+		})
+	}
+}
+
+func TestPriorUnconfirmedKeepsColdHorizon(t *testing.T) {
+	for _, wide := range []bool{false, true} {
+		t.Run(kernelName(wide), func(t *testing.T) {
+			// The start's best vertex (1000) sits 3% below the prior.
+			prior := 1000 / 0.97
+			withField, conv := priorRun(t, wide, &prior, 0)
+			without, plain := priorRun(t, wide, nil, 0)
+			if got, want := traceDigest(withField.Trace), traceDigest(without.Trace); got != want {
+				t.Errorf("trace with an unconfirmed prior differs from a run without one")
+			}
+			dim := 3
+			if wide {
+				dim = 8
+			}
+			want := fmt.Sprintf("stall=%d", 4*dim)
+			if first := conv[0]; first.Iter != plain[0].Iter || !strings.HasSuffix(first.Note, want) {
+				t.Errorf("first convergence = iter %d note %q, want iter %d note ending %q",
+					first.Iter, first.Note, plain[0].Iter, want)
+			}
+		})
+	}
+}
+
+func TestPriorCallerMaxStallWins(t *testing.T) {
+	prior := 1000.0
+	_, conv := priorRun(t, false, &prior, 2)
+	if first := conv[0]; first.Op != "stall" || first.Iter != 2 || !strings.HasSuffix(first.Note, "stall=2 prior-confirmed") {
+		t.Errorf("first convergence = %s at iter %d (%q), want stall at 2", first.Op, first.Iter, first.Note)
+	}
+}
+
+// estimateCache answers one configuration with a gate estimate and lets the
+// objective measure everything else.
+type estimateCache struct {
+	cfg  Config
+	perf float64
+}
+
+func (c estimateCache) LookupAt(cfg Config, _ float64) (float64, bool, bool) {
+	if cfg.Equal(c.cfg) {
+		return c.perf, true, true
+	}
+	return 0, false, false
+}
+
+func (estimateCache) Claim(Config, float64) (Claim, bool) { return noClaim{}, true }
+
+type noClaim struct{}
+
+func (noClaim) Settle(float64)        {}
+func (noClaim) Abandon()              {}
+func (noClaim) Wait() (float64, bool) { return 0, false }
+
+func TestPriorGateEstimateNeverConfirms(t *testing.T) {
+	s, obj := quadSpace()
+	target := []float64{60, 30, 75}
+	prior := 1000.0
+	ev := NewEvaluator(s, obj)
+	ev.MaxEvals = 400
+	// The optimum vertex is answered by the gate with its exact value; the
+	// measured vertices are all 9% below the prior.
+	ev.External = estimateCache{cfg: Config{60, 30, 75}, perf: 1000}
+	var conv converges
+	_, err := NelderMeadWithEvaluator(s, ev, NelderMeadOptions{
+		Direction: Maximize, RelTol: 1e-12, PriorBest: &prior,
+		Init: optimumSeeds(target), Tracer: &conv,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := conv[0]; strings.Contains(first.Note, "prior-confirmed") || !strings.HasSuffix(first.Note, "stall=12") {
+		t.Errorf("note = %q, want the cold horizon: an estimate must not confirm the prior", first.Note)
+	}
+}
+
+func TestEvaluatorTruth(t *testing.T) {
+	s, obj := quadSpace()
+	ev := NewEvaluator(s, obj)
+	ev.External = estimateCache{cfg: Config{1, 1, 1}, perf: 5}
+	if err := ev.Seed(Config{2, 2, 2}, 7); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{{1, 1, 1}, {3, 3, 3}} {
+		if _, _, err := ev.EvalConfig(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := ev.EvalConfigAt(Config{2, 2, 2}, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		cfg  Config
+		want bool
+	}{
+		{Config{1, 1, 1}, false}, // gate estimate
+		{Config{2, 2, 2}, true},  // seeded; the low-fidelity probe does not count
+		{Config{3, 3, 3}, true},  // measured
+	}
+	for _, c := range cases {
+		if got := ev.truth(c.cfg); got != c.want {
+			t.Errorf("truth(%v) = %v, want %v", c.cfg, got, c.want)
+		}
+	}
+}
+
+// traceDigest fingerprints a trace's configurations, values and flags.
+func traceDigest(tr Trace) string {
+	h := fnv.New64a()
+	for _, e := range tr {
+		fmt.Fprintf(h, "%v:%v:%v:%v;", e.Config, e.Perf, e.Estimated, e.Fidelity)
+	}
+	return fmt.Sprintf("%d/%016x", len(tr), h.Sum64())
+}
+
+// TestColdTraceUnchanged pins cold trajectories of both kernels, restarts
+// included. The digests were recorded before the prior-confirmed horizon
+// existed: a session without a prior must not notice it.
+func TestColdTraceUnchanged(t *testing.T) {
+	s, obj := quadSpace()
+	seq, err := NelderMead(s, obj, NelderMeadOptions{
+		Direction: Maximize, MaxEvals: 300, Init: DistributedInit{}, Restarts: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, wobj := wideSpace()
+	multi, err := NelderMead(ws, wobj, NelderMeadOptions{
+		Direction: Maximize, MaxEvals: 200, Init: DistributedInit{}, Parallel: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		tr   Trace
+		want string
+	}{
+		{"sequential", seq.Trace, "69/787492ca6de8850b"},
+		{"multipoint", multi.Trace, "200/aefa7d8bb53b00e3"},
+	} {
+		if got := traceDigest(c.tr); got != c.want {
+			t.Errorf("%s cold trace digest = %s, want %s", c.name, got, c.want)
+		}
+	}
+}

@@ -191,7 +191,7 @@ func (c *CollectTracer) Emit(e Event) { c.Events = append(c.Events, e) }
 // perfs stand in, and the first truth evicts them.
 func BestTrajectory(events []Event, dir Direction) []float64 {
 	var out []float64
-	have := false     // any point at all
+	have := false      // any point at all
 	haveTruth := false // best holds a real full-fidelity measurement
 	best := 0.0
 	for _, e := range events {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"log/slog"
+	"slices"
 
 	"harmony/internal/expdb"
 	"harmony/internal/history"
@@ -59,13 +60,20 @@ func specKey(app string, spec *rsl.Spec) string {
 	return app + "/" + hex.EncodeToString(sum[:8])
 }
 
-// configsFromExperience extracts the experience's best configurations that
-// still fit the session's space — the shared input of both the simplex
-// warm start and the multi-fidelity sampling prior.
+// configsFromExperience extracts the experience's dim+1 best distinct
+// configurations that still fit the session's space — the shared input of
+// both the simplex warm start and the multi-fidelity sampling prior.
+// Compaction merges experiences by appending their records, so one
+// configuration can appear more than once; a repeat would collapse the
+// warm simplex by a dimension.
 func configsFromExperience(exp *history.Experience, space *search.Space) []search.Config {
+	want := space.Dim() + 1
 	var cfgs []search.Config
-	for _, rec := range exp.Best(space.Dim() + 1) {
-		if len(rec.Config) != space.Dim() || !space.Contains(rec.Config) {
+	for _, rec := range exp.Best(len(exp.Records)) {
+		if len(cfgs) == want {
+			break
+		}
+		if len(rec.Config) != space.Dim() || !space.Contains(rec.Config) || slices.ContainsFunc(cfgs, rec.Config.Equal) {
 			continue
 		}
 		cfgs = append(cfgs, rec.Config)

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"sync"
 	"testing"
 	"time"
 
+	"harmony/internal/expdb"
+	"harmony/internal/rsl"
 	"harmony/internal/search"
 )
 
@@ -193,5 +196,69 @@ func TestConcurrentExperienceAccess(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestCompactedExperienceSeedsDistinctVertices deposits one trace twice
+// under identical characteristics. Compaction merges the two experiences by
+// appending their records, so every configuration appears twice in the
+// match; the warm simplex must still get dim+1 affinely distinct vertices.
+func TestCompactedExperienceSeedsDistinctVertices(t *testing.T) {
+	store := expdb.NewMemory(expdb.Options{CompactAbove: 1})
+	var mu sync.Mutex
+	var initial []search.Config // the warm session's first dim+1 evaluations
+	_, addr := startServerWith(t, func(s *Server) {
+		s.Experience = NewDurableStore(store, nil)
+		s.Tracer = search.TracerFunc(func(e search.Event) {
+			mu.Lock()
+			defer mu.Unlock()
+			if e.Type == search.EventEval && len(initial) < 3 {
+				initial = append(initial, e.Config)
+			}
+		})
+	})
+	spec, err := rsl.Parse(quadRSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := specKey("shop", spec)
+	chars := []float64{0.8, 0.2}
+	tr := search.Trace{
+		{Index: 0, Config: search.Config{20, 45}, Perf: 1000},
+		{Index: 1, Config: search.Config{21, 45}, Perf: 999},
+		{Index: 2, Config: search.Config{20, 40}, Perf: 975},
+	}
+	for i := 0; i < 2; i++ {
+		if ok, err := store.Deposit(key, key, chars, search.Maximize, tr); !ok || err != nil {
+			t.Fatalf("deposit %d = %v, %v", i, ok, err)
+		}
+	}
+	if n := store.NamespaceLen(key); n != 1 {
+		t.Fatalf("namespace holds %d experiences, want the 2 deposits compacted into 1", n)
+	}
+
+	c := dial(t, addr)
+	if _, err := c.Register(quadRSL, RegisterOptions{
+		MaxEvals: 60, Improved: true, App: "shop", Characteristics: chars,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !c.WarmStarted() {
+		t.Fatal("session not warm-started from the compacted experience")
+	}
+	n := 0
+	if _, err := c.Tune(quadMeasure(20, 45, &n)); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(initial) != 3 {
+		t.Fatalf("initial simplex = %v, want 3 vertices", initial)
+	}
+	a, b, o := initial[1], initial[2], initial[0]
+	cross := (a[0]-o[0])*(b[1]-o[1]) - (a[1]-o[1])*(b[0]-o[0])
+	if cross == 0 {
+		t.Errorf("initial simplex %v is degenerate", initial)
 	}
 }

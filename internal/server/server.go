@@ -1153,6 +1153,10 @@ func (s *Server) startSession(sess *session, reg message) error {
 	// best-of-experience configurations that seed the simplex center the
 	// hyperband kernel's candidate distribution.
 	var priorCfgs []search.Config
+	// priorBest is the matched experience's recorded best: a warm session
+	// whose measured start confirms it stops on the short stall horizon
+	// (search.NelderMeadOptions.PriorBest).
+	var priorBest *float64
 	// matchedRef is the centroid the drift detector measures against: the
 	// matched experience's characteristics when one exists, the registered
 	// vector otherwise.
@@ -1164,6 +1168,7 @@ func (s *Server) startSession(sess *session, reg message) error {
 			if len(priorCfgs) > 0 {
 				init = search.SeededInit{Seeds: continuousSeeds(space, priorCfgs), Fallback: init}
 				sess.warm = true
+				priorBest = &exp.Best(1)[0].Perf
 			}
 		}
 	}
@@ -1254,8 +1259,9 @@ func (s *Server) startSession(sess *session, reg message) error {
 			// speculative candidate rounds send up to window points at
 			// once. window 1 is the sequential lockstep kernel,
 			// unchanged.
-			Parallel: sess.window,
-			Tracer:   tracer,
+			Parallel:  sess.window,
+			PriorBest: priorBest,
+			Tracer:    tracer,
 			// A pending workload drift or an operator's re-tune request
 			// (control plane) funds one more reduced-scale restart at the
 			// next convergence decision.

@@ -38,9 +38,9 @@ type SessionSnapshot struct {
 	// them. Un-muxed sessions each carry a unique ConnID.
 	ConnID string `json:"conn_id,omitempty"`
 	// Mux reports whether the session rides a multiplexed connection.
-	Mux    bool `json:"mux,omitempty"`
-	Proto  int  `json:"proto,omitempty"`
-	Window int  `json:"window,omitempty"`
+	Mux       bool      `json:"mux,omitempty"`
+	Proto     int       `json:"proto,omitempty"`
+	Window    int       `json:"window,omitempty"`
 	Dim       int       `json:"dim,omitempty"`
 	Direction string    `json:"direction,omitempty"`
 	Warm      bool      `json:"warm,omitempty"`
@@ -60,6 +60,10 @@ type SessionSnapshot struct {
 	HaveBest   bool    `json:"have_best,omitempty"`
 	BestPerf   float64 `json:"best_perf,omitempty"`
 	BestConfig []int   `json:"best_config,omitempty"`
+	// BestAtEval is the Evals count at the session's last incumbent
+	// improvement, so Evals − BestAtEval is what the session spent after
+	// finding its best.
+	BestAtEval int `json:"best_at_eval"`
 
 	// Multi-fidelity kernel state (hyperband sessions only; all fields
 	// stay zero — and off the wire — on the simplex kernel).
@@ -76,10 +80,10 @@ type SessionSnapshot struct {
 	PhaseDeposits int     `json:"phase_deposits,omitempty"`
 
 	// Robustness and pipeline state.
-	Outstanding   int    `json:"outstanding"`
-	Faults        int    `json:"faults"`
-	FailureBudget int    `json:"failure_budget"`
-	Retunes       int    `json:"retunes,omitempty"`
+	Outstanding   int `json:"outstanding"`
+	Faults        int `json:"faults"`
+	FailureBudget int `json:"failure_budget"`
+	Retunes       int `json:"retunes,omitempty"`
 	// DroppedRetunes counts re-tune requests that were accepted while the
 	// kernel was still polling but could no longer be honored by teardown
 	// time (the accept/teardown race, closed but accounted for).
@@ -144,6 +148,7 @@ func (st *sessionState) Emit(e search.Event) {
 			(!st.snap.HaveBest || st.dir.Better(e.Perf, st.snap.BestPerf)) {
 			st.snap.HaveBest = true
 			st.snap.BestPerf = e.Perf
+			st.snap.BestAtEval = st.snap.Evals
 			if st.toWire != nil {
 				st.snap.BestConfig = st.toWire(e.Config)
 			}

@@ -3,6 +3,8 @@ package server
 import (
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -158,5 +160,97 @@ func TestSessionSnapshotEndToEnd(t *testing.T) {
 	}
 	if _, ok := s.SessionSnapshot(snap.ID); !ok {
 		t.Errorf("finished session %s not retrievable by ID", snap.ID)
+	}
+}
+
+func TestSessionStateBestAtEval(t *testing.T) {
+	st := &sessionState{snap: SessionSnapshot{ID: "s"}}
+	st.registered("app", search.Maximize, 1, 1, true, nil)
+	for _, e := range []search.Event{
+		{Type: search.EventEval, Config: search.Config{1}, Perf: 5},
+		{Type: search.EventEval, Config: search.Config{2}, Perf: 8}, // last improvement
+		{Type: search.EventEval, Config: search.Config{3}, Perf: 9, Estimated: true},
+		{Type: search.EventEval, Config: search.Config{4}, Perf: 9, Fidelity: 0.25},
+		{Type: search.EventEval, Config: search.Config{5}, Perf: 7},
+		{Type: search.EventEval, Cached: true, Config: search.Config{2}, Perf: 8},
+	} {
+		st.Emit(e)
+	}
+	// Neither an estimate nor a low-fidelity observation is an incumbent
+	// improvement, so the best was found at the second of five evals.
+	if snap := st.Snapshot(); snap.BestAtEval != 2 || snap.Evals != 5 {
+		t.Errorf("best_at_eval %d of %d evals, want 2 of 5", snap.BestAtEval, snap.Evals)
+	}
+}
+
+// TestSessionStopReasonAndPostConvergenceSpend runs a cold session and a
+// warm one that starts on the cold session's best. Each convergence note
+// names the stall horizon in force, and each snapshot says when the
+// session found its best.
+func TestSessionStopReasonAndPostConvergenceSpend(t *testing.T) {
+	var mu sync.Mutex
+	notes := map[string][]string{}
+	s, addr := startServerWith(t, func(s *Server) {
+		s.Tracer = search.TracerFunc(func(e search.Event) {
+			if e.Type == search.EventConverge {
+				mu.Lock()
+				notes[e.Session] = append(notes[e.Session], e.Note)
+				mu.Unlock()
+			}
+		})
+	})
+	run := func() SessionSnapshot {
+		t.Helper()
+		c := dial(t, addr)
+		if _, err := c.Register(quadRSL, RegisterOptions{
+			MaxEvals: 150, Improved: true, App: "shop", Characteristics: []float64{0.8, 0.2},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		if _, err := c.Tune(quadMeasure(20, 45, &n)); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			for _, snap := range s.SessionSnapshots() {
+				if snap.Status == StatusCompleted && snap.Warm == c.WarmStarted() {
+					return snap
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("session never completed")
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	cold, warm := run(), run()
+	if !warm.Warm || cold.Warm {
+		t.Fatalf("warm flags: cold %v warm %v", cold.Warm, warm.Warm)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, c := range []struct {
+		snap SessionSnapshot
+		want string
+	}{
+		{cold, "stall=8"}, // 4·dim on the 2-parameter space
+		{warm, "stall=4 prior-confirmed"},
+	} {
+		got := notes[c.snap.ID]
+		if len(got) == 0 || !strings.HasSuffix(got[0], c.want) {
+			t.Errorf("session %s (warm=%v) convergence notes %q, want the first to end %q",
+				c.snap.ID, c.snap.Warm, got, c.want)
+		}
+		if c.snap.BestAtEval < 1 || c.snap.BestAtEval > c.snap.Evals {
+			t.Errorf("session %s best_at_eval %d outside [1, %d]", c.snap.ID, c.snap.BestAtEval, c.snap.Evals)
+		}
+	}
+	// The warm start seeds the prior's best as a vertex of its initial
+	// simplex, so its best is one of the first dim+1 evaluations.
+	if warm.BestAtEval > 3 {
+		t.Errorf("warm best_at_eval = %d, want within the seeded simplex", warm.BestAtEval)
 	}
 }
