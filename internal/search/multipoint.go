@@ -59,7 +59,11 @@ func (o NelderMeadOptions) pbest(dim int) int {
 // evaluation budget is left at convergence funds a polish phase — a
 // reduced-scale restart on the trajectory-preserving speculative kernel,
 // centred on the incumbent best — which recovers the fine local refinement
-// the wide walk skips.
+// the wide walk skips. Only a walk whose start did not confirm a prior
+// polishes (see NelderMeadOptions.PriorBest): a confirmed walk has already
+// reached the answer the prior recorded, and on hyperband-json its polishes
+// took a third of each session's measurement-seconds while raising the
+// session's best in 4 of 104 sessions, by 0.02% on average.
 //
 // Wall-clock per unit of simplex progress drops by roughly p for
 // measurement-bound objectives — a round costs one measurement latency and
@@ -127,10 +131,13 @@ func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p
 	// converge ends the coarse walk. Leftover budget — the wide walk
 	// typically converges in fewer evaluations than the sequential kernel
 	// spends — funds a polish restart on the speculative kernel at reduced
-	// scale around the incumbent best.
+	// scale around the incumbent best, unless the walk's start confirmed
+	// its prior: then the walk's convergence ends the run. Its reduced
+	// simplex leaves the incumbent out, so it rarely comes near a best the
+	// prior already confirmed.
 	converge := func(reason string, iter int) (*Result, error) {
 		res := finish(reason, iter, true)
-		if ev.MaxEvals <= 0 || len(res.BestConfig) == 0 {
+		if confirmed || ev.MaxEvals <= 0 || len(res.BestConfig) == 0 {
 			return res, nil
 		}
 		remaining := ev.MaxEvals - ev.Count()
@@ -144,10 +151,6 @@ func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p
 		polishOpts := opts
 		polishOpts.PBest = 1 // trajectory-preserving speculative kernel
 		polishOpts.Init = scaledInit{center: space.Continuous(res.BestConfig), frac: polishFrac}
-		// The polish keeps the walk's horizon. Its own start still re-checks
-		// the prior, but a reduced simplex around the incumbent leaves the
-		// incumbent out, so it cannot undo a confirmation the walk made.
-		polishOpts.MaxStall = horizon
 		pres, err := nelderMead(space, ev, polishOpts)
 		if err != nil {
 			return nil, err

@@ -30,8 +30,11 @@ type NelderMeadOptions struct {
 	// confirmed when the best truth-valued vertex of the measured initial
 	// simplex lies within 2% (the paper's convergence band) of it; a gate
 	// estimate never confirms it. Every kernel start — restarts, re-tunes
-	// and the multi-point polish included — re-checks its own simplex; the
-	// polish also keeps the horizon of the walk it polishes.
+	// and the multi-point polish included — re-checks its own simplex. A
+	// multi-point walk whose start confirms the prior ends at its
+	// convergence, with no polish: on hyperband-json the polishes after
+	// confirmed walks spent a third of each session's measurement-seconds
+	// and raised the session's best by 0.02% on average.
 	PriorBest *float64
 	// Parallel, when > 1, measures the embarrassingly parallel phases (the
 	// initial simplex and shrink steps) with this many concurrent

@@ -7,12 +7,16 @@ import (
 	"testing"
 )
 
-// converges collects the EventConverge events of a run, in order.
-type converges []Event
+// runEvents collects the EventConverge and EventPhase events of a run, each
+// kind in order.
+type runEvents struct{ conv, phases []Event }
 
-func (c *converges) Emit(e Event) {
-	if e.Type == EventConverge {
-		*c = append(*c, e)
+func (r *runEvents) Emit(e Event) {
+	switch e.Type {
+	case EventConverge:
+		r.conv = append(r.conv, e)
+	case EventPhase:
+		r.phases = append(r.phases, e)
 	}
 }
 
@@ -32,7 +36,7 @@ func optimumSeeds(target []float64) InitStrategy {
 
 // priorRun runs one search from the optimum-seeded simplex. parallel > 1 on
 // the 8-parameter space takes the multi-point kernel.
-func priorRun(t *testing.T, wide bool, prior *float64, maxStall int) (*Result, converges) {
+func priorRun(t *testing.T, wide bool, prior *float64, maxStall int) (*Result, runEvents) {
 	t.Helper()
 	s, obj := quadSpace()
 	target := []float64{60, 30, 75}
@@ -42,7 +46,7 @@ func priorRun(t *testing.T, wide bool, prior *float64, maxStall int) (*Result, c
 		target = []float64{60, 30, 75, 20, 45, 80, 10, 55}
 		parallel = 4
 	}
-	var conv converges
+	var events runEvents
 	res, err := NelderMead(s, obj, NelderMeadOptions{
 		Direction: Maximize,
 		MaxEvals:  400,
@@ -51,15 +55,15 @@ func priorRun(t *testing.T, wide bool, prior *float64, maxStall int) (*Result, c
 		PriorBest: prior,
 		Init:      optimumSeeds(target),
 		Parallel:  parallel,
-		Tracer:    &conv,
+		Tracer:    &events,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(conv) == 0 {
+	if len(events.conv) == 0 {
 		t.Fatal("no convergence event")
 	}
-	return res, conv
+	return res, events
 }
 
 func kernelName(wide bool) string {
@@ -73,18 +77,28 @@ func TestPriorConfirmedStopsAfterFourStalls(t *testing.T) {
 	for _, wide := range []bool{false, true} {
 		t.Run(kernelName(wide), func(t *testing.T) {
 			prior := 1000.0 // the optimum the first seed sits on
-			_, conv := priorRun(t, wide, &prior, 0)
-			first := conv[0]
+			res, events := priorRun(t, wide, &prior, 0)
+			first := events.conv[0]
 			if first.Op != "stall" || first.Iter != confirmedStall {
 				t.Errorf("first convergence = %s at iter %d, want stall at %d", first.Op, first.Iter, confirmedStall)
 			}
 			if !strings.HasSuffix(first.Note, "stall=4 prior-confirmed") {
 				t.Errorf("note = %q, want the confirmed horizon named", first.Note)
 			}
-			// The multi-point polish around the optimum keeps the walk's
-			// confirmed horizon.
-			if wide && (len(conv) < 2 || conv[1].Op != "stall" || !strings.HasSuffix(conv[1].Note, " stall=4")) {
-				t.Errorf("polish convergence = %+v, want a stall on the walk's horizon of 4", conv[1:])
+			if !wide {
+				return
+			}
+			// A confirmed multi-point walk ends the run at its convergence:
+			// no polish follows it.
+			if len(events.conv) != 1 || len(events.phases) != 0 {
+				t.Errorf("convergences %+v, phases %+v; want the walk's one convergence and no polish",
+					events.conv, events.phases)
+			}
+			// The walk itself is untouched: the whole trace is the walk's
+			// prefix of the trace recorded before the rule existed, when a
+			// polish followed it.
+			if got, want := traceDigest(res.Trace), "25/f8a6307c6e51d3bd"; got != want {
+				t.Errorf("confirmed walk trace digest = %s, want %s", got, want)
 			}
 		})
 	}
@@ -95,7 +109,7 @@ func TestPriorUnconfirmedKeepsColdHorizon(t *testing.T) {
 		t.Run(kernelName(wide), func(t *testing.T) {
 			// The start's best vertex (1000) sits 3% below the prior.
 			prior := 1000 / 0.97
-			withField, conv := priorRun(t, wide, &prior, 0)
+			withField, events := priorRun(t, wide, &prior, 0)
 			without, plain := priorRun(t, wide, nil, 0)
 			if got, want := traceDigest(withField.Trace), traceDigest(without.Trace); got != want {
 				t.Errorf("trace with an unconfirmed prior differs from a run without one")
@@ -105,9 +119,9 @@ func TestPriorUnconfirmedKeepsColdHorizon(t *testing.T) {
 				dim = 8
 			}
 			want := fmt.Sprintf("stall=%d", 4*dim)
-			if first := conv[0]; first.Iter != plain[0].Iter || !strings.HasSuffix(first.Note, want) {
+			if first := events.conv[0]; first.Iter != plain.conv[0].Iter || !strings.HasSuffix(first.Note, want) {
 				t.Errorf("first convergence = iter %d note %q, want iter %d note ending %q",
-					first.Iter, first.Note, plain[0].Iter, want)
+					first.Iter, first.Note, plain.conv[0].Iter, want)
 			}
 		})
 	}
@@ -115,8 +129,8 @@ func TestPriorUnconfirmedKeepsColdHorizon(t *testing.T) {
 
 func TestPriorCallerMaxStallWins(t *testing.T) {
 	prior := 1000.0
-	_, conv := priorRun(t, false, &prior, 2)
-	if first := conv[0]; first.Op != "stall" || first.Iter != 2 || !strings.HasSuffix(first.Note, "stall=2 prior-confirmed") {
+	_, events := priorRun(t, false, &prior, 2)
+	if first := events.conv[0]; first.Op != "stall" || first.Iter != 2 || !strings.HasSuffix(first.Note, "stall=2 prior-confirmed") {
 		t.Errorf("first convergence = %s at iter %d (%q), want stall at 2", first.Op, first.Iter, first.Note)
 	}
 }
@@ -152,15 +166,15 @@ func TestPriorGateEstimateNeverConfirms(t *testing.T) {
 	// The optimum vertex is answered by the gate with its exact value; the
 	// measured vertices are all 9% below the prior.
 	ev.External = estimateCache{cfg: Config{60, 30, 75}, perf: 1000}
-	var conv converges
+	var events runEvents
 	_, err := NelderMeadWithEvaluator(s, ev, NelderMeadOptions{
 		Direction: Maximize, RelTol: 1e-12, PriorBest: &prior,
-		Init: optimumSeeds(target), Tracer: &conv,
+		Init: optimumSeeds(target), Tracer: &events,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first := conv[0]; strings.Contains(first.Note, "prior-confirmed") || !strings.HasSuffix(first.Note, "stall=12") {
+	if first := events.conv[0]; strings.Contains(first.Note, "prior-confirmed") || !strings.HasSuffix(first.Note, "stall=12") {
 		t.Errorf("note = %q, want the cold horizon: an estimate must not confirm the prior", first.Note)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -260,5 +261,87 @@ func TestCompactedExperienceSeedsDistinctVertices(t *testing.T) {
 	cross := (a[0]-o[0])*(b[1]-o[1]) - (a[1]-o[1])*(b[0]-o[0])
 	if cross == 0 {
 		t.Errorf("initial simplex %v is degenerate", initial)
+	}
+}
+
+const wideRSL = `
+{ harmonyBundle a { int {0 60 1} } }
+{ harmonyBundle b { int {0 60 1} } }
+{ harmonyBundle c { int {0 60 1} } }
+{ harmonyBundle d { int {0 60 1} } }
+`
+
+// TestConfirmedWarmWalkSkipsPolish runs window-4 sessions on a 4-parameter
+// space, which take the multi-point kernel. The cold session's walk
+// converges with budget left and polishes. The warm session seeds its
+// simplex with the cold session's best, so its start confirms the
+// experience, and the walk's convergence ends the session: one convergence
+// and no polish.
+func TestConfirmedWarmWalkSkipsPolish(t *testing.T) {
+	sink := &eventSink{}
+	_, addr := startServerWith(t, func(s *Server) { s.Tracer = sink })
+	measure := func(cfg search.Config) float64 {
+		perf := 1000.0
+		for i, peak := range []int{20, 45, 30, 10} {
+			d := float64(cfg[i] - peak)
+			perf -= d * d
+		}
+		return perf
+	}
+	run := func() {
+		t.Helper()
+		c := dial(t, addr)
+		if _, err := c.Register(wideRSL, RegisterOptions{
+			MaxEvals: 300, Improved: true, Window: 4, App: "shop", Characteristics: []float64{0.8, 0.2},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.TuneParallel(measure, 4); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	run()
+	run()
+	// The sessions ran one after the other, so their events do too.
+	var ids []string
+	for _, e := range sink.byType(search.EventEval) {
+		if len(ids) == 0 || ids[len(ids)-1] != e.Session {
+			ids = append(ids, e.Session)
+		}
+	}
+	if len(ids) != 2 {
+		t.Fatalf("sessions in the trace = %q, want 2 in turn", ids)
+	}
+	cold, warm := ids[0], ids[1]
+
+	for _, c := range []struct {
+		id        string
+		converges int
+		polishes  int
+		note      string
+	}{
+		{cold, 2, 1, "pbest=2 stall=16"},
+		{warm, 1, 0, "pbest=2 stall=4 prior-confirmed"},
+	} {
+		var conv []search.Event
+		polishes := 0
+		for _, e := range sink.byType(search.EventConverge) {
+			if e.Session == c.id {
+				conv = append(conv, e)
+			}
+		}
+		for _, e := range sink.byType(search.EventPhase) {
+			if e.Session == c.id && e.Op == "polish" {
+				polishes++
+			}
+		}
+		if len(conv) != c.converges || polishes != c.polishes {
+			t.Errorf("session %s: %d convergences and %d polishes, want %d and %d",
+				c.id, len(conv), polishes, c.converges, c.polishes)
+		}
+		if len(conv) > 0 && !strings.HasSuffix(conv[0].Note, c.note) {
+			t.Errorf("session %s walk convergence note %q, want it to end %q", c.id, conv[0].Note, c.note)
+		}
 	}
 }

@@ -973,6 +973,7 @@ func (sess *session) MeasureBatch(ps []search.Probe) {
 		sess.out = append(sess.out, outstanding{id: id, p: p})
 		sess.state.outstanding.Store(int64(len(sess.out)))
 		m.ConfigsServed.Inc()
+		sess.state.measured.Add(1)
 		m.SessionOutstanding.Inc()
 		m.BatchSize.Observe(float64(len(sess.out)))
 		cfg := message{Op: "config", Values: sess.toWire(p.Config)}

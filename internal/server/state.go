@@ -61,9 +61,18 @@ type SessionSnapshot struct {
 	BestPerf   float64 `json:"best_perf,omitempty"`
 	BestConfig []int   `json:"best_config,omitempty"`
 	// BestAtEval is the Evals count at the session's last incumbent
-	// improvement, so Evals − BestAtEval is what the session spent after
-	// finding its best.
+	// improvement. Evals also counts shared-cache hits and gate estimates,
+	// which the client never measures, so Evals − BestAtEval is the
+	// kernel's evaluations after its best, not what the client paid.
 	BestAtEval int `json:"best_at_eval"`
+	// Measured counts the configurations the session's client actually
+	// measured (served to it for measurement), and MeasuredAtBest is
+	// Measured at the last incumbent improvement: Measured −
+	// MeasuredAtBest is what the session spent after finding its best, in
+	// the units the client pays. Configurations count when served, so a
+	// concurrent batch counts whole at the improvement it commits.
+	Measured       int `json:"measured"`
+	MeasuredAtBest int `json:"measured_at_best"`
 
 	// Multi-fidelity kernel state (hyperband sessions only; all fields
 	// stay zero — and off the wire — on the simplex kernel).
@@ -106,10 +115,11 @@ type sessionState struct {
 	toWire func(search.Config) []int
 	dir    search.Direction
 
-	// outstanding and faults are updated from the exchange's hot path;
-	// lone atomics keep those updates wait-free.
+	// outstanding, faults and measured are updated from the exchange's
+	// hot path; lone atomics keep those updates wait-free.
 	outstanding atomic.Int64
 	faults      atomic.Int64
+	measured    atomic.Int64
 
 	// retuneMu guards the pending/closed pair. Accepting a request and
 	// closing the re-tune window must be mutually atomic: with two lone
@@ -149,6 +159,7 @@ func (st *sessionState) Emit(e search.Event) {
 			st.snap.HaveBest = true
 			st.snap.BestPerf = e.Perf
 			st.snap.BestAtEval = st.snap.Evals
+			st.snap.MeasuredAtBest = int(st.measured.Load())
 			if st.toWire != nil {
 				st.snap.BestConfig = st.toWire(e.Config)
 			}
@@ -204,6 +215,7 @@ func (st *sessionState) Snapshot() SessionSnapshot {
 	st.mu.Unlock()
 	snap.Outstanding = int(st.outstanding.Load())
 	snap.Faults = int(st.faults.Load())
+	snap.Measured = int(st.measured.Load())
 	return snap
 }
 

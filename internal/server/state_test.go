@@ -254,3 +254,53 @@ func TestSessionStopReasonAndPostConvergenceSpend(t *testing.T) {
 		t.Errorf("warm best_at_eval = %d, want within the seeded simplex", warm.BestAtEval)
 	}
 }
+
+// TestSessionMeasuredCountsClientWork runs a session against a shared
+// cache that a shorter session of the same namespace filled first, so layer
+// hits answer the start of its walk and the client measures the rest.
+// Measured counts only what the client measured, and MeasuredAtBest says
+// how much of that came before the session's best.
+func TestSessionMeasuredCountsClientWork(t *testing.T) {
+	s, addr, _ := startCacheServer(t, CacheShared)
+	opts := RegisterOptions{App: "webapp", MaxEvals: 8, Improved: true}
+	c := dial(t, addr)
+	if _, err := c.Register(quadRSL, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Tune(cacheQuad); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	opts.MaxEvals = 150
+	measured := tuneCounting(t, addr, opts)
+
+	var snap SessionSnapshot
+	deadline := time.Now().Add(2 * time.Second)
+	for snap.ID == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("sessions never completed")
+		}
+		time.Sleep(10 * time.Millisecond)
+		snaps := s.SessionSnapshots()
+		if len(snaps) == 2 && snaps[0].Status == StatusCompleted && snaps[1].Status == StatusCompleted {
+			snap = snaps[0]
+			if snaps[1].StartedAt.After(snap.StartedAt) {
+				snap = snaps[1]
+			}
+		}
+	}
+	if snap.Measured != measured {
+		t.Errorf("measured = %d, client measured %d", snap.Measured, measured)
+	}
+	if snap.Measured == 0 || snap.Measured >= snap.Evals {
+		t.Errorf("measured %d of %d evals, want layer hits to make up part of the evals", snap.Measured, snap.Evals)
+	}
+	// Window 1: each configuration is served, measured and committed
+	// before the next, so the client work at the best is at most the
+	// kernel's evaluations at it, and it is what the layer hits left over.
+	if snap.MeasuredAtBest > snap.Measured || snap.MeasuredAtBest > snap.BestAtEval ||
+		snap.MeasuredAtBest < snap.BestAtEval-(snap.Evals-snap.Measured) {
+		t.Errorf("measured_at_best %d, want within measured %d and best_at_eval %d less %d layer hits",
+			snap.MeasuredAtBest, snap.Measured, snap.BestAtEval, snap.Evals-snap.Measured)
+	}
+}
