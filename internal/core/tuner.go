@@ -186,7 +186,8 @@ func (t *Tuner) Run(opts Options) (*Session, error) {
 			}
 		}
 		// A trained simplex that confirms the experience's recorded best
-		// stops on the short stall horizon (NelderMeadOptions.PriorBest).
+		// stops on the short stall horizon or at its first failed
+		// contraction (NelderMeadOptions.PriorBest).
 		var priorBest *float64
 		if trainingUsed > 0 {
 			priorBest = &opts.Experience.Best(1)[0].Perf

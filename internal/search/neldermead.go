@@ -23,7 +23,8 @@ type NelderMeadOptions struct {
 	// (the same factor without the ·dim) unless MaxStall is smaller: a
 	// warm-web session is within 2% of its final best after about 1.5
 	// client measurements, and the 4·dim horizon made it spend about 6.7
-	// times that measurement time in total.
+	// times that measurement time in total. Such a run also stops earlier,
+	// at its first failed contraction (see PriorBest).
 	MaxStall int
 	// PriorBest, when non-nil, is the best performance the matched prior
 	// experience recorded (§4.2); cold runs leave it nil. The prior is
@@ -31,10 +32,14 @@ type NelderMeadOptions struct {
 	// simplex lies within 2% (the paper's convergence band) of it; a gate
 	// estimate never confirms it. Every kernel start — restarts, re-tunes
 	// and the multi-point polish included — re-checks its own simplex. A
-	// multi-point walk whose start confirms the prior ends at its
-	// convergence, with no polish: on hyperband-json the polishes after
-	// confirmed walks spent a third of each session's measurement-seconds
-	// and raised the session's best by 0.02% on average.
+	// confirmed run ends at its first failed contraction instead of
+	// shrinking: on warm-web the shrinks of confirmed runs cost 18.6% of
+	// the client's measurements and bought about 0.1% of re-measured
+	// performance. A multi-point walk whose start confirms the prior ends
+	// at its convergence, with no polish: on hyperband-json the polishes
+	// after confirmed walks spent a third of each session's
+	// measurement-seconds and raised the session's best by 0.02% on
+	// average.
 	PriorBest *float64
 	// Parallel, when > 1, measures the embarrassingly parallel phases (the
 	// initial simplex and shrink steps) with this many concurrent
@@ -449,10 +454,17 @@ func nelderMead(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Result, e
 			if better(cPerf, worst.perf) {
 				step(contrOp, iter, cPerf, "accepted")
 				verts[len(verts)-1] = vertex{pt: clampPoint(space, contr), perf: cPerf}
+			} else if confirmed {
+				// A run whose start confirmed its prior ends at its first
+				// failed contraction: on warm-web the shrinks of confirmed
+				// runs cost 18.6% of the client's measurements and bought
+				// about 0.1% of re-measured performance.
+				step(contrOp, iter, cPerf, "rejected; prior confirmed")
+				return finish("confirmed", iter, true), nil
 			} else {
 				step(contrOp, iter, cPerf, "rejected; shrinking")
-				// Shrink every vertex toward the best — an embarrassingly
-				// parallel batch.
+				// Any other run shrinks every vertex toward the best — an
+				// embarrassingly parallel batch.
 				bestPt := verts[0].pt
 				shrunk := make([][]float64, 0, len(verts)-1)
 				for i := 1; i < len(verts); i++ {

@@ -7,12 +7,14 @@ import (
 	"testing"
 )
 
-// runEvents collects the EventConverge and EventPhase events of a run, each
-// kind in order.
-type runEvents struct{ conv, phases []Event }
+// runEvents collects the EventSimplex, EventConverge and EventPhase events
+// of a run, each kind in order.
+type runEvents struct{ ops, conv, phases []Event }
 
 func (r *runEvents) Emit(e Event) {
 	switch e.Type {
+	case EventSimplex:
+		r.ops = append(r.ops, e)
 	case EventConverge:
 		r.conv = append(r.conv, e)
 	case EventPhase:
@@ -21,22 +23,32 @@ func (r *runEvents) Emit(e Event) {
 }
 
 // optimumSeeds returns a seeded initial simplex whose first vertex is the
-// objective's optimum and whose other vertices sit 30 units away from it
-// along one axis each, so no iteration can improve the best vertex and the
-// simplex stays far from collapsing within a few iterations.
-func optimumSeeds(target []float64) InitStrategy {
+// objective's optimum and whose other vertices sit off units away from it
+// along one axis each. At -30 no iteration can improve the best vertex and
+// the simplex stays far from collapsing within a few iterations; at +1 the
+// first reflection and contraction both fail, because the contraction
+// rounds back onto the worst vertex.
+func optimumSeeds(target []float64, off float64) InitStrategy {
 	seeds := [][]float64{append([]float64(nil), target...)}
 	for i := range target {
 		v := append([]float64(nil), target...)
-		v[i] -= 30
+		v[i] += off
 		seeds = append(seeds, v)
 	}
 	return SeededInit{Seeds: seeds, Fallback: DistributedInit{}}
 }
 
-// priorRun runs one search from the optimum-seeded simplex. parallel > 1 on
-// the 8-parameter space takes the multi-point kernel.
+// priorRun runs one search from the simplex seeded 30 units off the
+// optimum.
 func priorRun(t *testing.T, wide bool, prior *float64, maxStall int) (*Result, runEvents) {
+	t.Helper()
+	return seededRun(t, wide, prior, maxStall, -30)
+}
+
+// seededRun runs one search from the optimum-seeded simplex whose other
+// vertices sit off units away. parallel > 1 on the 8-parameter space takes
+// the multi-point kernel.
+func seededRun(t *testing.T, wide bool, prior *float64, maxStall int, off float64) (*Result, runEvents) {
 	t.Helper()
 	s, obj := quadSpace()
 	target := []float64{60, 30, 75}
@@ -53,7 +65,7 @@ func priorRun(t *testing.T, wide bool, prior *float64, maxStall int) (*Result, r
 		RelTol:    1e-12, // only the stall rule ends the run
 		MaxStall:  maxStall,
 		PriorBest: prior,
-		Init:      optimumSeeds(target),
+		Init:      optimumSeeds(target, off),
 		Parallel:  parallel,
 		Tracer:    &events,
 	})
@@ -127,6 +139,59 @@ func TestPriorUnconfirmedKeepsColdHorizon(t *testing.T) {
 	}
 }
 
+// TestPriorConfirmedEndsAtFailedContraction seeds both kernels one unit off
+// the optimum along each axis, so the first reflection and contraction
+// both fail. A run whose start confirms its prior ends there, and its trace
+// is the prefix, up to the rejected contraction, of the trace recorded
+// before the rule existed. An unconfirmed twin, whose prior is 3% off,
+// still shrinks, and its trace is unchanged.
+func TestPriorConfirmedEndsAtFailedContraction(t *testing.T) {
+	for _, c := range []struct {
+		wide                bool
+		prefix, unconfirmed string // digests recorded before the rule existed
+	}{
+		// The sequential run's shrinks re-measure only configurations its
+		// trace already holds, so its two digests coincide.
+		{false, "5/0bd8bf76ad4229b9", "5/0bd8bf76ad4229b9"},
+		{true, "11/5a49ad29f9d131a2", "94/6ab38149c7ec6260"},
+	} {
+		t.Run(kernelName(c.wide), func(t *testing.T) {
+			shrinks := func(ev runEvents) int {
+				n := 0
+				for _, e := range ev.ops {
+					if e.Op == OpShrink {
+						n++
+					}
+				}
+				return n
+			}
+
+			prior := 1000.0 // the optimum the first seed sits on
+			res, events := seededRun(t, c.wide, &prior, 0, 1)
+			if len(events.conv) != 1 || events.conv[0].Op != "confirmed" || events.conv[0].Iter != 0 ||
+				!strings.HasSuffix(events.conv[0].Note, "stall=4 prior-confirmed") {
+				t.Errorf("convergences %+v, want one: confirmed at iter 0 with the confirmed horizon named", events.conv)
+			}
+			if n := shrinks(events); n != 0 || len(events.phases) != 0 {
+				t.Errorf("%d shrinks and phases %+v, want neither", n, events.phases)
+			}
+			if got := traceDigest(res.Trace); got != c.prefix {
+				t.Errorf("confirmed trace digest = %s, want %s", got, c.prefix)
+			}
+
+			missed := 1000 / 0.97 // the start's best sits 3% below it
+			res, events = seededRun(t, c.wide, &missed, 0, 1)
+			if shrinks(events) == 0 || events.conv[0].Op == "confirmed" {
+				t.Errorf("unconfirmed run: %d shrinks, first convergence %s; want it to shrink",
+					shrinks(events), events.conv[0].Op)
+			}
+			if got := traceDigest(res.Trace); got != c.unconfirmed {
+				t.Errorf("unconfirmed trace digest = %s, want %s", got, c.unconfirmed)
+			}
+		})
+	}
+}
+
 func TestPriorCallerMaxStallWins(t *testing.T) {
 	prior := 1000.0
 	_, events := priorRun(t, false, &prior, 2)
@@ -169,7 +234,7 @@ func TestPriorGateEstimateNeverConfirms(t *testing.T) {
 	var events runEvents
 	_, err := NelderMeadWithEvaluator(s, ev, NelderMeadOptions{
 		Direction: Maximize, RelTol: 1e-12, PriorBest: &prior,
-		Init: optimumSeeds(target), Tracer: &events,
+		Init: optimumSeeds(target, -30), Tracer: &events,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,9 @@ const (
 	// "expand", "contract_out", "contract_in" or "shrink".
 	EventSimplex EventType = "simplex"
 	// EventConverge is a kernel termination decision; Op is the reason:
-	// "reltol", "stall", "budget" or "init_budget".
+	// "reltol", "stall", "confirmed" (a run whose start confirmed its
+	// prior reached its first failed contraction; see
+	// NelderMeadOptions.PriorBest), "budget" or "init_budget".
 	EventConverge EventType = "converge"
 	// EventPhase marks a stage boundary (Op = "training", "live",
 	// "restart", ...). Emitted by the Tuner and the restart driver.

@@ -171,7 +171,7 @@ func TestNelderMeadEmitsSimplexAndConvergeEvents(t *testing.T) {
 		case EventConverge:
 			converge++
 			switch e.Op {
-			case "reltol", "stall", "budget", "init_budget":
+			case "reltol", "stall", "confirmed", "budget", "init_budget":
 			default:
 				t.Errorf("unknown convergence reason %q", e.Op)
 			}

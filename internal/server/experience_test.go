@@ -345,3 +345,75 @@ func TestConfirmedWarmWalkSkipsPolish(t *testing.T) {
 		}
 	}
 }
+
+// TestConfirmedWarmSessionEndsAtFailedContraction runs a window-1 warm
+// session, on the sequential kernel, from a deposited experience whose best
+// is a spike on a flat surface. The session's start measures the spike, so
+// it confirms the experience, and nothing can improve on it: the first
+// reflection and contraction both fail. The session ends there instead of
+// shrinking, so its client measures less than it did when a shrink followed.
+func TestConfirmedWarmSessionEndsAtFailedContraction(t *testing.T) {
+	store := expdb.NewMemory(expdb.Options{})
+	sink := &eventSink{}
+	s, addr := startServerWith(t, func(s *Server) {
+		s.Experience = NewDurableStore(store, nil)
+		s.Tracer = sink
+	})
+	spec, err := rsl.Parse(quadRSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := specKey("shop", spec)
+	chars := []float64{0.8, 0.2}
+	tr := search.Trace{
+		{Index: 0, Config: search.Config{30, 50}, Perf: 100},
+		{Index: 1, Config: search.Config{34, 50}, Perf: 50},
+		{Index: 2, Config: search.Config{30, 54}, Perf: 50},
+	}
+	if ok, err := store.Deposit(key, key, chars, search.Maximize, tr); !ok || err != nil {
+		t.Fatalf("deposit = %v, %v", ok, err)
+	}
+
+	c := dial(t, addr)
+	if _, err := c.Register(quadRSL, RegisterOptions{
+		MaxEvals: 60, Improved: true, App: "shop", Characteristics: chars,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !c.WarmStarted() {
+		t.Fatal("session not warm-started")
+	}
+	if _, err := c.Tune(func(cfg search.Config) float64 {
+		if cfg.Equal(search.Config{30, 50}) {
+			return 100
+		}
+		return 50
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	var snap SessionSnapshot
+	deadline := time.Now().Add(2 * time.Second)
+	for snap.Status != StatusCompleted {
+		if time.Now().After(deadline) {
+			t.Fatal("session never completed")
+		}
+		time.Sleep(10 * time.Millisecond)
+		if snaps := s.SessionSnapshots(); len(snaps) == 1 {
+			snap = snaps[0]
+		}
+	}
+	if snap.Converged != "confirmed" {
+		t.Errorf("converged = %q, want confirmed", snap.Converged)
+	}
+	for _, e := range sink.byType(search.EventSimplex) {
+		if e.Op == search.OpShrink {
+			t.Errorf("trace has a shrink: %+v", e)
+		}
+	}
+	// Before the rule the session shrank three times and its client
+	// measured 12 configurations.
+	if snap.Measured >= 12 {
+		t.Errorf("measured = %d, want fewer than the 12 measured when shrinks followed", snap.Measured)
+	}
+}

@@ -1155,8 +1155,8 @@ func (s *Server) startSession(sess *session, reg message) error {
 	// hyperband kernel's candidate distribution.
 	var priorCfgs []search.Config
 	// priorBest is the matched experience's recorded best: a warm session
-	// whose measured start confirms it stops on the short stall horizon
-	// (search.NelderMeadOptions.PriorBest).
+	// whose measured start confirms it stops on the short stall horizon or
+	// at its first failed contraction (search.NelderMeadOptions.PriorBest).
 	var priorBest *float64
 	// matchedRef is the centroid the drift detector measures against: the
 	// matched experience's characteristics when one exists, the registered

@@ -48,7 +48,11 @@ type SessionSnapshot struct {
 	// EndedAt is the zero time while the session is running.
 	EndedAt time.Time `json:"ended_at,omitempty"`
 
-	// Live kernel state, fed by the session's trace stream.
+	// Live kernel state, fed by the session's trace stream. Converged is
+	// the reason of the kernel's latest termination decision
+	// (search.EventConverge): "reltol", "stall", "confirmed" (a warm start
+	// that confirmed its prior ended at its first failed contraction),
+	// "budget" or "init_budget".
 	Evals      int     `json:"evals"`
 	Cached     int     `json:"cached,omitempty"`
 	Estimated  int     `json:"estimated,omitempty"`
