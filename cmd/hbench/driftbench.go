@@ -29,7 +29,8 @@ import (
 //     scratch, the way a nightly re-tune would;
 //   - warm-retune: the continuous-tuning path — the incumbent best kept as
 //     a simplex vertex with a reduced-scale simplex re-expanded around it,
-//     the restart the server's drift detector funds in-session.
+//     a variant of the re-tune the server's drift detector funds
+//     in-session.
 //
 // Single episodes are noisy (recovery is a first-passage time), so the
 // committed comparison is the mean over several independently-seeded
@@ -108,10 +109,13 @@ type driftAggregate struct {
 	MeanBestFrac       float64 `json:"mean_best_frac"`
 }
 
-// warmRetuneInit mirrors the server's in-session re-tune: the incumbent
-// best is kept as the first simplex vertex (the session already holds its
+// warmRetuneInit is the bench's warm re-tune simplex: the incumbent best
+// is kept as the first simplex vertex (the session already holds its
 // post-drift measurement) and the remaining vertices form a distributed
-// simplex spanning frac of each parameter's range around it.
+// simplex spanning frac of each parameter's range around it. It differs
+// from the server's in-session re-tune, whose search.ScaledInit simplex
+// (frac 0.5, halving per re-tune) is centred on the incumbent but, for
+// dim >= 2, has no vertex at it; the bench runs frac 0.35.
 type warmRetuneInit struct {
 	center []float64
 	frac   float64

@@ -143,7 +143,7 @@ func (a *API) retune(w http.ResponseWriter, r *http.Request) {
 		if a.Logger != nil {
 			a.Logger.Info("control plane: retune requested", "session", id)
 		}
-		// 202: the request is queued for the kernel's next convergence
+		// 202: the request is queued for the session's next convergence
 		// decision, not performed synchronously.
 		writeJSON(w, http.StatusAccepted, map[string]string{"status": "accepted", "session": id})
 	}

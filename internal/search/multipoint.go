@@ -154,7 +154,7 @@ func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p
 		})
 		polishOpts := opts
 		polishOpts.PBest = 1 // trajectory-preserving speculative kernel
-		polishOpts.Init = scaledInit{center: space.Continuous(res.BestConfig), frac: polishFrac}
+		polishOpts.Init = ScaledInit{Center: space.Continuous(res.BestConfig), Frac: polishFrac}
 		pres, err := nelderMead(space, ev, polishOpts)
 		if err != nil {
 			return nil, err

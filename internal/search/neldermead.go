@@ -73,14 +73,6 @@ type NelderMeadOptions struct {
 	// collapsed simplex at no cost when the first run already used the
 	// budget.
 	Restarts int
-	// ExtraRestart, when non-nil, is polled once the search (including the
-	// planned Restarts) has converged with budget remaining; returning true
-	// funds one more reduced-scale restart around the incumbent best, then
-	// the hook is polled again. The server's control plane wires an
-	// operator's re-tune request here, so a live session can be steered
-	// back into exploration without a protocol change. Each extra restart
-	// is announced by an EventPhase "retune" on the trace stream.
-	ExtraRestart func() bool
 
 	// Standard Nelder–Mead coefficients; zero values take the textbook
 	// defaults (reflection 1, expansion 2, contraction 0.5, shrink 0.5).
@@ -225,25 +217,16 @@ func nelderMeadWithRestarts(space *Space, ev *Evaluator, opts NelderMeadOptions)
 	if err != nil {
 		return nil, err
 	}
-	// Planned restarts come first; after them the ExtraRestart hook is
-	// polled, so an operator's re-tune request arriving mid-run takes effect
-	// at the next convergence. Each restart runs a fresh simplex around the
-	// incumbent best at half the previous scale. Budget exhaustion (or
-	// nothing measured) ends the loop: restarting would be futile.
+	// Each restart runs a fresh simplex around the incumbent best at half
+	// the previous scale. Budget exhaustion (or nothing measured) ends the
+	// loop: restarting would be futile.
 	scale := 0.5
-	for r := 0; res.Converged && len(res.BestConfig) > 0; r++ {
-		phase := Event{Type: EventPhase, Op: "restart", Iter: r + 1, Perf: res.BestPerf}
-		if r >= opts.Restarts {
-			if opts.ExtraRestart == nil || !opts.ExtraRestart() {
-				break
-			}
-			phase = Event{Type: EventPhase, Op: "retune", Perf: res.BestPerf}
-		}
-		emit(opts.Tracer, phase)
+	for r := 0; r < opts.Restarts && res.Converged && len(res.BestConfig) > 0; r++ {
+		emit(opts.Tracer, Event{Type: EventPhase, Op: "restart", Iter: r + 1, Perf: res.BestPerf})
 		restartOpts := opts
-		restartOpts.Init = scaledInit{
-			center: space.Continuous(res.BestConfig),
-			frac:   scale,
+		restartOpts.Init = ScaledInit{
+			Center: space.Continuous(res.BestConfig),
+			Frac:   scale,
 		}
 		next, err := nelderMead(space, ev, restartOpts)
 		if err != nil {
@@ -255,27 +238,28 @@ func nelderMeadWithRestarts(space *Space, ev *Evaluator, opts NelderMeadOptions)
 	return res, nil
 }
 
-// scaledInit builds a distributed simplex spanning frac of each parameter's
-// range, centred on a given point (used by restarts).
-type scaledInit struct {
-	center []float64
-	frac   float64
+// ScaledInit builds a distributed simplex spanning Frac of each
+// parameter's range, centred on a given point (used by restarts, the
+// multi-point polish and the server's re-tunes).
+type ScaledInit struct {
+	Center []float64
+	Frac   float64
 }
 
 // Name implements InitStrategy.
-func (s scaledInit) Name() string { return "scaled-distributed" }
+func (s ScaledInit) Name() string { return "scaled-distributed" }
 
 // Initial implements InitStrategy.
-func (s scaledInit) Initial(space *Space) [][]float64 {
+func (s ScaledInit) Initial(space *Space) [][]float64 {
 	dim := space.Dim()
 	n := dim + 1
 	pts := make([][]float64, n)
 	for i := 0; i < n; i++ {
 		v := make([]float64, dim)
 		for j, p := range space.Params {
-			span := float64(p.Max-p.Min) * s.frac
+			span := float64(p.Max-p.Min) * s.Frac
 			offset := (float64((i+j)%n)+0.5)/float64(n) - 0.5
-			v[j] = s.center[j] + span*offset
+			v[j] = s.Center[j] + span*offset
 		}
 		pts[i] = clampPoint(space, v)
 	}

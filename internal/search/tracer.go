@@ -26,7 +26,9 @@ const (
 	// NelderMeadOptions.PriorBest), "budget" or "init_budget".
 	EventConverge EventType = "converge"
 	// EventPhase marks a stage boundary (Op = "training", "live",
-	// "restart", ...). Emitted by the Tuner and the restart driver.
+	// "restart", "polish", ...). Emitted by the Tuner and the restart
+	// driver; the server emits "retune" before each re-tune simplex it
+	// runs after the kernel returns.
 	EventPhase EventType = "phase"
 	// EventBudget is a failure-budget charge against a session (server
 	// side): Iter carries the fault count, Note describes the fault.

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,12 +49,15 @@ func TestDriftDetectTriggersWarmRetune(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		proto, window int
+		// digest pins the lockstep sessions' event streams; the pipelined
+		// one's drift point depends on worker order.
+		digest string
 	}{
-		{"proto2", 2, 0},
-		{"proto3", 3, 0},
+		{"proto2", 2, 0, "138/5b2a5f880abc210a"},
+		{"proto3", 3, 0, "138/5b2a5f880abc210a"},
 		// Pipelined reports must carry the observed characteristics too,
 		// or the detector never trips.
-		{"proto3-window4", 3, 4},
+		{"proto3-window4", 3, 4, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tracer := &collectTracer{}
@@ -102,6 +106,11 @@ func TestDriftDetectTriggersWarmRetune(t *testing.T) {
 			end := <-ends
 			if !end.Completed {
 				t.Fatalf("session did not complete: %+v", end)
+			}
+			if tc.digest != "" {
+				if got := eventDigest(tracer.snapshot(), end.ID); got != tc.digest {
+					t.Errorf("event digest = %s, want %s", got, tc.digest)
+				}
 			}
 
 			// The warm re-tune must have chased the moved optimum.
@@ -201,6 +210,100 @@ func reduceEvents(events []search.Event) []reducedEvent {
 	return out
 }
 
+// eventDigest fingerprints one session's reduced event stream.
+func eventDigest(events []search.Event, session string) string {
+	var mine []search.Event
+	for _, e := range events {
+		if e.Session == session {
+			mine = append(mine, e)
+		}
+	}
+	h := fnv.New64a()
+	for _, r := range reduceEvents(mine) {
+		fmt.Fprintf(h, "%+v;", r)
+	}
+	return fmt.Sprintf("%d/%016x", len(mine), h.Sum64())
+}
+
+// TestRetuneLiveSession drives Server.Retune against a running kernel: a
+// window-1 session asks for a re-tune at its client's 5th measurement, and
+// the session must run exactly one reduced-scale re-tune after its first
+// convergence, count it, drop nothing, and emit the event stream pinned by
+// the digest.
+func TestRetuneLiveSession(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		kernel string
+		digest string
+	}{
+		{"simplex", KernelSimplex, "77/042003ff1c19911e"},
+		{"hyperband", KernelHyperband, "96/a037f4feab218dc0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tracer := &collectTracer{}
+			s := NewServer()
+			s.SearchKernel = tc.kernel
+			s.Tracer = tracer
+			ends := make(chan SessionEnd, 1)
+			s.OnSessionEnd = func(e SessionEnd) { ends <- e }
+			addr, err := s.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+
+			c := dial(t, addr.String())
+			if _, err := c.Register(quadRSL, RegisterOptions{MaxEvals: 400, Improved: true}); err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			if _, err := c.TuneAt(func(cfg search.Config, fid float64) float64 {
+				if n++; n == 5 {
+					snaps := s.SessionSnapshots()
+					if len(snaps) != 1 {
+						t.Fatalf("sessions = %d, want 1", len(snaps))
+					}
+					if err := s.Retune(snaps[0].ID); err != nil {
+						t.Fatalf("Retune(running) = %v", err)
+					}
+				}
+				return fidelityQuad(cfg, fid)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			end := <-ends
+			if !end.Completed {
+				t.Fatalf("session did not complete: %+v", end)
+			}
+
+			events := tracer.snapshot()
+			converged, retunes := false, 0
+			for _, e := range events {
+				switch {
+				case e.Type == search.EventConverge:
+					converged = true
+				case e.Type == search.EventPhase && e.Op == "retune":
+					retunes++
+					if !converged {
+						t.Error("re-tune ran before the first convergence")
+					}
+				}
+			}
+			if retunes != 1 {
+				t.Errorf("retune phases = %d, want 1", retunes)
+			}
+			snap, ok := s.SessionSnapshot(end.ID)
+			if !ok || snap.Retunes != 1 || snap.DroppedRetunes != 0 {
+				t.Errorf("snapshot retunes = %d dropped = %d (ok=%v), want 1 and 0",
+					snap.Retunes, snap.DroppedRetunes, ok)
+			}
+			if got := eventDigest(events, end.ID); got != tc.digest {
+				t.Errorf("event digest = %s, want %s", got, tc.digest)
+			}
+		})
+	}
+}
+
 // TestDriftDetectStationaryIdentity pins the no-op guarantee: with drift
 // detection enabled, a session whose observed characteristics never leave
 // the registered centroid must emit exactly the event stream it emits with
@@ -250,70 +353,147 @@ func TestDriftDetectStationaryIdentity(t *testing.T) {
 	}
 }
 
-// TestRetuneSweptAfterFinalPoll covers the lost re-tune race: a request
-// accepted while the kernel is between its final ExtraRestart poll and
-// session teardown must be swept into the dropped count (observable on the
-// snapshot), and later requests must fail with ErrSessionDone so the
-// control plane can answer 409 instead of silently accepting a no-op.
-func TestRetuneSweptAfterFinalPoll(t *testing.T) {
+// TestRetuneSingleDecision covers the re-tune bookkeeping around the
+// session's convergence decision: a request is consumed exactly once, a
+// drift is served before it, a request the session can no longer run is
+// counted as dropped, and once the session is past its final decision the
+// API refuses with ErrSessionDone instead of silently accepting a no-op.
+func TestRetuneSingleDecision(t *testing.T) {
 	s := NewServer()
-	st := s.trackState("race", "r:1", "conn-1")
-
-	if err := s.Retune("race"); err != nil {
-		t.Fatalf("Retune while open = %v", err)
-	}
-	if !st.closeRetunes() {
-		t.Error("closeRetunes did not sweep the in-flight request")
-	}
-	if snap, ok := s.SessionSnapshot("race"); !ok || snap.DroppedRetunes != 1 {
-		t.Errorf("dropped retunes = %d (ok=%v), want 1", snap.DroppedRetunes, ok)
-	}
-	if err := s.Retune("race"); !errors.Is(err, ErrSessionDone) {
-		t.Errorf("Retune after final poll = %v, want ErrSessionDone", err)
-	}
-	if st.takeRetune() {
-		t.Error("swept request still consumable by the kernel")
-	}
-	if st.closeRetunes() {
-		t.Error("second close reported another drop")
-	}
-
-	// The same sweep under contention: requests racing the close must each
-	// either land before it (at most one pending is swept) or observe
-	// ErrSessionDone — never vanish silently.
-	st2 := s.trackState("race2", "r:2", "conn-2")
-	var wg sync.WaitGroup
-	refused := make(chan error, 16)
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			refused <- s.Retune("race2")
-		}()
-	}
-	st2.closeRetunes()
-	wg.Wait()
-	close(refused)
-	var accepted, rejected int
-	for err := range refused {
-		switch {
-		case err == nil:
-			accepted++
-		case errors.Is(err, ErrSessionDone):
-			rejected++
-		default:
-			t.Fatalf("unexpected retune error: %v", err)
+	dropped := func(id string) int {
+		t.Helper()
+		snap, ok := s.SessionSnapshot(id)
+		if !ok {
+			t.Fatalf("no snapshot for %s", id)
 		}
+		return snap.DroppedRetunes
 	}
-	if accepted+rejected != 16 {
-		t.Fatalf("requests unaccounted for: %d accepted, %d rejected", accepted, rejected)
-	}
-	snap2, _ := s.SessionSnapshot("race2")
-	if accepted > 0 && snap2.DroppedRetunes != 1 {
-		t.Errorf("accepted requests collapsed to %d dropped, want 1", snap2.DroppedRetunes)
-	}
-	if err := s.Retune("race2"); !errors.Is(err, ErrSessionDone) {
-		t.Errorf("Retune after contended close = %v, want ErrSessionDone", err)
+
+	t.Run("consumed once", func(t *testing.T) {
+		st := s.trackState("once", "r:1", "conn-1")
+		if err := s.Retune("once"); err != nil {
+			t.Fatalf("Retune while running = %v", err)
+		}
+		if !st.takeRetune(false, true) {
+			t.Fatal("pending request not consumed at the decision")
+		}
+		if st.takeRetune(false, true) {
+			t.Error("request consumed twice")
+		}
+		if err := s.Retune("once"); !errors.Is(err, ErrSessionDone) {
+			t.Errorf("Retune after a declining decision = %v, want ErrSessionDone", err)
+		}
+		if d := dropped("once"); d != 0 {
+			t.Errorf("dropped retunes = %d, want 0", d)
+		}
+	})
+
+	t.Run("drift first", func(t *testing.T) {
+		st := s.trackState("drift", "r:2", "conn-2")
+		if err := s.Retune("drift"); err != nil {
+			t.Fatalf("Retune while running = %v", err)
+		}
+		if !st.takeRetune(true, true) {
+			t.Fatal("drift not served")
+		}
+		if !st.takeRetune(false, true) {
+			t.Fatal("request not left pending behind the drift")
+		}
+		if st.takeRetune(false, true) {
+			t.Error("request consumed twice")
+		}
+	})
+
+	t.Run("budget exhausted", func(t *testing.T) {
+		st := s.trackState("spent", "r:3", "conn-3")
+		if err := s.Retune("spent"); err != nil {
+			t.Fatalf("Retune while running = %v", err)
+		}
+		if st.takeRetune(true, false) {
+			t.Fatal("decision without budget funded a re-tune")
+		}
+		if d := dropped("spent"); d != 1 {
+			t.Errorf("dropped retunes = %d, want 1", d)
+		}
+		if err := s.Retune("spent"); !errors.Is(err, ErrSessionDone) {
+			t.Errorf("Retune after the final decision = %v, want ErrSessionDone", err)
+		}
+		s.finishState(st, SessionEnd{Completed: true})
+		if d := dropped("spent"); d != 1 {
+			t.Errorf("dropped retunes after teardown = %d, want 1", d)
+		}
+	})
+
+	t.Run("kernel unwound", func(t *testing.T) {
+		st := s.trackState("gone", "r:4", "conn-4")
+		if err := s.Retune("gone"); err != nil {
+			t.Fatalf("Retune while running = %v", err)
+		}
+		s.finishState(st, SessionEnd{Err: errors.New("client gone")})
+		if d := dropped("gone"); d != 1 {
+			t.Errorf("dropped retunes = %d, want 1", d)
+		}
+		// A Retune that looked the session up before teardown reaches its
+		// state after it: the request must be refused, not left pending.
+		if st.requestRetune() {
+			t.Error("ended session accepted a re-tune request")
+		}
+		if err := s.Retune("gone"); !errors.Is(err, ErrSessionDone) {
+			t.Errorf("Retune after teardown = %v, want ErrSessionDone", err)
+		}
+	})
+
+	// The same decision under contention: requests racing the session's
+	// decisions must each be run, counted as dropped, or refused with
+	// ErrSessionDone — never vanish silently. Requests accepted between
+	// two decisions collapse into one.
+	for _, more := range []bool{true, false} {
+		t.Run(fmt.Sprintf("contended more=%v", more), func(t *testing.T) {
+			id := fmt.Sprintf("race-%v", more)
+			st := s.trackState(id, "r:5", "conn-5")
+			var wg sync.WaitGroup
+			refused := make(chan error, 16)
+			for i := 0; i < 16; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					refused <- s.Retune(id)
+				}()
+			}
+			runs := 0
+			for st.takeRetune(false, more) {
+				runs++
+			}
+			wg.Wait()
+			close(refused)
+			var accepted, rejected int
+			for err := range refused {
+				switch {
+				case err == nil:
+					accepted++
+				case errors.Is(err, ErrSessionDone):
+					rejected++
+				default:
+					t.Fatalf("unexpected retune error: %v", err)
+				}
+			}
+			if accepted+rejected != 16 {
+				t.Fatalf("requests unaccounted for: %d accepted, %d rejected", accepted, rejected)
+			}
+			d := dropped(id)
+			if accepted > 0 && runs+d == 0 {
+				t.Errorf("%d accepted requests neither run nor dropped", accepted)
+			}
+			if runs+d > accepted {
+				t.Errorf("runs %d + dropped %d exceed %d accepted", runs, d, accepted)
+			}
+			if more && d != 0 || !more && runs != 0 {
+				t.Errorf("more=%v: runs %d, dropped %d", more, runs, d)
+			}
+			if err := s.Retune(id); !errors.Is(err, ErrSessionDone) {
+				t.Errorf("Retune after the final decision = %v, want ErrSessionDone", err)
+			}
+		})
 	}
 }
 

@@ -565,8 +565,8 @@ type session struct {
 	// kept here so the exchange can emit drift events onto the same
 	// demultiplexable stream the kernel uses.
 	tracer search.Tracer
-	// drifted hands a detector trip from the exchange to the kernel's next
-	// ExtraRestart poll.
+	// drifted hands a detector trip from the exchange to the session's
+	// next convergence decision.
 	drifted bool
 }
 
@@ -1205,15 +1205,6 @@ func (s *Server) startSession(sess *session, reg message) error {
 	}
 
 	sess.tune = func() (res *search.Result, err error) {
-		// The kernel's last ExtraRestart poll happens inside the search
-		// call; once it returns, a re-tune request could only be dropped on
-		// the floor — close the window so the API refuses instead (and
-		// account for the one request the race may have let in).
-		defer func() {
-			if st.closeRetunes() {
-				log.Warn("re-tune request arrived after the kernel's final poll; dropped", "app", reg.App)
-			}
-		}()
 		// depositedThrough and depositChars are the per-phase deposit
 		// cursor: every drift boundary deposits the trace segment measured
 		// since the previous boundary under the finished phase's workload
@@ -1263,17 +1254,30 @@ func (s *Server) startSession(sess *session, reg message) error {
 			Parallel:  sess.window,
 			PriorBest: priorBest,
 			Tracer:    tracer,
-			// A pending workload drift or an operator's re-tune request
-			// (control plane) funds one more reduced-scale restart at the
-			// next convergence decision.
-			ExtraRestart: st.takeRetune,
 		}
-		if det := sess.detector; det != nil {
-			nmOpts.ExtraRestart = func() bool {
-				if !sess.drifted {
-					return st.takeRetune()
-				}
+		if s.SearchKernel == KernelHyperband {
+			// Multi-fidelity triage over reduced-fidelity client
+			// measurements, then the very same simplex options as the
+			// full-fidelity polish. The experience configurations double
+			// as the sampling prior; a cold namespace degrades to plain
+			// Hyperband over uniform candidates.
+			res, err = mfsearch.Run(space, ev, mfsearch.NewPrior(space, priorCfgs), mfsearch.Options{
+				Direction: dir,
+				Seed:      kernelSeed(key, reg.Characteristics),
+				Polish:    nmOpts,
+				Tracer:    tracer,
+			})
+		} else {
+			res, err = search.NelderMeadWithEvaluator(space, ev, nmOpts)
+		}
+		// The convergence decision: a pending workload drift or an
+		// operator's re-tune request (control plane) funds one more
+		// reduced-scale simplex around the incumbent best, at half the
+		// previous scale each time, while budget remains.
+		for scale := 0.5; err == nil && st.takeRetune(sess.drifted, res.Converged && len(res.BestConfig) > 0); scale /= 2 {
+			if sess.drifted {
 				sess.drifted = false
+				det := sess.detector
 				// Warm in-session re-tune at a drift boundary. First close
 				// out the finished phase: its measurements become a prior-run
 				// experience under the workload identity they were measured
@@ -1313,23 +1317,11 @@ func (s *Server) startSession(sess *session, reg message) error {
 				})
 				log.Info("workload drift: warm in-session re-tune",
 					"app", reg.App, "drift", ds.Drifts, "dist", ds.Dist, "rematch", note)
-				return true
 			}
-		}
-		if s.SearchKernel == KernelHyperband {
-			// Multi-fidelity triage over reduced-fidelity client
-			// measurements, then the very same simplex options as the
-			// full-fidelity polish. The experience configurations double
-			// as the sampling prior; a cold namespace degrades to plain
-			// Hyperband over uniform candidates.
-			res, err = mfsearch.Run(space, ev, mfsearch.NewPrior(space, priorCfgs), mfsearch.Options{
-				Direction: dir,
-				Seed:      kernelSeed(key, reg.Characteristics),
-				Polish:    nmOpts,
-				Tracer:    tracer,
-			})
-		} else {
-			res, err = search.NelderMeadWithEvaluator(space, ev, nmOpts)
+			tracer.Emit(search.Event{Time: time.Now(), Type: search.EventPhase, Op: "retune", Perf: res.BestPerf})
+			retuneOpts := nmOpts
+			retuneOpts.Init = search.ScaledInit{Center: space.Continuous(res.BestConfig), Frac: scale}
+			res, err = search.NelderMeadWithEvaluator(space, ev, retuneOpts)
 		}
 		if err != nil {
 			return nil, s.fail(sess, err.Error())

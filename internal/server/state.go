@@ -97,9 +97,9 @@ type SessionSnapshot struct {
 	Faults        int `json:"faults"`
 	FailureBudget int `json:"failure_budget"`
 	Retunes       int `json:"retunes,omitempty"`
-	// DroppedRetunes counts re-tune requests that were accepted while the
-	// kernel was still polling but could no longer be honored by teardown
-	// time (the accept/teardown race, closed but accounted for).
+	// DroppedRetunes counts re-tune requests that were accepted but never
+	// run: the session's final convergence decision found no budget left,
+	// or the session ended before reaching it.
 	DroppedRetunes int    `json:"dropped_retunes,omitempty"`
 	Deposited      bool   `json:"deposited,omitempty"`
 	Err            string `json:"err,omitempty"`
@@ -114,6 +114,11 @@ type SessionSnapshot struct {
 type sessionState struct {
 	mu   sync.Mutex
 	snap SessionSnapshot
+	// retunePending and retuneClosed (under mu) carry operator re-tune
+	// requests to the session's convergence decisions; a declining
+	// decision closes the session to more.
+	retunePending bool
+	retuneClosed  bool
 	// toWire maps kernel-space configurations (the coordinates trace
 	// events carry) to client-facing values; set at registration.
 	toWire func(search.Config) []int
@@ -124,16 +129,6 @@ type sessionState struct {
 	outstanding atomic.Int64
 	faults      atomic.Int64
 	measured    atomic.Int64
-
-	// retuneMu guards the pending/closed pair. Accepting a request and
-	// closing the re-tune window must be mutually atomic: with two lone
-	// atomics, a request landing between the kernel's final ExtraRestart
-	// poll and teardown would be accepted and then silently dropped.
-	// Requests arrive at operator/drift rate and the kernel polls once per
-	// convergence decision, so this is nowhere near the hot path.
-	retuneMu      sync.Mutex
-	retunePending bool
-	retuneClosed  bool
 }
 
 // Emit implements search.Tracer: the session's own trace stream is the
@@ -236,45 +231,46 @@ func (st *sessionState) registered(app string, dir search.Direction, dim, window
 	st.mu.Unlock()
 }
 
-// takeRetune consumes a pending re-tune request (the kernel's ExtraRestart
-// hook).
-func (st *sessionState) takeRetune() bool {
-	st.retuneMu.Lock()
-	defer st.retuneMu.Unlock()
-	p := st.retunePending
-	st.retunePending = false
-	return p
+// takeRetune is the session's convergence decision. With budget left
+// (more) and a drift trip or a pending operator request, it consumes one —
+// the drift first, leaving the request pending for the next decision — and
+// returns true. Otherwise it closes the session to requests, counting a
+// pending one as dropped, and returns false.
+func (st *sessionState) takeRetune(drifted, more bool) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if more && drifted {
+		return true
+	}
+	if more && st.retunePending {
+		st.retunePending = false
+		return true
+	}
+	st.retuneClosed = true
+	st.dropRetune()
+	return false
 }
 
 // requestRetune records a pending re-tune request; it returns false once
-// the kernel is past its final ExtraRestart poll (the request could only
-// be dropped, so the API refuses it instead).
+// the session is past its final convergence decision or has ended (the
+// request could only be dropped, so the API refuses it instead).
 func (st *sessionState) requestRetune() bool {
-	st.retuneMu.Lock()
-	defer st.retuneMu.Unlock()
-	if st.retuneClosed {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.retuneClosed || st.snap.Status != StatusRunning {
 		return false
 	}
 	st.retunePending = true
 	return true
 }
 
-// closeRetunes marks the kernel past its final ExtraRestart poll and
-// reports whether an already-accepted request was still pending — it can
-// no longer be honored, and the registry records it as dropped rather
-// than losing it silently.
-func (st *sessionState) closeRetunes() (dropped bool) {
-	st.retuneMu.Lock()
-	st.retuneClosed = true
-	dropped = st.retunePending
-	st.retunePending = false
-	st.retuneMu.Unlock()
-	if dropped {
-		st.mu.Lock()
+// dropRetune counts a still-pending re-tune request as dropped; the
+// caller holds st.mu.
+func (st *sessionState) dropRetune() {
+	if st.retunePending {
+		st.retunePending = false
 		st.snap.DroppedRetunes++
-		st.mu.Unlock()
 	}
-	return dropped
 }
 
 // sessionHistory is how many finished sessions the registry retains for the
@@ -310,6 +306,9 @@ func (s *Server) finishState(st *sessionState, end SessionEnd) {
 	if end.Err != nil {
 		st.snap.Err = end.Err.Error()
 	}
+	// A session whose kernel unwound (client gone, kernel error) never
+	// reached its final decision.
+	st.dropRetune()
 	st.mu.Unlock()
 
 	s.stateMu.Lock()
@@ -379,15 +378,15 @@ var (
 	ErrSessionDone = errors.New("server: session already ended")
 )
 
-// Retune asks a running session's kernel for one more reduced-scale
-// restart around its incumbent best. The request is consumed at the
-// kernel's next convergence decision (search.NelderMeadOptions.
-// ExtraRestart) and is best-effort: a session out of evaluation budget
-// converges without restarting. A session whose kernel is already past
-// its final ExtraRestart poll — delivered its result but not yet torn
-// down — gets ErrSessionDone, exactly like a finished one: accepting the
-// request would only drop it on the floor. Accepting never touches the
-// session's hot path.
+// Retune asks a running session for one more reduced-scale simplex around
+// its incumbent best. The session consumes the request at its next
+// convergence decision, once its kernel has returned, and is best-effort:
+// a session out of evaluation budget ends without re-tuning and counts the
+// request in DroppedRetunes. A session already past its final decision —
+// delivered its result but not yet torn down — gets ErrSessionDone,
+// exactly like a finished one: accepting the request would only drop it
+// on the floor. Accepting costs the session what a snapshot does: one
+// short hold of its per-session mutex, never the fetch/report path.
 func (s *Server) Retune(id string) error {
 	s.stateMu.RLock()
 	st := s.states[id]

@@ -97,10 +97,10 @@ func TestRetuneStates(t *testing.T) {
 	if err := s.Retune("live"); err != nil {
 		t.Fatalf("Retune(running) = %v", err)
 	}
-	if !st.takeRetune() {
+	if !st.takeRetune(false, true) {
 		t.Error("pending retune was not consumable")
 	}
-	if st.takeRetune() {
+	if st.takeRetune(false, true) {
 		t.Error("retune request must be consumed exactly once")
 	}
 
