@@ -13,10 +13,14 @@
 // session against the selected -target and emits per-iteration trajectory
 // records — {"iter":N,"perf":P,"best":B,"elapsed_ms":E} — as JSONL on
 // stdout, via the search.Tracer hook. Trajectories are deterministic for a
-// given seed, so BENCH_*.json artifacts can be regenerated reproducibly:
+// given seed, so the same flags reproduce the same trajectory:
 //
-//	hbench -json -target webservice -workload ordering -budget 120 > BENCH_web.json
-//	hbench -json -target synthetic -seed 7 -improved=false > BENCH_syn_extreme.json
+//	hbench -json -target webservice -workload ordering -budget 120
+//	hbench -json -target synthetic -seed 7 -improved=false
+//
+// The -cache-bench, -fidelity-bench and -drift-bench modes regenerate the
+// committed BENCH_eval_cache.json, BENCH_fidelity.json and BENCH_drift.json
+// reports, which they write to stdout.
 //
 // The shared observability flags also apply: -trace-out captures the full
 // typed event stream (simplex operations, seeds, convergence decisions)
@@ -56,14 +60,6 @@ func main() {
 		truthEvery = flag.Int("gate-truth-check-every", 16, "cache bench, gated mode: re-measure every Nth gate-answered probe and record |truth − estimate| (0 = never)")
 		fidB       = flag.Bool("fidelity-bench", false, "run the multi-fidelity search benchmark (full-fidelity simplex vs prior-seeded Hyperband on the web cluster) and emit BENCH_fidelity.json on stdout")
 		driftB     = flag.Bool("drift-bench", false, "run the workload-drift recovery benchmark (no-retune vs cold restart vs warm in-session re-tune on the web cluster) and emit BENCH_drift.json on stdout")
-
-		sessions  = flag.Int("sessions", 0, "load mode: drive this many tuning sessions against a live server (in-process unless -load-addr) and emit BENCH_load.json on stdout")
-		loadProto = flag.String("load-proto", "both", "load mode: framings to drive — both (2+3), all (2+3+mux), 2 (JSON), 3 (binary) or mux (v4 multiplexed)")
-		loadAddr  = flag.String("load-addr", "", "load mode: address of an external harmonyd to drive over loopback (default: in-process server)")
-		loadConc  = flag.Int("load-concurrency", 64, "load mode: sessions in flight at once")
-		loadEvals = flag.Int("load-evals", 40, "load mode: measurement budget per session")
-		loadWin   = flag.Int("load-window", 1, "load mode: pipeline window per session (1 = lockstep)")
-		loadConns = flag.Int("load-conns", 8, "load mode, mux framing: shared connections to multiplex the sessions over")
 	)
 	obsCfg := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
@@ -81,15 +77,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer rt.Close()
-
-	if *sessions > 0 {
-		if err := loadBench(rt, *sessions, *loadEvals, *loadWin, *loadConc, *loadConns, *loadProto, *loadAddr); err != nil {
-			rt.Logger.Error("load bench failed", "err", err)
-			rt.Close()
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *cacheB {
 		if err := cacheBench(rt, *target, *seed, *budget, *latency, *truthEvery); err != nil {

@@ -7,6 +7,17 @@
 //
 //	warm=true best=[20 45] perf=1000.00 evals=37 lowfi=0
 //
+// Alongside it, each session writes one timing line to stderr:
+//
+//	slowest_exchange_us=24816
+//
+// The figure is the longest wait, in microseconds, between consecutive
+// measurement callbacks (the first counted from the start of tuning). In
+// lockstep that is one exchange round trip, so it bounds every exchange of
+// the session — load smokes take a p99 over it. It goes to stderr so
+// stdout stays the deterministic summary that scripts diff and grep. Fleet
+// mode prefixes both lines with the session's label.
+//
 // The client is fidelity-aware: when the server runs the hyperband kernel
 // (harmonyd -search hyperband) and requests reduced-fidelity triage
 // measurements, hclient shortens the simulated run — deterministically
@@ -122,7 +133,17 @@ func main() {
 		}
 
 		var lowFi, measured atomic.Int64
+		var (
+			gapMu   sync.Mutex
+			last    time.Time
+			slowest time.Duration
+		)
 		measure := func(cfg search.Config, fidelity float64) float64 {
+			gapMu.Lock()
+			now := time.Now()
+			slowest = max(slowest, now.Sub(last))
+			last = now
+			gapMu.Unlock()
 			px, py := *peakX, *peakY
 			if *driftAfter > 0 && measured.Add(1) > int64(*driftAfter) {
 				c.SetObserved(driftVector)
@@ -143,6 +164,7 @@ func main() {
 			return perf
 		}
 		var best *server.Best
+		last = time.Now()
 		if *workers > 1 {
 			best, err = c.TuneParallelAt(measure, *workers)
 		} else {
@@ -152,6 +174,7 @@ func main() {
 			return warm, fmt.Errorf("tune: %w", err)
 		}
 		fmt.Printf("%swarm=%v best=%v perf=%.2f evals=%d lowfi=%d\n", label, warm, best.Values, best.Perf, best.Evals, lowFi.Load())
+		fmt.Fprintf(os.Stderr, "%sslowest_exchange_us=%d\n", label, slowest.Microseconds())
 		return warm, nil
 	}
 

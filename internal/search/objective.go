@@ -126,8 +126,8 @@ func (t Trace) Measured() Trace {
 // measurements are strictly preferred: neither a gate estimate (an
 // unmeasured plane-fit answer, §4.3) nor a noisy low-fidelity triage
 // observation can be the best while the trace holds any real measurement
-// — claiming an estimate as a session's best is exactly the gated-best
-// divergence BENCH_eval_cache.json recorded. Among the second-class
+// — a session's reported best must be a measured truth, which the cache
+// bench's gated mode checks end to end. Among the second-class
 // entries, full-fidelity estimates outrank low-fidelity observations.
 // Traces with neither gate nor triage entries are unaffected. It panics
 // on an empty trace.

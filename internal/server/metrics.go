@@ -11,7 +11,8 @@ import (
 // Exposition names follow Prometheus conventions under the "harmony_"
 // namespace; NewMetrics registers them all.
 type Metrics struct {
-	// SessionsStarted counts accepted connections
+	// SessionsStarted counts opened sessions: one per accepted connection
+	// and one per further session attached to a mux connection
 	// (harmony_sessions_started_total).
 	SessionsStarted *obs.Counter
 	// SessionsActive is the number of live sessions
@@ -105,7 +106,7 @@ type Metrics struct {
 // no-ops), so callers can wire it unconditionally.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		SessionsStarted:    reg.Counter("harmony_sessions_started_total", "Connections accepted by the tuning server."),
+		SessionsStarted:    reg.Counter("harmony_sessions_started_total", "Sessions opened: one per accepted connection plus one per further mux attach."),
 		SessionsActive:     reg.Gauge("harmony_sessions_active", "Currently live tuning sessions."),
 		SessionsCompleted:  reg.Counter("harmony_sessions_completed_total", "Sessions that delivered a final best configuration."),
 		SessionFailures:    reg.Counter("harmony_session_failures_total", "Sessions that ended with a terminal error."),

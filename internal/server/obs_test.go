@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"log/slog"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -265,5 +267,103 @@ func TestDialRetryLogging(t *testing.T) {
 	}
 	if !strings.Contains(logs, "dial exhausted all attempts") || !strings.Contains(logs, "attempts=3") {
 		t.Errorf("no exhaustion record:\n%s", logs)
+	}
+}
+
+// TestSessionCountersReconcile: the daemon's own session counters add up
+// across every framing. Plain v2 and v3 sessions, a mux connection carrying
+// three sessions (one pipelined) and a plain connection that closes before
+// registering each end exactly once: after each group ends, started equals
+// completed plus failures, the active gauge is back at zero, and the only
+// failure is the connection that never registered.
+func TestSessionCountersReconcile(t *testing.T) {
+	ends := make(chan SessionEnd, 6) // one per session
+	s, addr := startServerWith(t, func(s *Server) {
+		s.Metrics = NewMetrics(obs.NewRegistry())
+		s.OnSessionEnd = func(e SessionEnd) { ends <- e }
+	})
+	m := s.Metrics
+
+	tune := func(c *Client, opts RegisterOptions) {
+		t.Helper()
+		if _, err := c.Register(quadRSL, opts); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if opts.Window > 1 {
+			_, err = c.TuneParallel(quadPeak, opts.Window)
+		} else {
+			_, err = c.Tune(quadPeak)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	plain := func(proto int) {
+		c, err := Dial(addr, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		tune(c, RegisterOptions{MaxEvals: 40, Improved: true, Proto: proto})
+	}
+	// reconcile waits for n more session ends, then checks the counters
+	// against the running totals. It returns the last end.
+	var started, failures uint64
+	reconcile := func(stage string, n, failed int) (end SessionEnd) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			end = waitEnd(t, ends)
+		}
+		started += uint64(n)
+		failures += uint64(failed)
+		// The active gauge drops after OnSessionEnd returns.
+		deadline := time.Now().Add(5 * time.Second)
+		for m.SessionsActive.Value() != 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		st, co, fa := m.SessionsStarted.Value(), m.SessionsCompleted.Value(), m.SessionFailures.Value()
+		if st != started || fa != failures || st != co+fa {
+			t.Errorf("%s: started=%d completed=%d failures=%d, want started=%d failures=%d and started == completed+failures",
+				stage, st, co, fa, started, failures)
+		}
+		if a := m.SessionsActive.Value(); a != 0 {
+			t.Errorf("%s: sessions active = %g, want 0", stage, a)
+		}
+		return end
+	}
+
+	plain(2)
+	reconcile("v2", 1, 0)
+	plain(3)
+	reconcile("v3", 1, 0)
+
+	mx, err := DialMux(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		opts := RegisterOptions{MaxEvals: 40, Improved: true, Proto: 3}
+		if i == 2 {
+			opts.Window = 4
+		}
+		c := mx.Session()
+		tune(c, opts)
+		c.Close()
+	}
+	mx.Close()
+	reconcile("mux", 3, 0)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	if end := reconcile("no register", 1, 1); !errors.Is(end.Err, errNoRegister) {
+		t.Errorf("unregistered connection ended with %v, want errNoRegister", end.Err)
+	}
+
+	if v := m.ProtocolErrors.Value(); v != 0 {
+		t.Errorf("protocol errors = %d, want 0", v)
 	}
 }
