@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync/atomic"
 	"time"
 
@@ -27,13 +25,14 @@ import (
 // -target, so the requested/measured counts are reproducible; wall-clock
 // fields vary.
 type cacheBenchReport struct {
-	Bench     string           `json:"bench"`
-	Target    string           `json:"target"`
-	Seed      uint64           `json:"seed"`
-	Budget    int              `json:"budget"`
-	LatencyMS float64          `json:"latency_ms"`
-	Sessions  []string         `json:"sessions"`
-	Modes     []cacheBenchMode `json:"modes"`
+	Bench      string           `json:"bench"`
+	Provenance provenance       `json:"provenance"`
+	Target     string           `json:"target"`
+	Seed       uint64           `json:"seed"`
+	Budget     int              `json:"budget"`
+	LatencyMS  float64          `json:"latency_ms"`
+	Sessions   []string         `json:"sessions"`
+	Modes      []cacheBenchMode `json:"modes"`
 }
 
 // cacheBenchMode is one configuration's outcome across the whole schedule.
@@ -121,12 +120,13 @@ func cacheBench(rt *obs.Runtime, target string, seed uint64, budget int, latency
 	}
 
 	rep := cacheBenchReport{
-		Bench:     "eval_cache",
-		Target:    target,
-		Seed:      seed,
-		Budget:    budget,
-		LatencyMS: float64(latency) / float64(time.Millisecond),
-		Sessions:  cacheBenchSessionNames(),
+		Bench:      "eval_cache",
+		Provenance: newProvenance(),
+		Target:     target,
+		Seed:       seed,
+		Budget:     budget,
+		LatencyMS:  float64(latency) / float64(time.Millisecond),
+		Sessions:   cacheBenchSessionNames(),
 	}
 
 	for _, mode := range []string{"off", "exact", "gated"} {
@@ -204,7 +204,5 @@ func cacheBench(rt *obs.Runtime, target string, seed uint64, budget int, latency
 			"truth_checks", m.TruthChecks)
 	}
 
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return writeReport(rep)
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"harmony/internal/obs"
 	"harmony/internal/search"
@@ -38,8 +36,9 @@ import (
 // measurement variation, seeded surfaces), so the recovery times are
 // reproducible; only wall-clock varies.
 type driftBenchReport struct {
-	Bench string `json:"bench"`
-	Seed  uint64 `json:"seed"`
+	Bench      string     `json:"bench"`
+	Provenance provenance `json:"provenance"`
+	Seed       uint64     `json:"seed"`
 	// CostSeconds is the virtual measurement cost: every objective call
 	// advances the workload clock by this many seconds.
 	CostSeconds float64 `json:"cost_seconds"`
@@ -166,7 +165,7 @@ func driftBench(rt *obs.Runtime, seed uint64, budget int) error {
 	detectLag := ramp + 3*cost // the detector's hysteresis window (3 obs) past the ramp
 
 	rep := driftBenchReport{
-		Bench: "drift", Seed: seed,
+		Bench: "drift", Provenance: newProvenance(), Seed: seed,
 		CostSeconds: cost, PhaseAEvals: phaseA,
 		RampSeconds: ramp, DetectLagSeconds: detectLag,
 		Budget: budget,
@@ -237,9 +236,7 @@ func driftBench(rt *obs.Runtime, seed uint64, budget int) error {
 		"saving", fmt.Sprintf("%.3f", rep.WarmVsColdSaving),
 		"stationary_identical", ident)
 
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return writeReport(rep)
 }
 
 // driftEpisodeRun plays one drift event and measures all three recovery

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -27,13 +25,14 @@ import (
 // schedule is deterministic for a given -seed, so everything but the
 // wall-clock field reproduces exactly.
 type fidelityBenchReport struct {
-	Bench     string  `json:"bench"`
-	Target    string  `json:"target"`
-	Workload  string  `json:"workload"`
-	Seed      uint64  `json:"seed"`
-	Budget    int     `json:"budget"`
-	DurationS float64 `json:"duration_s"`
-	WarmupS   float64 `json:"warmup_s"`
+	Bench      string     `json:"bench"`
+	Provenance provenance `json:"provenance"`
+	Target     string     `json:"target"`
+	Workload   string     `json:"workload"`
+	Seed       uint64     `json:"seed"`
+	Budget     int        `json:"budget"`
+	DurationS  float64    `json:"duration_s"`
+	WarmupS    float64    `json:"warmup_s"`
 
 	Baseline  fidelityBenchArm `json:"baseline"`
 	Hyperband fidelityBenchArm `json:"hyperband"`
@@ -133,7 +132,8 @@ func fidelityBench(rt *obs.Runtime, workload string, seed uint64, budget int) er
 	dir := search.Maximize
 
 	rep := fidelityBenchReport{
-		Bench: "fidelity", Target: "webservice", Workload: workload,
+		Bench: "fidelity", Provenance: newProvenance(),
+		Target: "webservice", Workload: workload,
 		Seed: seed, Budget: budget, DurationS: duration, WarmupS: warmup,
 	}
 
@@ -226,7 +226,5 @@ func fidelityBench(rt *obs.Runtime, workload string, seed uint64, budget int) er
 		"saved_seconds_frac", fmt.Sprintf("%.3f", rep.SavedSecondsFrac),
 		"best_gap_frac", fmt.Sprintf("%.4f", rep.BestGapFrac))
 
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return writeReport(rep)
 }

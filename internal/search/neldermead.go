@@ -17,23 +17,28 @@ type NelderMeadOptions struct {
 	// RelTol terminates the search when the relative performance spread of
 	// the simplex falls below it. Defaults to 1e-3 when zero.
 	RelTol float64
-	// MaxStall terminates after this many consecutive iterations without
-	// improvement of the best vertex. Defaults to 4*dim when zero. A run
-	// whose measured initial simplex confirms PriorBest stops after 4
-	// (the same factor without the ·dim) unless MaxStall is smaller: a
-	// warm-web session is within 2% of its final best after about 1.5
-	// client measurements, and the 4·dim horizon made it spend about 6.7
-	// times that measurement time in total. Such a run also stops earlier,
-	// at its first failed contraction (see PriorBest).
+	// MaxStall terminates after this many vertex updates without
+	// improvement of the best vertex. An iteration of the sequential or
+	// speculative kernel counts one update and a round of the multi-point
+	// walk counts p (see PBest), so a horizon costs the same simplex
+	// progress on either kernel. Defaults to 4*dim when zero. A run whose
+	// measured initial simplex confirms PriorBest stops after 4 (the same
+	// factor without the ·dim) unless MaxStall is smaller: a warm-web
+	// session is within 2% of its final best after about 1.5 client
+	// measurements, and the 4·dim horizon made it spend about 6.7 times
+	// that measurement time in total. Such a run also stops earlier, at its
+	// first failed contraction (see PriorBest).
 	MaxStall int
 	// PriorBest, when non-nil, is the best performance the matched prior
 	// experience recorded (§4.2); cold runs leave it nil. The prior is
 	// confirmed when the best truth-valued vertex of the measured initial
 	// simplex lies within 2% (the paper's convergence band) of it; a gate
-	// estimate never confirms it. Every kernel start — restarts, re-tunes
-	// and the multi-point polish included — re-checks its own simplex. A
-	// confirmed run ends at its first failed contraction instead of
-	// shrinking: on warm-web the shrinks of confirmed runs cost 18.6% of
+	// estimate never confirms it. The confirmed horizon of 4 counts vertex
+	// updates like MaxStall, so a multi-point walk of width p stops after
+	// ⌈4/p⌉ rounds without a new best. Every kernel start — restarts,
+	// re-tunes and the multi-point polish included — re-checks its own
+	// simplex. A confirmed run ends at its first failed contraction instead
+	// of shrinking: on warm-web the shrinks of confirmed runs cost 18.6% of
 	// the client's measurements and bought about 0.1% of re-measured
 	// performance. A multi-point walk whose start confirms the prior ends
 	// at its convergence, with no polish: on hyperband-json the polishes
@@ -119,13 +124,44 @@ func (o NelderMeadOptions) stallHorizon(ev *Evaluator, verts []vertex) (int, boo
 	return min(o.MaxStall, confirmedStall), true
 }
 
-// confirmedNote marks an EventConverge note whose stall horizon a
-// confirmed prior set.
-func confirmedNote(confirmed bool) string {
-	if confirmed {
-		return " prior-confirmed"
+// stallClock is the stall rule of both simplex kernels. It counts vertex
+// updates since the best vertex last improved: an iteration of the
+// sequential or speculative kernel updates one vertex, a multi-point round
+// updates p. The run ends once the count reaches the horizon.
+type stallClock struct {
+	horizon   int     // vertex updates without a new best that end the run
+	confirmed bool    // a confirmed prior set the horizon (see stallHorizon)
+	stalled   int     // vertex updates since the best last improved
+	best      float64 // the best vertex's value when it last improved
+}
+
+// startStall starts the stall clock of a kernel run whose initial simplex
+// verts, sorted best first, was just measured by ev.
+func (o NelderMeadOptions) startStall(ev *Evaluator, verts []vertex) stallClock {
+	c := stallClock{best: verts[0].perf}
+	c.horizon, c.confirmed = o.stallHorizon(ev, verts)
+	return c
+}
+
+// tick records one step that updated n vertices and left best as the best
+// vertex's value: a new best resets the clock, anything else advances it.
+func (c *stallClock) tick(best float64, n int, dir Direction) {
+	if dir.Better(best, c.best) {
+		c.best, c.stalled = best, 0
+		return
 	}
-	return ""
+	c.stalled += n
+}
+
+// expired reports whether the run has stalled for its whole horizon.
+func (c *stallClock) expired() bool { return c.stalled >= c.horizon }
+
+// note names the horizon in an EventConverge note.
+func (c *stallClock) note() string {
+	if c.confirmed {
+		return fmt.Sprintf("stall=%d prior-confirmed", c.horizon)
+	}
+	return fmt.Sprintf("stall=%d", c.horizon)
 }
 
 func (o *NelderMeadOptions) fill(dim int) {
@@ -307,26 +343,26 @@ func nelderMead(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Result, e
 			Converged:  converged,
 		}
 	}
-	horizon, confirmed := opts.MaxStall, false
+	clock := stallClock{horizon: opts.MaxStall}
 	// finish records the kernel's termination decision before returning.
 	finish := func(reason string, iter int, converged bool) *Result {
 		res := result(converged)
 		emit(opts.Tracer, Event{
 			Type: EventConverge, Op: reason, Iter: iter,
 			Perf: res.BestPerf, Config: res.BestConfig,
-			Note: fmt.Sprintf("evals=%d stall=%d%s", res.Evals, horizon, confirmedNote(confirmed)),
+			Note: fmt.Sprintf("evals=%d %s", res.Evals, clock.note()),
 		})
 		return res
 	}
 	if budgetHit || len(verts) < dim+1 {
 		return finish("init_budget", 0, false), nil
 	}
-	horizon, confirmed = opts.stallHorizon(ev, verts)
 
 	// worse(a, b) orders vertices from best to worst under dir.
 	better := func(a, b float64) bool { return dir.Better(a, b) }
 	sortVerts := func() { sortVertices(verts, better) }
 	sortVerts()
+	clock = opts.startStall(ev, verts)
 
 	probe := func(spec *Speculation, pt []float64) (float64, bool) {
 		pt = clampPoint(space, pt)
@@ -342,8 +378,6 @@ func nelderMead(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Result, e
 		emit(opts.Tracer, Event{Type: EventSimplex, Op: op, Iter: iter, Perf: perf, Note: note})
 	}
 
-	stall := 0
-	prevBest := verts[0].perf
 	for iter := 0; ; iter++ {
 		// Convergence: relative spread between best and worst vertex.
 		bestV, worstV := verts[0].perf, verts[len(verts)-1].perf
@@ -352,7 +386,7 @@ func nelderMead(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Result, e
 		if scale > 0 && spread/scale < opts.RelTol {
 			return finish("reltol", iter, true), nil
 		}
-		if stall >= horizon {
+		if clock.expired() {
 			return finish("stall", iter, true), nil
 		}
 
@@ -438,7 +472,7 @@ func nelderMead(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Result, e
 			if better(cPerf, worst.perf) {
 				step(contrOp, iter, cPerf, "accepted")
 				verts[len(verts)-1] = vertex{pt: clampPoint(space, contr), perf: cPerf}
-			} else if confirmed {
+			} else if clock.confirmed {
 				// A run whose start confirmed its prior ends at its first
 				// failed contraction: on warm-web the shrinks of confirmed
 				// runs cost 18.6% of the client's measurements and bought
@@ -468,12 +502,7 @@ func nelderMead(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Result, e
 			}
 		}
 		sortVerts()
-		if better(verts[0].perf, prevBest) {
-			prevBest = verts[0].perf
-			stall = 0
-		} else {
-			stall++
-		}
+		clock.tick(verts[0].perf, 1, dir)
 	}
 }
 

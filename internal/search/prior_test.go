@@ -40,23 +40,22 @@ func optimumSeeds(target []float64, off float64) InitStrategy {
 
 // priorRun runs one search from the simplex seeded 30 units off the
 // optimum.
-func priorRun(t *testing.T, wide bool, prior *float64, maxStall int) (*Result, runEvents) {
+func priorRun(t *testing.T, parallel int, prior *float64, maxStall int) (*Result, runEvents) {
 	t.Helper()
-	return seededRun(t, wide, prior, maxStall, -30)
+	return seededRun(t, parallel, prior, maxStall, -30)
 }
 
 // seededRun runs one search from the optimum-seeded simplex whose other
-// vertices sit off units away. parallel > 1 on the 8-parameter space takes
-// the multi-point kernel.
-func seededRun(t *testing.T, wide bool, prior *float64, maxStall int, off float64) (*Result, runEvents) {
+// vertices sit off units away. parallel 1 runs the sequential kernel on the
+// 3-parameter space; parallel > 1 runs the multi-point kernel on the
+// 8-parameter space, at width p = parallel/2.
+func seededRun(t *testing.T, parallel int, prior *float64, maxStall int, off float64) (*Result, runEvents) {
 	t.Helper()
 	s, obj := quadSpace()
 	target := []float64{60, 30, 75}
-	parallel := 1
-	if wide {
+	if parallel > 1 {
 		s, obj = wideSpace()
 		target = []float64{60, 30, 75, 20, 45, 80, 10, 55}
-		parallel = 4
 	}
 	var events runEvents
 	res, err := NelderMead(s, obj, NelderMeadOptions{
@@ -78,26 +77,46 @@ func seededRun(t *testing.T, wide bool, prior *float64, maxStall int, off float6
 	return res, events
 }
 
-func kernelName(wide bool) string {
-	if wide {
+// kernelName names a seededRun kernel: the sequential one, the window-4
+// multi-point walk (p = 2) and the window-6 one (p = 3).
+func kernelName(parallel int) string {
+	switch parallel {
+	case 1:
+		return "sequential"
+	case 4:
 		return "multipoint"
 	}
-	return "sequential"
+	return fmt.Sprintf("multipoint-p%d", parallel/2)
 }
 
+// stallRounds is the number of stalled steps after which a kernel of
+// width p exhausts a horizon counted in vertex updates: a sequential
+// iteration updates one vertex, a multi-point round p.
+func stallRounds(horizon, p int) int { return (horizon + p - 1) / p }
+
 func TestPriorConfirmedStopsAfterFourStalls(t *testing.T) {
-	for _, wide := range []bool{false, true} {
-		t.Run(kernelName(wide), func(t *testing.T) {
+	for _, c := range []struct {
+		parallel int
+		digest   string // the confirmed walk's trace; none for sequential
+	}{
+		{1, ""},
+		{4, "17/f0131a16537ee24a"},
+		{6, "21/a5d05f9ed70d7578"},
+	} {
+		t.Run(kernelName(c.parallel), func(t *testing.T) {
 			prior := 1000.0 // the optimum the first seed sits on
-			res, events := priorRun(t, wide, &prior, 0)
+			res, events := priorRun(t, c.parallel, &prior, 0)
 			first := events.conv[0]
-			if first.Op != "stall" || first.Iter != confirmedStall {
-				t.Errorf("first convergence = %s at iter %d, want stall at %d", first.Op, first.Iter, confirmedStall)
+			// No step improves the optimum the simplex starts on, so every
+			// step stalls: p = 1, 2 and 3 stop after 4, 2 and 2 steps.
+			p := max(c.parallel/2, 1)
+			if want := stallRounds(confirmedStall, p); first.Op != "stall" || first.Iter != want {
+				t.Errorf("first convergence = %s at iter %d, want stall at %d", first.Op, first.Iter, want)
 			}
 			if !strings.HasSuffix(first.Note, "stall=4 prior-confirmed") {
 				t.Errorf("note = %q, want the confirmed horizon named", first.Note)
 			}
-			if !wide {
+			if c.parallel == 1 {
 				return
 			}
 			// A confirmed multi-point walk ends the run at its convergence:
@@ -106,34 +125,44 @@ func TestPriorConfirmedStopsAfterFourStalls(t *testing.T) {
 				t.Errorf("convergences %+v, phases %+v; want the walk's one convergence and no polish",
 					events.conv, events.phases)
 			}
-			// The walk itself is untouched: the whole trace is the walk's
-			// prefix of the trace recorded before the rule existed, when a
-			// polish followed it.
-			if got, want := traceDigest(res.Trace), "25/f8a6307c6e51d3bd"; got != want {
-				t.Errorf("confirmed walk trace digest = %s, want %s", got, want)
+			if got := traceDigest(res.Trace); got != c.digest {
+				t.Errorf("confirmed walk trace digest = %s, want %s", got, c.digest)
+			}
+			// The prior changes only where the walk stops: its trace is the
+			// prefix of the cold walk from the same start.
+			cold, _ := priorRun(t, c.parallel, nil, 0)
+			if got, want := traceDigest(res.Trace), traceDigest(cold.Trace[:len(res.Trace)]); got != want {
+				t.Errorf("confirmed walk trace digest = %s, want the cold walk's prefix %s", got, want)
 			}
 		})
 	}
 }
 
 func TestPriorUnconfirmedKeepsColdHorizon(t *testing.T) {
-	for _, wide := range []bool{false, true} {
-		t.Run(kernelName(wide), func(t *testing.T) {
+	for _, parallel := range []int{1, 4, 6} {
+		t.Run(kernelName(parallel), func(t *testing.T) {
 			// The start's best vertex (1000) sits 3% below the prior.
 			prior := 1000 / 0.97
-			withField, events := priorRun(t, wide, &prior, 0)
-			without, plain := priorRun(t, wide, nil, 0)
+			withField, events := priorRun(t, parallel, &prior, 0)
+			without, plain := priorRun(t, parallel, nil, 0)
 			if got, want := traceDigest(withField.Trace), traceDigest(without.Trace); got != want {
 				t.Errorf("trace with an unconfirmed prior differs from a run without one")
 			}
 			dim := 3
-			if wide {
+			if parallel > 1 {
 				dim = 8
 			}
 			want := fmt.Sprintf("stall=%d", 4*dim)
 			if first := events.conv[0]; first.Iter != plain.conv[0].Iter || !strings.HasSuffix(first.Note, want) {
 				t.Errorf("first convergence = iter %d note %q, want iter %d note ending %q",
 					first.Iter, first.Note, plain.conv[0].Iter, want)
+			}
+			// Every step stalls, so the cold horizon of 4·dim vertex updates
+			// runs out after 12 sequential iterations, or 16 rounds at p = 2
+			// and 11 at p = 3.
+			p := max(parallel/2, 1)
+			if first, want := plain.conv[0], stallRounds(4*dim, p); first.Op != "stall" || first.Iter != want {
+				t.Errorf("cold first convergence = %s at iter %d, want stall at %d", first.Op, first.Iter, want)
 			}
 		})
 	}
@@ -147,15 +176,15 @@ func TestPriorUnconfirmedKeepsColdHorizon(t *testing.T) {
 // still shrinks, and its trace is unchanged.
 func TestPriorConfirmedEndsAtFailedContraction(t *testing.T) {
 	for _, c := range []struct {
-		wide                bool
+		parallel            int
 		prefix, unconfirmed string // digests recorded before the rule existed
 	}{
 		// The sequential run's shrinks re-measure only configurations its
 		// trace already holds, so its two digests coincide.
-		{false, "5/0bd8bf76ad4229b9", "5/0bd8bf76ad4229b9"},
-		{true, "11/5a49ad29f9d131a2", "94/6ab38149c7ec6260"},
+		{1, "5/0bd8bf76ad4229b9", "5/0bd8bf76ad4229b9"},
+		{4, "11/5a49ad29f9d131a2", "94/6ab38149c7ec6260"},
 	} {
-		t.Run(kernelName(c.wide), func(t *testing.T) {
+		t.Run(kernelName(c.parallel), func(t *testing.T) {
 			shrinks := func(ev runEvents) int {
 				n := 0
 				for _, e := range ev.ops {
@@ -167,7 +196,7 @@ func TestPriorConfirmedEndsAtFailedContraction(t *testing.T) {
 			}
 
 			prior := 1000.0 // the optimum the first seed sits on
-			res, events := seededRun(t, c.wide, &prior, 0, 1)
+			res, events := seededRun(t, c.parallel, &prior, 0, 1)
 			if len(events.conv) != 1 || events.conv[0].Op != "confirmed" || events.conv[0].Iter != 0 ||
 				!strings.HasSuffix(events.conv[0].Note, "stall=4 prior-confirmed") {
 				t.Errorf("convergences %+v, want one: confirmed at iter 0 with the confirmed horizon named", events.conv)
@@ -180,7 +209,7 @@ func TestPriorConfirmedEndsAtFailedContraction(t *testing.T) {
 			}
 
 			missed := 1000 / 0.97 // the start's best sits 3% below it
-			res, events = seededRun(t, c.wide, &missed, 0, 1)
+			res, events = seededRun(t, c.parallel, &missed, 0, 1)
 			if shrinks(events) == 0 || events.conv[0].Op == "confirmed" {
 				t.Errorf("unconfirmed run: %d shrinks, first convergence %s; want it to shrink",
 					shrinks(events), events.conv[0].Op)
@@ -194,7 +223,7 @@ func TestPriorConfirmedEndsAtFailedContraction(t *testing.T) {
 
 func TestPriorCallerMaxStallWins(t *testing.T) {
 	prior := 1000.0
-	_, events := priorRun(t, false, &prior, 2)
+	_, events := priorRun(t, 1, &prior, 2)
 	if first := events.conv[0]; first.Op != "stall" || first.Iter != 2 || !strings.HasSuffix(first.Note, "stall=2 prior-confirmed") {
 		t.Errorf("first convergence = %s at iter %d (%q), want stall at 2", first.Op, first.Iter, first.Note)
 	}

@@ -710,31 +710,47 @@ func (c *stallConn) Close() error {
 	return nil
 }
 
-// muxGoroutines counts the goroutines running a Mux's reader or a corked
-// writer. Unlike runtime.NumGoroutine it does not see goroutines that
-// earlier tests' servers are still starting or ending.
-func muxGoroutines() int {
+// muxGoroutines counts the goroutines running mx's reader or its corked
+// writer, matched by receiver address in a stack dump of every goroutine.
+// Goroutines of other muxes and servers, such as those earlier tests leave
+// still ending, do not count. A receiver the traceback cannot vouch for is
+// printed with a trailing '?'.
+func muxGoroutines(mx *Mux) int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
-	return bytes.Count(buf, []byte("(*Mux).reader(")) + bytes.Count(buf, []byte("(*corkedWriter).run("))
+	n := 0
+	for _, frame := range []string{
+		fmt.Sprintf("(*Mux).reader(%p", mx),
+		fmt.Sprintf("(*corkedWriter).run(%p", mx.cw),
+	} {
+		n += bytes.Count(buf, []byte(frame+")")) + bytes.Count(buf, []byte(frame+"?)"))
+	}
+	return n
 }
 
 // TestMuxCloseWaitsForGoroutines: Close returns only once the mux's reader
-// and writer goroutines have exited, so the count of such goroutines is
-// back at its baseline the moment Close returns.
+// and writer goroutines have exited, so neither is left the moment Close
+// returns.
 func TestMuxCloseWaitsForGoroutines(t *testing.T) {
 	mx := NewMux(&stallConn{closed: make(chan struct{})})
-	base := muxGoroutines()
 	// The first register negotiates the mux, which starts the reader and the
 	// writer; nothing ever answers it.
 	if err := mx.Session().tr.send(message{Op: "register", RSL: quadRSL}); err != nil {
 		t.Fatal(err)
 	}
+	// Both show up in the dump once they run, which proves the count sees
+	// them.
+	for deadline := time.Now().Add(5 * time.Second); muxGoroutines(mx) != 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of the mux's 2 goroutines in the stack dump after negotiation", muxGoroutines(mx))
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if err := mx.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := muxGoroutines(); n > base {
-		t.Fatalf("%d mux goroutines right after Close, baseline %d", n, base)
+	if n := muxGoroutines(mx); n != 0 {
+		t.Fatalf("%d mux goroutines right after Close, want 0", n)
 	}
 }
 
