@@ -93,8 +93,13 @@ func main() {
 	// experience database (internal/expdb), the store harmonyd mounts with
 	// -data-dir. Deposit yesterday's trace, abandon the store without
 	// Close — as a killed process would — and recover it from the
-	// write-ahead log alone.
-	dataDir := filepath.Join(os.TempDir(), "harmony-expdb")
+	// write-ahead log alone. The directory is fresh per run, so every run
+	// recovers exactly its own deposit.
+	dataDir, err := os.MkdirTemp("", "harmony-expdb-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dataDir)
 	store, err := expdb.Open(expdb.Options{Dir: dataDir})
 	if err != nil {
 		log.Fatal(err)

@@ -13,6 +13,9 @@ type Metrics struct {
 	// at Open — after a crash this is the proof the knowledge survived
 	// (expdb_recovered_records_total).
 	RecoveredRecords *obs.Counter
+	// RecoverySeconds is how long the last Open took to load the snapshot,
+	// replay the WAL and reopen the log (expdb_recovery_seconds).
+	RecoverySeconds *obs.Gauge
 	// TruncatedRecords counts torn or corrupt WAL tails dropped at
 	// recovery (expdb_truncated_records_total).
 	TruncatedRecords *obs.Counter
@@ -41,6 +44,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		Deposits:         reg.Counter("expdb_deposits_total", "Experiences deposited into the durable store."),
 		RecoveredRecords: reg.Counter("expdb_recovered_records_total", "WAL records replayed at recovery."),
+		RecoverySeconds:  reg.Gauge("expdb_recovery_seconds", "Duration of the last recovery at open, in seconds."),
 		TruncatedRecords: reg.Counter("expdb_truncated_records_total", "Torn or corrupt WAL tails truncated at recovery."),
 		Snapshots:        reg.Counter("expdb_snapshots_total", "Snapshot+compaction cycles completed."),
 		SnapshotSeconds:  reg.Histogram("expdb_snapshot_seconds", "Snapshot+compaction durations in seconds.", []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}),

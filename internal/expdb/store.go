@@ -1,10 +1,9 @@
 package expdb
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -40,10 +39,12 @@ const (
 // namespace compacting stalls only the namespaces sharing its stripe.
 const shardCount = 16
 
-// Filenames inside a data directory.
+// Filenames inside a data directory. jsonSnapshotName is the snapshot of
+// the JSON-era format, which Open refuses rather than misreads.
 const (
-	snapshotName = "snapshot.json"
-	walName      = "wal.log"
+	snapshotName     = "snapshot.log"
+	walName          = "wal.log"
+	jsonSnapshotName = "snapshot.json"
 )
 
 // Options configure a Store.
@@ -121,80 +122,63 @@ type Store struct {
 	closed      atomic.Bool
 }
 
-// snapshotFile is the on-disk snapshot: the full compacted state and the
-// highest LSN whose effect it contains. WAL records at or below AppliedLSN
-// are skipped on replay, which makes the snapshot→WAL-reset sequence
-// crash-safe at every intermediate point.
-type snapshotFile struct {
-	AppliedLSN uint64                 `json:"applied_lsn"`
-	Namespaces map[string]*history.DB `json:"namespaces"`
-}
-
 // Open recovers (or initializes) the store in opts.Dir: load the snapshot
 // if present, replay the WAL beyond its horizon, truncate any torn tail,
-// and reopen the log for appending.
+// and reopen the log for appending. A damaged snapshot fails Open, and so
+// does a directory in another format, which Open leaves as it found it.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("expdb: Options.Dir is required")
 	}
+	start := time.Now()
 	opts.fill()
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("expdb: creating data dir: %w", err)
 	}
+	old := filepath.Join(opts.Dir, jsonSnapshotName)
+	if _, err := os.Stat(old); err == nil {
+		return nil, fmt.Errorf("expdb: %s is a JSON snapshot, a format this store does not read; move the data dir aside", old)
+	}
 	s := newStore(opts)
 
 	// 1. Snapshot.
-	var appliedLSN uint64
-	snapPath := filepath.Join(opts.Dir, snapshotName)
-	if b, err := os.ReadFile(snapPath); err == nil {
-		var snap snapshotFile
-		if jerr := json.Unmarshal(b, &snap); jerr != nil {
-			return nil, fmt.Errorf("expdb: corrupt snapshot %s: %w", snapPath, jerr)
-		}
-		appliedLSN = snap.AppliedLSN
-		for key, db := range snap.Namespaces {
-			ns := s.ns(key, true)
-			for _, e := range db.Experiences {
-				ns.db.Add(e)
-				s.experiences.Add(1)
-			}
-			ns.cls.Invalidate()
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("expdb: reading snapshot: %w", err)
+	appliedLSN, err := s.loadSnapshot(filepath.Join(opts.Dir, snapshotName))
+	if err != nil {
+		return nil, err
 	}
 
 	// 2. WAL replay with torn-tail truncation.
 	walPath := filepath.Join(opts.Dir, walName)
+	b, err := os.ReadFile(walPath)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("expdb: reading WAL: %w", err)
+	}
+	recs, validLen, derr := decodeFrames(b)
+	if intactButUndecodable(derr) {
+		return nil, fmt.Errorf("expdb: %s: %w; left untouched, move the data dir aside", walPath, derr)
+	}
 	maxLSN := appliedLSN
 	recovered := 0
-	if f, err := os.Open(walPath); err == nil {
-		recs, validLen, derr := DecodeWAL(f)
-		size, _ := f.Seek(0, io.SeekEnd)
-		f.Close()
-		for _, rec := range recs {
-			if rec.LSN > maxLSN {
-				maxLSN = rec.LSN
-			}
-			if rec.LSN <= appliedLSN || rec.Exp == nil {
-				continue // the snapshot already covers it
-			}
-			s.apply(rec.Key, rec.Exp)
-			recovered++
+	for _, rec := range recs {
+		if rec.LSN > maxLSN {
+			maxLSN = rec.LSN
 		}
-		if derr != nil || validLen < size {
-			// Torn or corrupt tail: truncate to the last intact frame so
-			// the next append starts on a clean boundary. Everything
-			// before the corruption point has been recovered above.
-			opts.Metrics.TruncatedRecords.Inc()
-			opts.Logger.Warn("expdb: truncating corrupt WAL tail",
-				"wal", walPath, "valid_bytes", validLen, "file_bytes", size, "err", derr)
-			if terr := os.Truncate(walPath, validLen); terr != nil {
-				return nil, fmt.Errorf("expdb: truncating torn WAL tail: %w", terr)
-			}
+		if rec.LSN <= appliedLSN || rec.Exp == nil {
+			continue // the snapshot already covers it
 		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("expdb: opening WAL: %w", err)
+		s.apply(rec.Key, rec.Exp)
+		recovered++
+	}
+	if derr != nil {
+		// Torn or corrupt tail: truncate to the last intact frame so the
+		// next append starts on a clean boundary. Everything before the
+		// corruption point has been recovered above.
+		opts.Metrics.TruncatedRecords.Inc()
+		opts.Logger.Warn("expdb: truncating corrupt WAL tail",
+			"wal", walPath, "valid_bytes", validLen, "file_bytes", len(b), "err", derr)
+		if terr := os.Truncate(walPath, int64(validLen)); terr != nil {
+			return nil, fmt.Errorf("expdb: truncating torn WAL tail: %w", terr)
+		}
 	}
 	opts.Metrics.RecoveredRecords.Add(recovered)
 	opts.Metrics.IndexSize.Set(float64(s.experiences.Load()))
@@ -206,13 +190,54 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.wal = w
+	elapsed := time.Since(start)
+	opts.Metrics.RecoverySeconds.Set(elapsed.Seconds())
 	if recovered > 0 || appliedLSN > 0 {
 		opts.Logger.Info("expdb: recovered prior-run store",
 			"dir", opts.Dir, "namespaces", s.namespaces.Load(),
 			"experiences", s.experiences.Load(), "wal_records_replayed", recovered,
-			"snapshot_lsn", appliedLSN)
+			"snapshot_lsn", appliedLSN, "elapsed", elapsed)
 	}
 	return s, nil
+}
+
+// loadSnapshot folds the snapshot at path into the empty view and returns
+// the LSN horizon it covers (0 when there is none). Unlike a WAL tail, a
+// snapshot is published whole by rename, so any bad frame, or fewer or
+// more experience records than its horizon declares, is damage, not an
+// interrupted write: it fails, naming the file.
+func (s *Store) loadSnapshot(path string) (uint64, error) {
+	b, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("expdb: reading snapshot: %w", err)
+	}
+	recs, _, err := decodeFrames(b)
+	switch {
+	case err != nil:
+	case len(recs) == 0 || recs[0].Exp != nil:
+		err = errors.New("no horizon record")
+	case recs[0].Count != uint64(len(recs)-1):
+		err = fmt.Errorf("holds %d experience records, its horizon declares %d", len(recs)-1, recs[0].Count)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("expdb: corrupt snapshot %s: %w", path, err)
+	}
+	var ns *namespace
+	for i, rec := range recs[1:] {
+		if rec.Exp == nil {
+			return 0, fmt.Errorf("expdb: corrupt snapshot %s: record %d is a second horizon", path, i+1)
+		}
+		if ns == nil || rec.Key != recs[i].Key {
+			ns = s.ns(rec.Key, true)
+			ns.cls.Invalidate()
+		}
+		ns.db.Add(rec.Exp)
+	}
+	s.experiences.Add(int64(len(recs) - 1))
+	return recs[0].LSN, nil
 }
 
 // NewMemory returns a Store that keeps everything in memory: the same
@@ -367,26 +392,31 @@ func (s *Store) Snapshot() error {
 	horizon := s.wal.nextLSN - 1
 	s.wal.mu.Unlock()
 
-	snap := snapshotFile{AppliedLSN: horizon, Namespaces: map[string]*history.DB{}}
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for key, ns := range sh.ns {
-			// Deep-copy under the read lock so marshalling (and the file
-			// I/O below) runs without holding any shard lock.
-			db := history.NewDB()
-			for _, e := range ns.db.Experiences {
-				db.Add(e.Clone())
-			}
-			snap.Namespaces[key] = db
+	// Each namespace is encoded under its shard's read lock, straight into
+	// the file image: no experience is cloned. Deposits wait on snapMu, so
+	// the namespaces listed here are all there is to fold. The horizon
+	// record goes first in the file but is encoded last, once the count of
+	// experience records it declares is known.
+	keys := s.keys()
+	var body []byte
+	count := 0
+	for _, key := range keys {
+		var n int
+		var err error
+		if body, n, err = s.appendNamespace(body, key); err != nil {
+			return err
 		}
-		sh.mu.RUnlock()
+		count += n
 	}
-
-	if err := writeFileAtomic(filepath.Join(s.opts.Dir, snapshotName), snap); err != nil {
+	head, err := appendRecordFrame(nil, record{LSN: horizon, Count: uint64(count)})
+	if err != nil {
+		return err
+	}
+	if err := writeFileAtomic(filepath.Join(s.opts.Dir, snapshotName), head, body); err != nil {
 		return err
 	}
 	s.wal.mu.Lock()
-	err := s.wal.resetLocked()
+	err = s.wal.resetLocked()
 	s.wal.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("expdb: resetting WAL after snapshot: %w", err)
@@ -395,27 +425,61 @@ func (s *Store) Snapshot() error {
 	s.opts.Metrics.WALRecords.Set(0)
 	s.opts.Metrics.SnapshotSeconds.Observe(time.Since(start).Seconds())
 	s.opts.Logger.Debug("expdb: snapshot complete",
-		"applied_lsn", horizon, "namespaces", len(snap.Namespaces),
+		"applied_lsn", horizon, "namespaces", len(keys), "experiences", count,
+		"bytes", len(head)+len(body),
 		"elapsed", time.Since(start))
 	return nil
 }
 
-// writeFileAtomic publishes v as JSON at path via temp-file + fsync +
-// rename + parent-directory sync, so a crash never exposes a partial file.
-func writeFileAtomic(path string, v interface{}) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("expdb: encoding snapshot: %w", err)
+// keys lists the resident namespace keys in sorted order.
+func (s *Store) keys() []string {
+	var keys []string
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		for key := range sh.ns {
+			keys = append(keys, key)
+		}
+		sh.mu.RUnlock()
 	}
+	sort.Strings(keys)
+	return keys
+}
+
+// appendNamespace appends one snapshot record per experience under key,
+// holding the key's shard read lock while it encodes, and reports how many
+// it appended. A namespace pruned since it was listed appends nothing.
+func (s *Store) appendNamespace(buf []byte, key string) ([]byte, int, error) {
+	sh := s.shardFor(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	ns := sh.ns[key]
+	if ns == nil {
+		return buf, 0, nil
+	}
+	var err error
+	for _, e := range ns.db.Experiences {
+		if buf, err = appendRecordFrame(buf, record{Key: key, Exp: e}); err != nil {
+			return nil, 0, err
+		}
+	}
+	return buf, len(ns.db.Experiences), nil
+}
+
+// writeFileAtomic publishes the concatenated parts at path via temp-file +
+// fsync + rename + parent-directory sync, so a crash never exposes a
+// partial file.
+func writeFileAtomic(path string, parts ...[]byte) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	for _, b := range parts {
+		if _, err := f.Write(b); err != nil {
+			f.Close()
+			os.Remove(tmp)
+			return err
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

@@ -1,12 +1,15 @@
 package expdb
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"harmony/internal/obs"
 	"harmony/internal/search"
 )
 
@@ -242,5 +245,189 @@ func TestDepositAfterCloseFails(t *testing.T) {
 	s.Close()
 	if _, err := s.Deposit("k", "w", []float64{1}, search.Maximize, trace(1, 1, 1)); err == nil {
 		t.Fatal("Deposit succeeded on a closed store")
+	}
+}
+
+// TestSnapshotsOfIdenticalStoresAreByteIdentical: two stores holding the
+// same experiences write the same snapshot bytes, even when deposits into
+// different namespaces arrived in a different order.
+func TestSnapshotsOfIdenticalStoresAreByteIdentical(t *testing.T) {
+	keys := []string{"app/a", "app/b", "filler/c", "zz/d", "app/e"}
+	build := func(order []int) []byte {
+		dir := t.TempDir()
+		s := openTest(t, dir, func(o *Options) { o.SnapshotEvery = -1 })
+		for round := 0; round < 3; round++ {
+			for _, k := range order {
+				chars := []float64{float64(k), float64(round)}
+				if _, err := s.Deposit(keys[k], "w", chars, search.Maximize, trace(k, round, 3)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, snapshotName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	a, b := build([]int{0, 1, 2, 3, 4}), build([]int{4, 2, 0, 3, 1})
+	if !bytes.Equal(a, b) {
+		t.Fatalf("snapshots of identical stores differ (%d vs %d bytes)", len(a), len(b))
+	}
+}
+
+// TestSnapshotFlipFailsOpen flips each byte of a snapshot in turn, two
+// ways, and requires every damaged copy to fail Open with an error naming
+// the file: no damaged value may load as a prior run's truth.
+func TestSnapshotFlipFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, nil)
+	for i := 0; i < 2; i++ {
+		if _, err := s.Deposit(fmt.Sprintf("app/s%d", i), "w", []float64{float64(i), 1}, search.Maximize, trace(i, i, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := t.TempDir()
+	path := filepath.Join(work, snapshotName)
+	for i := range snap {
+		for _, mask := range []byte{0x01, 0xff} {
+			bad := append([]byte(nil), snap...)
+			bad[i] ^= mask
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(Options{Dir: work})
+			if err == nil {
+				s.Close()
+				t.Fatalf("byte %d ^ %#x: Open accepted a damaged snapshot", i, mask)
+			}
+			if !strings.Contains(err.Error(), path) {
+				t.Fatalf("byte %d ^ %#x: error %q does not name %s", i, mask, err, path)
+			}
+		}
+	}
+}
+
+// TestSnapshotCutFailsOpen cuts a snapshot at every length short of its
+// own, frame boundaries included, and requires every cut copy to fail
+// Open with an error naming the file: a snapshot that lost its tail must
+// not open as a smaller store, since the WAL it folded is gone.
+func TestSnapshotCutFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, nil)
+	for i := 0; i < 3; i++ {
+		if _, err := s.Deposit(fmt.Sprintf("app/s%d", i), "w", []float64{float64(i), 1}, search.Maximize, trace(i, i, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, _, err := decodeFrames(snap); err != nil || len(recs) != 4 || recs[0].Count != 3 {
+		t.Fatalf("snapshot decodes to %d records (horizon %+v), err %v; want a horizon declaring 3, then 3", len(recs), recs[0], err)
+	}
+	work := t.TempDir()
+	path := filepath.Join(work, snapshotName)
+	for n := 0; n < len(snap); n++ {
+		if err := os.WriteFile(path, snap[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(Options{Dir: work})
+		if err == nil {
+			s.Close()
+			t.Fatalf("snapshot cut to %d of %d bytes: Open accepted it", n, len(snap))
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Fatalf("cut to %d bytes: error %q does not name %s", n, err, path)
+		}
+	}
+}
+
+// TestOpenRefusesJSONDataDir: a data dir in the JSON-era format (a
+// snapshot.json, or a WAL of JSON payloads), or a WAL holding a CRC-intact
+// record that does not decode, fails Open with an error naming the file,
+// and every file is left byte-identical: no truncation, no rewrite, no new
+// snapshot.
+func TestOpenRefusesJSONDataDir(t *testing.T) {
+	jsonWAL := append(rawFrame([]byte(`{"lsn":1,"key":"app/spec","exp":{"label":"w","characteristics":[1],"records":[{"config":[0,0],"perf":100,"seq":0}],"direction":0}}`)),
+		rawFrame([]byte(`{"lsn":2,"key":"app/spec","exp":{"label":"w","characteristics":[2],"records":[],"direction":0}}`))...)
+	for name, files := range map[string]map[string][]byte{
+		"snapshot.json": {jsonSnapshotName: []byte(`{"applied_lsn":0,"namespaces":{}}`), walName: jsonWAL},
+		"JSON WAL":      {walName: jsonWAL},
+		"JSON WAL after binary records": {walName: append(frameOf(t, record{LSN: 1, Key: "k", Exp: mkExp("w", []float64{1}, 1)}),
+			rawFrame([]byte(`{"lsn":2}`))...)},
+		"malformed binary record after binary records": {walName: append(frameOf(t, record{LSN: 1, Key: "k", Exp: mkExp("w", []float64{1}, 1)}),
+			rawFrame([]byte{formatExperience, 2, 0xff})...)},
+	} {
+		dir := t.TempDir()
+		for f, b := range files {
+			if err := os.WriteFile(filepath.Join(dir, f), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := Open(Options{Dir: dir})
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s: Open accepted an old-format data dir", name)
+		}
+		named := filepath.Join(dir, walName)
+		if _, ok := files[jsonSnapshotName]; ok {
+			named = filepath.Join(dir, jsonSnapshotName)
+		}
+		if !strings.Contains(err.Error(), named) {
+			t.Errorf("%s: error %q does not name %s", name, err, named)
+		}
+		entries, _ := os.ReadDir(dir)
+		if len(entries) != len(files) {
+			t.Errorf("%s: Open left %d files, want the %d it found", name, len(entries), len(files))
+		}
+		for f, want := range files {
+			if got, _ := os.ReadFile(filepath.Join(dir, f)); !bytes.Equal(got, want) {
+				t.Errorf("%s: Open changed %s", name, f)
+			}
+		}
+	}
+}
+
+// TestOpenRecordsRecoverySeconds: every Open sets expdb_recovery_seconds,
+// and a reopen reads everything back from the snapshot alone.
+func TestOpenRecordsRecoverySeconds(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, nil)
+	if _, err := s.Deposit("k", "w", []float64{1}, search.Maximize, trace(1, 1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	m := NewMetrics(reg)
+	s2 := openTest(t, dir, func(o *Options) { o.Metrics = m })
+	defer s2.Close()
+	if m.RecoverySeconds.Value() <= 0 {
+		t.Fatalf("expdb_recovery_seconds = %v after Open", m.RecoverySeconds.Value())
+	}
+	if s2.Len() != 1 || m.RecoveredRecords.Value() != 0 {
+		t.Fatalf("reopen: %d experiences, %v WAL records replayed; want 1 from the snapshot, 0 replayed",
+			s2.Len(), m.RecoveredRecords.Value())
+	}
+	var out bytes.Buffer
+	reg.WritePrometheus(&out)
+	if !strings.Contains(out.String(), "\nexpdb_recovery_seconds ") {
+		t.Fatalf("expdb_recovery_seconds not exported:\n%s", out.String())
 	}
 }

@@ -20,128 +20,32 @@
 //
 // Layout of a data directory:
 //
-//	<dir>/snapshot.json   compacted state + the LSN it covers (atomic rename)
-//	<dir>/wal.log         framed deposits since that snapshot
+//	<dir>/snapshot.log   compacted state: a horizon record (the LSN it
+//	                     covers and how many experience records follow),
+//	                     then one record per experience, keys in sorted
+//	                     order (published by atomic rename)
+//	<dir>/wal.log        one record per deposit since that snapshot
 //
-// Recovery loads the snapshot, replays WAL records with LSN beyond the
-// snapshot's horizon, and truncates the log at the first torn or corrupt
-// frame — everything before the corruption point is recovered.
+// Both files are sequences of the same frames — length, CRC32, binary
+// record payload, newline — written and read by one codec (codec.go).
+// Recovery decodes the snapshot, which must be intact and whole, then
+// replays WAL records with LSN beyond the snapshot's horizon and truncates
+// the log at the first torn frame or CRC mismatch: everything before the
+// corruption point is recovered. A directory written in another format (a
+// snapshot.json, or a WAL holding a CRC-intact record this codec cannot
+// decode) is refused and left untouched. Records are inspected through the daemon's control
+// plane (GET /api/v1/expdb/records), not by reading the files.
 package expdb
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"strconv"
 	"sync"
 	"time"
 
 	"harmony/internal/history"
 )
-
-// WALRecord is one framed entry of the write-ahead log: a single deposited
-// experience under its namespace key, stamped with a monotone log sequence
-// number so replay after a snapshot can skip entries the snapshot already
-// covers.
-type WALRecord struct {
-	// LSN is the log sequence number (monotone per store).
-	LSN uint64 `json:"lsn"`
-	// Key is the namespace ("app/spec-signature" on the server).
-	Key string `json:"key"`
-	// Exp is the deposited experience.
-	Exp *history.Experience `json:"exp"`
-}
-
-// Frame layout: an 18-byte ASCII header — payload length (8 hex chars),
-// space, CRC32-IEEE of the payload (8 hex chars), space — then the JSON
-// payload, then '\n'. The fixed-width header makes torn tails trivially
-// detectable, and keeping everything line-structured keeps the log
-// greppable during an incident.
-const (
-	frameHeaderLen = 8 + 1 + 8 + 1
-	// maxFramePayload bounds a frame so a corrupt length field cannot make
-	// recovery attempt a multi-gigabyte allocation.
-	maxFramePayload = 16 << 20
-)
-
-// AppendFrame appends one framed payload to dst and returns the extended
-// slice.
-func AppendFrame(dst, payload []byte) []byte {
-	dst = append(dst, []byte(fmt.Sprintf("%08x %08x ", len(payload), crc32.ChecksumIEEE(payload)))...)
-	dst = append(dst, payload...)
-	return append(dst, '\n')
-}
-
-// EncodeWALRecord frames one record for appending to the log.
-func EncodeWALRecord(rec WALRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("expdb: encoding WAL record: %w", err)
-	}
-	return AppendFrame(nil, payload), nil
-}
-
-// DecodeWAL reads framed records from r until the stream ends or the first
-// corruption. It returns the decoded records, the byte offset one past the
-// last intact frame (the safe truncation point), and a non-nil error
-// describing why decoding stopped early — nil when the stream ended cleanly
-// on a frame boundary. Garbage, torn tails and CRC mismatches never panic
-// and never lose records before the corruption point.
-func DecodeWAL(r io.Reader) (recs []WALRecord, validLen int64, err error) {
-	br := bufio.NewReader(r)
-	var off int64
-	header := make([]byte, frameHeaderLen)
-	for {
-		n, rerr := io.ReadFull(br, header)
-		if rerr == io.EOF && n == 0 {
-			return recs, off, nil // clean end on a frame boundary
-		}
-		if rerr != nil {
-			return recs, off, fmt.Errorf("expdb: torn frame header at offset %d: %w", off, rerr)
-		}
-		if header[8] != ' ' || header[17] != ' ' || !isHex(header[:8]) || !isHex(header[9:17]) {
-			return recs, off, fmt.Errorf("expdb: corrupt frame header at offset %d", off)
-		}
-		length64, _ := strconv.ParseUint(string(header[:8]), 16, 32)
-		sum64, _ := strconv.ParseUint(string(header[9:17]), 16, 32)
-		length, sum := uint32(length64), uint32(sum64)
-		if length > maxFramePayload {
-			return recs, off, fmt.Errorf("expdb: frame at offset %d claims %d bytes (limit %d)", off, length, maxFramePayload)
-		}
-		body := make([]byte, int(length)+1) // payload + '\n'
-		if _, rerr := io.ReadFull(br, body); rerr != nil {
-			return recs, off, fmt.Errorf("expdb: torn frame payload at offset %d: %w", off, rerr)
-		}
-		payload := body[:length]
-		if body[length] != '\n' {
-			return recs, off, fmt.Errorf("expdb: frame at offset %d not newline-terminated", off)
-		}
-		if got := crc32.ChecksumIEEE(payload); got != sum {
-			return recs, off, fmt.Errorf("expdb: CRC mismatch at offset %d (stored %08x, computed %08x)", off, sum, got)
-		}
-		var rec WALRecord
-		if jerr := json.Unmarshal(payload, &rec); jerr != nil {
-			return recs, off, fmt.Errorf("expdb: undecodable record at offset %d: %v", off, jerr)
-		}
-		recs = append(recs, rec)
-		off += int64(frameHeaderLen) + int64(length) + 1
-	}
-}
-
-// isHex reports whether every byte is a lower-case hex digit — Sscanf is
-// lenient about leading whitespace and signs, so the header shape is
-// checked explicitly.
-func isHex(b []byte) bool {
-	for _, c := range b {
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
-			return false
-		}
-	}
-	return true
-}
 
 // SyncPolicy controls when WAL appends reach stable storage.
 type SyncPolicy int
@@ -189,6 +93,8 @@ type wal struct {
 	// sets it; /healthz surfaces the lag so an operator notices a store
 	// that would lose deposits on a hard crash.
 	dirtySince time.Time
+	// buf is the frame encoding buffer, reused across appends.
+	buf []byte
 }
 
 // openWAL opens (creating if needed) the log for appending. nextLSN is one
@@ -210,10 +116,11 @@ func (w *wal) append(key string, exp *history.Experience) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	lsn := w.nextLSN
-	b, err := EncodeWALRecord(WALRecord{LSN: lsn, Key: key, Exp: exp})
+	b, err := appendRecordFrame(w.buf[:0], record{LSN: lsn, Key: key, Exp: exp})
 	if err != nil {
 		return 0, err
 	}
+	w.buf = b
 	if _, err := w.f.Write(b); err != nil {
 		return 0, fmt.Errorf("expdb: WAL append: %w", err)
 	}

@@ -1,7 +1,6 @@
 package expdb
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,23 +22,19 @@ func mkExp(label string, chars []float64, n int) *history.Experience {
 	return e
 }
 
-func encodeRecords(t *testing.T, recs []WALRecord) []byte {
+func encodeRecords(t *testing.T, recs []record) []byte {
 	t.Helper()
 	var buf []byte
 	for _, r := range recs {
-		b, err := EncodeWALRecord(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = append(buf, b...)
+		buf = append(buf, frameOf(t, r)...)
 	}
 	return buf
 }
 
-func sampleRecords(n int) []WALRecord {
-	recs := make([]WALRecord, n)
+func sampleRecords(n int) []record {
+	recs := make([]record, n)
 	for i := range recs {
-		recs[i] = WALRecord{
+		recs[i] = record{
 			LSN: uint64(i + 1),
 			Key: "app/spec",
 			Exp: mkExp("w", []float64{float64(i), 1 - float64(i)/10}, 3),
@@ -51,11 +46,11 @@ func sampleRecords(n int) []WALRecord {
 func TestWALRoundTrip(t *testing.T) {
 	want := sampleRecords(5)
 	buf := encodeRecords(t, want)
-	got, validLen, err := DecodeWAL(bytes.NewReader(buf))
+	got, validLen, err := decodeFrames(buf)
 	if err != nil {
 		t.Fatalf("clean stream decoded with error: %v", err)
 	}
-	if validLen != int64(len(buf)) {
+	if validLen != len(buf) {
 		t.Fatalf("validLen = %d, want %d", validLen, len(buf))
 	}
 	if len(got) != len(want) {
@@ -79,14 +74,14 @@ func TestWALTornTailRecoversPrefix(t *testing.T) {
 	prefix3 := len(encodeRecords(t, recs[:3]))
 
 	for cut := prefix3 + 1; cut < len(full); cut += 7 {
-		got, validLen, err := DecodeWAL(bytes.NewReader(full[:cut]))
+		got, validLen, err := decodeFrames(full[:cut])
 		if err == nil {
 			t.Fatalf("cut=%d: torn tail decoded without error", cut)
 		}
 		if len(got) != 3 {
 			t.Fatalf("cut=%d: recovered %d records, want 3", cut, len(got))
 		}
-		if validLen != int64(prefix3) {
+		if validLen != prefix3 {
 			t.Fatalf("cut=%d: validLen = %d, want %d", cut, validLen, prefix3)
 		}
 	}
@@ -99,11 +94,11 @@ func TestWALCRCMismatchStopsAtCorruption(t *testing.T) {
 	// Flip a payload byte inside the third record.
 	buf[prefix2+frameHeaderLen+4] ^= 0xff
 
-	got, validLen, err := DecodeWAL(bytes.NewReader(buf))
+	got, validLen, err := decodeFrames(buf)
 	if err == nil {
 		t.Fatal("CRC mismatch decoded without error")
 	}
-	if len(got) != 2 || validLen != int64(prefix2) {
+	if len(got) != 2 || validLen != prefix2 {
 		t.Fatalf("recovered %d records validLen %d, want 2 records validLen %d",
 			len(got), validLen, prefix2)
 	}
@@ -115,11 +110,11 @@ func TestWALGarbageHeaderStopsCleanly(t *testing.T) {
 	good := len(buf)
 	buf = append(buf, []byte("this is not a frame header at all\n")...)
 
-	got, validLen, err := DecodeWAL(bytes.NewReader(buf))
+	got, validLen, err := decodeFrames(buf)
 	if err == nil {
 		t.Fatal("garbage tail decoded without error")
 	}
-	if len(got) != 2 || validLen != int64(good) {
+	if len(got) != 2 || validLen != good {
 		t.Fatalf("recovered %d records validLen %d, want 2 and %d", len(got), validLen, good)
 	}
 }
@@ -127,7 +122,7 @@ func TestWALGarbageHeaderStopsCleanly(t *testing.T) {
 func TestWALHugeLengthClaimRejected(t *testing.T) {
 	// A frame claiming 0xffffffff bytes must not trigger a giant allocation.
 	buf := []byte("ffffffff 00000000 ")
-	got, validLen, err := DecodeWAL(bytes.NewReader(buf))
+	got, validLen, err := decodeFrames(buf)
 	if err == nil || len(got) != 0 || validLen != 0 {
 		t.Fatalf("huge length: got %d records, validLen %d, err %v", len(got), validLen, err)
 	}
@@ -155,7 +150,7 @@ func TestWALAppendAssignsMonotoneLSNs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _, derr := DecodeWAL(bytes.NewReader(b))
+	recs, _, derr := decodeFrames(b)
 	if derr != nil || len(recs) != 3 || recs[0].LSN != 7 || recs[2].LSN != 9 {
 		t.Fatalf("decoded %v (err %v)", recs, derr)
 	}
@@ -178,7 +173,7 @@ func TestWALSyncNonePersistsOnFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := os.ReadFile(path)
-	if recs, _, derr := DecodeWAL(bytes.NewReader(b)); derr != nil || len(recs) != 1 {
+	if recs, _, derr := decodeFrames(b); derr != nil || len(recs) != 1 {
 		t.Fatalf("after flush: %d records, err %v", len(recs), derr)
 	}
 }

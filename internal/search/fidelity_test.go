@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"testing"
 )
 
@@ -114,12 +115,18 @@ func TestEvalConfigAtKeysOnFidelity(t *testing.T) {
 	}
 }
 
+// TestTraceMeasuredDropsLowFidelity: only full-fidelity real measurements
+// survive; low-fidelity samples, gate estimates and failure-scored points
+// (penalties in either direction, non-finite values) are dropped.
 func TestTraceMeasuredDropsLowFidelity(t *testing.T) {
 	tr := Trace{
 		{Index: 0, Perf: 1},
 		{Index: 1, Perf: 2, Fidelity: 0.25},
 		{Index: 2, Perf: 3, Estimated: true},
 		{Index: 3, Perf: 4, Fidelity: 1},
+		{Index: 4, Perf: FailurePenalty(Maximize)},
+		{Index: 5, Perf: FailurePenalty(Minimize)},
+		{Index: 6, Perf: math.NaN()},
 	}
 	got := tr.Measured()
 	if len(got) != 2 || got[0].Perf != 1 || got[1].Perf != 4 {

@@ -98,15 +98,16 @@ type Evaluation struct {
 type Trace []Evaluation
 
 // Measured returns the trace restricted to full-fidelity real
-// measurements — entries the estimation gate answered and low-fidelity
-// triage observations are dropped. Experience deposits use it so neither
-// estimates nor noisy rung samples masquerade as ground truth in the
-// prior-run store. When nothing needs filtering the receiver itself is
-// returned (no copy).
+// measurements — entries the estimation gate answered, low-fidelity triage
+// observations and failure-scored points (a lost or non-finite report,
+// see IsFailure) are dropped. Experience deposits use it so neither
+// estimates, noisy rung samples nor penalties masquerade as ground truth
+// in the prior-run store. When nothing needs filtering the receiver itself
+// is returned (no copy).
 func (t Trace) Measured() Trace {
 	drop := 0
 	for _, e := range t {
-		if e.Estimated || !FullFidelity(e.Fidelity) {
+		if !e.measured() {
 			drop++
 		}
 	}
@@ -115,11 +116,16 @@ func (t Trace) Measured() Trace {
 	}
 	out := make(Trace, 0, len(t)-drop)
 	for _, e := range t {
-		if !e.Estimated && FullFidelity(e.Fidelity) {
+		if e.measured() {
 			out = append(out, e)
 		}
 	}
 	return out
+}
+
+// measured reports whether e is a real full-fidelity measurement.
+func (e Evaluation) measured() bool {
+	return !e.Estimated && FullFidelity(e.Fidelity) && !IsFailure(e.Perf, Maximize)
 }
 
 // Best returns the best evaluation under dir. Real full-fidelity

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -294,5 +295,83 @@ func TestGarbageWithinBudgetKeepsSession(t *testing.T) {
 	}
 	if best.Perf < 980 {
 		t.Errorf("best = %+v", best)
+	}
+}
+
+// TestFailureScoredPointsNeverDeposited: a point scored with the failure
+// penalty (here after a NaN report) is not a measurement. Neither a
+// completed session nor one severed mid-run after such a report may
+// deposit it: the warm fill would serve the penalty to every later session
+// of the namespace as an exact hit.
+func TestFailureScoredPointsNeverDeposited(t *testing.T) {
+	s := NewServer()
+	ends := make(chan SessionEnd, 4)
+	s.OnSessionEnd = func(e SessionEnd) { ends <- e }
+	a, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	addr := a.String()
+	opts := func(app string) RegisterOptions {
+		return RegisterOptions{MaxEvals: 40, Improved: true, App: app, Characteristics: appChars, Proto: 3}
+	}
+
+	// A completed session whose second measurement came back NaN.
+	c := dial(t, addr)
+	if _, err := c.Register(quadRSL, opts("completed")); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	if _, err := c.Tune(func(cfg search.Config) float64 {
+		if calls++; calls == 2 {
+			return math.NaN()
+		}
+		return quadPeak(cfg)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitEnd(t, ends)
+
+	// A session severed after a NaN report and one real measurement: its
+	// partial trace is deposited on disconnect.
+	c2 := dial(t, addr)
+	if _, err := c2.Register(quadRSL, opts("severed")); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []bool{true, false} {
+		cfg, done, err := c2.Fetch()
+		if err != nil || done {
+			t.Fatalf("fetch: done=%v err=%v", done, err)
+		}
+		perf := quadPeak(cfg)
+		if bad {
+			perf = math.NaN()
+		}
+		if err := c2.Report(perf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := c2.Fetch(); err != nil {
+		t.Fatal(err)
+	}
+	c2.Close()
+	waitEnd(t, ends)
+
+	store := s.ExperienceStore()
+	nss := store.Namespaces()
+	if len(nss) != 2 {
+		t.Fatalf("deposited namespaces %+v, want the completed and the severed session's", nss)
+	}
+	for _, ns := range nss {
+		page, total := store.BrowseRecords(ns.Key, 0, ns.Records)
+		if total == 0 {
+			t.Errorf("%s: nothing deposited", ns.Key)
+		}
+		for _, r := range page {
+			if search.IsFailure(r.Perf, search.Maximize) {
+				t.Errorf("%s: deposited %v at failure score %g", ns.Key, r.Config, r.Perf)
+			}
+		}
 	}
 }
