@@ -96,14 +96,14 @@ type Result struct {
 	CacheHits   int
 }
 
-// request is one in-flight web interaction.
+// request is a browser's in-flight web interaction. A browser issues,
+// waits for the response or a drop timeout, thinks, and issues again, so
+// it never has more than one: the simulation keeps one slot per browser
+// and issue overwrites it.
 type request struct {
-	browser   int
-	inter     tpcw.Interaction
-	issuedAt  float64
-	needsDB   bool
-	asyncSlot bool // holds a delayed-write queue slot
-	stage     int  // 0 proxy, 1 app, 2 db
+	inter    tpcw.Interaction
+	issuedAt float64
+	stage    int // station serving it: -1 proxy (cache hit), 0 proxy, 1 app, 2 db
 }
 
 // config is the decoded parameter vector.
@@ -248,16 +248,12 @@ func fidelityNoise(seed uint64, cfg search.Config, f float64) float64 {
 func (c *Cluster) Objective(mix tpcw.Mix, vary bool) search.Objective {
 	seq := uint64(0)
 	return search.ObjectiveFunc(func(cfg search.Config) float64 {
-		opts := c.opts
+		seed := c.opts.Seed
 		if vary {
 			seq++
-			opts.Seed = c.opts.Seed*1315423911 + seq
+			seed = c.opts.Seed*1315423911 + seq
 		}
-		res, err := NewCluster(opts).Run(cfg, mix)
-		if err != nil {
-			panic(err) // the space is fixed; a bad config is a bug
-		}
-		return res.WIPS
+		return c.measure(cfg, mix, seed, 1, 1)
 	})
 }
 
@@ -270,38 +266,46 @@ func (c *Cluster) Objective(mix tpcw.Mix, vary bool) search.Objective {
 // EvalBatch worker or speculative round asks — which makes the objective
 // both safe for concurrent use and deterministic under search.EvalBatch /
 // Evaluator.Speculate. The sequential and parallel kernels see identical
-// values for identical probes.
+// values for identical probes. It is ObjectiveStableAt at full fidelity.
 func (c *Cluster) ObjectiveStable(mix tpcw.Mix) search.Objective {
-	return search.ObjectiveFunc(func(cfg search.Config) float64 {
-		opts := c.opts
-		opts.Seed = c.opts.Seed*1315423911 + contentHash(cfg)
-		res, err := NewCluster(opts).Run(cfg, mix)
-		if err != nil {
-			panic(err) // the space is fixed; a bad config is a bug
-		}
-		return res.WIPS
-	})
+	return search.ObjectiveFunc(c.ObjectiveStableAt(mix).Measure)
 }
 
 // ObjectiveStableAt is ObjectiveStable with a fidelity dial: full-fidelity
-// measurements are bit-identical to ObjectiveStable's (so exact-mode
-// trajectories are unchanged when multi-fidelity is off), while fidelity
-// f ∈ (0, 1) runs the deterministically shorter, noisier simulation (see
+// measurements are ObjectiveStable's (so exact-mode trajectories are
+// unchanged when multi-fidelity is off), while fidelity f ∈ (0, 1) runs
+// the deterministically shorter, noisier simulation (see
 // Options.Fidelity). Safe for concurrent use and independent of call
 // order, like ObjectiveStable.
 func (c *Cluster) ObjectiveStableAt(mix tpcw.Mix) search.FidelityObjective {
 	return search.FidelityObjectiveFunc(func(cfg search.Config, fidelity float64) float64 {
-		opts := c.opts
-		opts.Seed = c.opts.Seed*1315423911 + contentHash(cfg)
-		if !search.FullFidelity(fidelity) {
-			opts.Fidelity = fidelity
-		}
-		res, err := NewCluster(opts).Run(cfg, mix)
-		if err != nil {
-			panic(err) // the space is fixed; a bad config is a bug
-		}
-		return res.WIPS
+		return c.measure(cfg, mix, c.stableSeed(cfg), fidelity, 1)
 	})
+}
+
+// measure is the objective adapters' one measurement path: it runs cfg
+// serving mix on a throwaway cluster with c's options, except that the
+// seed is replaced, a reduced fidelity replaces the cluster's own, and the
+// browser population is scaled by load. It returns the run's WIPS.
+func (c *Cluster) measure(cfg search.Config, mix tpcw.Mix, seed uint64, fidelity, load float64) float64 {
+	opts := c.opts
+	opts.Seed = seed
+	if !search.FullFidelity(fidelity) {
+		opts.Fidelity = fidelity
+	}
+	if load != 1 {
+		opts.Browsers = int(float64(opts.Browsers)*load + 0.5)
+	}
+	res, err := NewCluster(opts).Run(cfg, mix)
+	if err != nil {
+		panic(err) // the space is fixed; a bad config is a bug
+	}
+	return res.WIPS
+}
+
+// stableSeed is ObjectiveStable's per-configuration measurement seed.
+func (c *Cluster) stableSeed(cfg search.Config) uint64 {
+	return c.opts.Seed*1315423911 + contentHash(cfg)
 }
 
 // contentHash is the FNV-1a hash of the configuration values that derives
@@ -328,9 +332,10 @@ type simulation struct {
 	rng     *stats.RNG
 
 	sched scheduler
-	proxy *station
-	app   *station
-	db    *station
+	reqs  []request // one slot per browser, indexed by browser
+	proxy station
+	app   station
+	db    station
 
 	delayedBusy int // occupied delayed-write slots
 
@@ -342,16 +347,22 @@ type simulation struct {
 	swapProxy  float64 // cached penalty multipliers
 	thrashApp  float64
 	swapDB     float64
-	contention float64 // recomputed per dispatch
+	capFactor  float64 // share of cacheable objects the proxy cache holds
 }
 
 func (s *simulation) run() Result {
 	s.sampler = s.mix.Sampler() // hoist the per-draw normalization
-	s.proxy = newStation("proxy", proxyServers, s.cfg.httpAccept)
-	s.app = newStation("app", s.cfg.ajpWorkers, s.cfg.ajpAccept)
-	s.db = newStation("db", s.cfg.dbConns, 4*s.cfg.dbConns+16)
+	n := max(s.opts.Browsers, 0)
+	s.reqs = make([]request, n)
+	// At most one issue, timeout or service-done event per browser is
+	// pending, plus one drain per occupied delayed-write slot.
+	s.sched.events = make([]event, 0, n+max(s.cfg.delayedQ, 0))
+	s.proxy = newStation(proxyServers, s.cfg.httpAccept, n)
+	s.app = newStation(s.cfg.ajpWorkers, s.cfg.ajpAccept, n)
+	s.db = newStation(s.cfg.dbConns, 4*s.cfg.dbConns+16, n)
 
 	// Static penalty multipliers derived from the configuration.
+	s.capFactor = 1 - math.Exp(-float64(s.cfg.cacheMemMB)/cacheMemTauMB)
 	s.swapProxy = 1 + swapOver(float64(s.cfg.cacheMemMB), proxyRAMCapMB)
 	w := float64(s.cfg.ajpWorkers)
 	over := (w - appWorkerKneeN) / appThrashScale
@@ -366,7 +377,7 @@ func (s *simulation) run() Result {
 
 	// Stagger the browsers' first requests across one think period.
 	for b := 0; b < s.opts.Browsers; b++ {
-		s.sched.schedule(s.rng.Uniform(0, s.opts.ThinkMean), evIssue, &request{browser: b}, nil)
+		s.sched.schedule(s.rng.Uniform(0, s.opts.ThinkMean), evIssue, b)
 	}
 
 	for {
@@ -374,15 +385,16 @@ func (s *simulation) run() Result {
 		if !ok || s.sched.now > s.opts.Duration {
 			break
 		}
+		b := int(ev.browser)
 		switch ev.kind {
 		case evIssue:
-			s.issue(ev.req.browser)
+			s.issue(b)
 		case evDone:
-			s.finishService(ev.req, ev.st)
+			s.finishService(b)
 		case evDrain:
 			s.delayedBusy--
 		case evTimeout:
-			s.thinkNext(ev.req.browser)
+			s.thinkNext(b)
 		}
 	}
 
@@ -415,31 +427,29 @@ func swapOver(used, cap float64) float64 {
 
 // issue has browser b start a fresh web interaction at the proxy.
 func (s *simulation) issue(b int) {
-	r := &request{
-		browser:  b,
-		inter:    s.sampler.Sample(s.rng),
-		issuedAt: s.sched.now,
-	}
-	admitted, started := s.proxy.offer(s.sched.now, r)
+	s.reqs[b] = request{inter: s.sampler.Sample(s.rng), issuedAt: s.sched.now}
+	admitted, started := s.proxy.offer(s.sched.now, b)
 	if !admitted {
-		s.drop(r)
+		s.drop(b)
 		return
 	}
 	if started {
-		s.startProxy(r)
+		s.startProxy(b)
 	}
 }
 
-// startProxy dispatches proxy service for r: either a cache hit (respond
-// directly) or a miss (forward to the app tier afterwards).
-func (s *simulation) startProxy(r *request) {
+// startProxy dispatches proxy service for browser b's request: either a
+// cache hit (respond directly) or a miss (forward to the app tier
+// afterwards).
+func (s *simulation) startProxy(b int) {
+	r := &s.reqs[b]
 	p := tpcw.ProfileOf(r.inter)
 	hit := false
 	if p.Cacheable > 0 && p.ResultKB >= float64(s.cfg.minObjKB) {
-		capFactor := 1 - math.Exp(-float64(s.cfg.cacheMemMB)/cacheMemTauMB)
-		hit = s.rng.Float64() < p.Cacheable*capFactor
+		hit = s.rng.Float64() < p.Cacheable*s.capFactor
 	}
 	st := proxyHandleS * s.swapProxy
+	r.stage = 0
 	if hit {
 		s.cacheHits++
 		st += p.ResultKB * proxyHitPerKBS * s.swapProxy
@@ -448,77 +458,80 @@ func (s *simulation) startProxy(r *request) {
 			st += proxyDiskHitS
 		}
 		r.stage = -1 // respond directly after proxy service
-		s.sched.schedule(st, evDone, r, s.proxy)
-		return
 	}
-	r.stage = 0
-	s.sched.schedule(st, evDone, r, s.proxy)
+	s.sched.schedule(st, evDone, b)
 }
 
-// finishService routes a request onward when a station completes it.
-func (s *simulation) finishService(r *request, st *station) {
+// finishService routes browser b's request onward when the station
+// serving it, named by the request's stage, completes it.
+func (s *simulation) finishService(b int) {
+	stage := s.reqs[b].stage
 	// Free the server and pull the next queued request into service.
-	if next, ok := st.release(s.sched.now); ok {
-		switch st {
-		case s.proxy:
+	switch stage {
+	case -1, 0:
+		if next, ok := s.proxy.release(s.sched.now); ok {
 			s.startProxy(next)
-		case s.app:
+		}
+	case 1:
+		if next, ok := s.app.release(s.sched.now); ok {
 			s.startApp(next)
-		case s.db:
+		}
+	case 2:
+		if next, ok := s.db.release(s.sched.now); ok {
 			s.startDB(next)
 		}
 	}
-	switch {
-	case st == s.proxy && r.stage == -1:
-		s.respond(r) // cache hit
-	case st == s.proxy:
-		s.forward(r, s.app)
-	case st == s.app:
-		p := tpcw.ProfileOf(r.inter)
+	switch stage {
+	case -1:
+		s.respond(b) // cache hit
+	case 0:
+		s.forward(b, &s.app)
+	case 1:
+		p := tpcw.ProfileOf(s.reqs[b].inter)
 		if !p.StaticOnly && (p.DBRead > 0 || p.DBWrite > 0) {
-			s.forward(r, s.db)
+			s.forward(b, &s.db)
 		} else {
-			s.respond(r)
+			s.respond(b)
 		}
-	case st == s.db:
-		s.respond(r)
+	case 2:
+		s.respond(b)
 	}
 }
 
-// forward hands a request to the next tier, dropping it when that tier's
-// accept queue is full.
-func (s *simulation) forward(r *request, to *station) {
-	admitted, started := to.offer(s.sched.now, r)
+// forward hands browser b's request to the next tier, dropping it when
+// that tier's accept queue is full.
+func (s *simulation) forward(b int, to *station) {
+	admitted, started := to.offer(s.sched.now, b)
 	if !admitted {
-		s.drop(r)
+		s.drop(b)
 		return
 	}
 	if !started {
 		return
 	}
-	if to == s.app {
-		s.startApp(r)
+	if to == &s.app {
+		s.startApp(b)
 	} else {
-		s.startDB(r)
+		s.startDB(b)
 	}
 }
 
 // startApp dispatches application-server service.
-func (s *simulation) startApp(r *request) {
-	p := tpcw.ProfileOf(r.inter)
+func (s *simulation) startApp(b int) {
+	p := tpcw.ProfileOf(s.reqs[b].inter)
 	st := (appBaseS + appPerCPUS*p.CPU) * s.thrashApp
 	// Response streaming: resultKB/bufKB buffer flushes plus buffer cost.
 	buf := float64(s.cfg.httpBufKB)
 	st += p.ResultKB / buf * appFlushPerKBS
 	st += buf * appPerBufKBS
-	r.stage = 1
-	s.sched.schedule(st, evDone, r, s.app)
+	s.reqs[b].stage = 1
+	s.sched.schedule(st, evDone, b)
 }
 
 // startDB dispatches database service. Service time depends on the number
 // of busy connections at dispatch (lock and scheduler contention).
-func (s *simulation) startDB(r *request) {
-	p := tpcw.ProfileOf(r.inter)
+func (s *simulation) startDB(b int) {
+	p := tpcw.ProfileOf(s.reqs[b].inter)
 	busy := float64(s.db.busy)
 	over := (busy - dbConnKneeN) / dbConnScale
 	if over < 0 {
@@ -536,38 +549,38 @@ func (s *simulation) startDB(r *request) {
 		if s.delayedBusy < s.cfg.delayedQ {
 			// Asynchronous write through the delayed queue.
 			s.delayedBusy++
-			r.asyncSlot = true
 			st += dbAsyncWriteS * p.DBWrite * mult
-			s.sched.schedule(st+dbDrainHoldS*p.DBWrite, evDrain, r, nil)
+			s.sched.schedule(st+dbDrainHoldS*p.DBWrite, evDrain, -1)
 		} else {
 			st += dbSyncWriteS * p.DBWrite * mult
 		}
 	}
-	r.stage = 2
-	s.sched.schedule(st, evDone, r, s.db)
+	s.reqs[b].stage = 2
+	s.sched.schedule(st, evDone, b)
 }
 
-// respond completes the interaction and schedules the browser's next one.
-func (s *simulation) respond(r *request) {
+// respond completes browser b's interaction and schedules its next one.
+func (s *simulation) respond(b int) {
 	if s.sched.now >= s.opts.Warmup {
 		s.completed++
-		if r.inter.IsOrder() {
+		if s.reqs[b].inter.IsOrder() {
 			s.completedO++
 		}
-		s.respSum += s.sched.now - r.issuedAt
+		s.respSum += s.sched.now - s.reqs[b].issuedAt
 	}
-	s.thinkNext(r.browser)
+	s.thinkNext(b)
 }
 
-// drop rejects the interaction; the browser waits out a timeout first.
-func (s *simulation) drop(r *request) {
+// drop rejects browser b's interaction; the browser waits out a timeout
+// first.
+func (s *simulation) drop(b int) {
 	if s.sched.now >= s.opts.Warmup {
 		s.dropped++
 	}
-	s.sched.schedule(dropTimeoutS, evTimeout, &request{browser: r.browser}, nil)
+	s.sched.schedule(dropTimeoutS, evTimeout, b)
 }
 
 // thinkNext schedules browser b's next interaction after a think pause.
 func (s *simulation) thinkNext(b int) {
-	s.sched.schedule(s.rng.Exp(s.opts.ThinkMean), evIssue, &request{browser: b}, nil)
+	s.sched.schedule(s.rng.Exp(s.opts.ThinkMean), evIssue, b)
 }

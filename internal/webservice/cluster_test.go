@@ -1,6 +1,7 @@
 package webservice
 
 import (
+	"fmt"
 	"testing"
 
 	"harmony/internal/search"
@@ -339,5 +340,44 @@ func TestBrowsingHasMoreCacheHitsThanOrdering(t *testing.T) {
 	or, _ := NewCluster(fastOpts(37)).Run(s.DefaultConfig(), tpcw.Ordering)
 	if br.CacheHits <= or.CacheHits {
 		t.Errorf("browsing cache hits %d <= ordering %d", br.CacheHits, or.CacheHits)
+	}
+}
+
+func TestRunAllocationsIndependentOfHorizon(t *testing.T) {
+	// A run allocates its state once: request slots, event heap and
+	// station queues are sized from the browser count, so a longer
+	// horizon costs time, never allocations.
+	cfg := Space().DefaultConfig()
+	allocs := func(duration float64) float64 {
+		c := NewCluster(Options{Duration: duration, Seed: 3})
+		return testing.AllocsPerRun(5, func() {
+			if _, err := c.Run(cfg, tpcw.Shopping); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(60), allocs(240)
+	if long > short {
+		t.Errorf("a 240-s run allocates %v objects, a 60-s run %v: allocations grow with the horizon", long, short)
+	}
+	if long > 32 {
+		t.Errorf("a 240-s run allocates %v objects, want at most 32", long)
+	}
+}
+
+// BenchmarkRun measures one 60-s simulated run of the default
+// configuration under the shopping mix, at full and at quarter fidelity.
+func BenchmarkRun(b *testing.B) {
+	cfg := Space().DefaultConfig()
+	for _, f := range []float64{1, 0.25} {
+		b.Run(fmt.Sprintf("fidelity=%v", f), func(b *testing.B) {
+			c := NewCluster(Options{Duration: 60, Seed: 1, Fidelity: f})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Run(cfg, tpcw.Shopping); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -65,15 +65,6 @@ func (c *Cluster) RunSchedule(cfg search.Config, sched *tpcw.Schedule, t float64
 func (c *Cluster) ScheduleObjective(sched *tpcw.Schedule, clock *MeasureClock) search.Objective {
 	return search.ObjectiveFunc(func(cfg search.Config) float64 {
 		t := clock.tick()
-		opts := c.opts
-		opts.Seed = c.opts.Seed*1315423911 + contentHash(cfg)
-		if load := sched.LoadAt(t); load != 1 {
-			opts.Browsers = int(float64(opts.Browsers)*load + 0.5)
-		}
-		res, err := NewCluster(opts).Run(cfg, sched.MixAt(t))
-		if err != nil {
-			panic(err) // the space is fixed; a bad config is a bug
-		}
-		return res.WIPS
+		return c.measure(cfg, sched.MixAt(t), c.stableSeed(cfg), 1, sched.LoadAt(t))
 	})
 }

@@ -15,159 +15,134 @@
 //   - run-to-run measurement noise from the stochastic request stream.
 //
 // The file engine.go holds the generic discrete-event machinery: an event
-// heap and bounded-queue multi-server stations.
+// heap and bounded-queue multi-server stations. Neither allocates after a
+// run starts: an event names a browser, not a request object (each browser
+// owns one request slot, see simulation.reqs), the heap is sized once per
+// run and station queues are ring buffers of browser indices.
 package webservice
 
 // eventKind discriminates simulation events.
-type eventKind int
+type eventKind uint8
 
 const (
 	evIssue   eventKind = iota // an emulated browser issues its next request
-	evDone                     // a station finished serving a request
+	evDone                     // a station finished serving a browser's request
 	evDrain                    // the database delayed-write queue drains one slot
 	evTimeout                  // a dropped request's browser gives up waiting
 )
 
-// event is one scheduled occurrence.
+// event is one scheduled occurrence. It is pointer-free, so the heap moves
+// whole events with plain copies and the GC never scans it.
 type event struct {
-	at   float64
-	kind eventKind
-	req  *request
-	st   *station
-	seq  int // tie-breaker for deterministic ordering
+	at      float64
+	seq     int32 // tie-breaker for deterministic ordering
+	browser int32 // whose request the event concerns; unused by evDrain
+	kind    eventKind
 }
 
-// eventKey is the heap's ordering record: pointer-free, so sift swaps are
-// plain memmoves with no GC write barriers. slot indexes the payload arena.
-type eventKey struct {
-	at   float64
-	seq  int32
-	slot int32
-}
-
-func keyLess(a, b eventKey) bool {
+func (a *event) before(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// eventPayload carries the pointerful half of an event, written once at
-// schedule time and read once at pop time — never moved by the heap.
-type eventPayload struct {
-	kind eventKind
-	req  *request
-	st   *station
-}
-
-// scheduler owns the clock and event queue. The queue is a hand-rolled
-// 4-ary min-heap over pointer-free keys with payloads parked in a
-// slot-recycling arena. The simulation schedules one event per request
-// hop, so this is the hottest path of every measurement: the previous
-// container/heap of *event spent about half of each simulated minute on
-// pointer-chasing comparisons, per-event allocations, interface boxing and
-// GC write barriers. Because seq is unique the (at, seq) order is total,
-// so the popped sequence — and therefore every simulation result — is
-// identical to any other correct priority queue's.
+// scheduler owns the clock and event queue: a hand-rolled 4-ary min-heap
+// of events ordered by (at, seq). The simulation schedules one event per
+// request hop, so this is the hottest path of every measurement. Because
+// seq is unique the order is total, so the popped sequence — and therefore
+// every simulation result — is identical to any other correct priority
+// queue's, whatever the heap's layout or growth.
 type scheduler struct {
-	now  float64
-	keys []eventKey
-	pay  []eventPayload
-	free []int32
-	seq  int32
+	now    float64
+	events []event
+	seq    int32
 }
 
-func (s *scheduler) schedule(delay float64, kind eventKind, req *request, st *station) {
+func (s *scheduler) schedule(delay float64, kind eventKind, browser int) {
 	if delay < 0 {
 		delay = 0
 	}
 	s.seq++
-	var slot int32
-	if n := len(s.free); n > 0 {
-		slot, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		slot = int32(len(s.pay))
-		s.pay = append(s.pay, eventPayload{})
-	}
-	s.pay[slot] = eventPayload{kind: kind, req: req, st: st}
+	ev := event{at: s.now + delay, seq: s.seq, browser: int32(browser), kind: kind}
 
-	// Sift up.
-	keys := append(s.keys, eventKey{at: s.now + delay, seq: s.seq, slot: slot})
-	for i := len(keys) - 1; i > 0; {
+	// Sift up: move parents down into the hole until ev fits.
+	events := append(s.events, ev)
+	i := len(events) - 1
+	for i > 0 {
 		p := (i - 1) / 4
-		if !keyLess(keys[i], keys[p]) {
+		if !ev.before(&events[p]) {
 			break
 		}
-		keys[i], keys[p] = keys[p], keys[i]
+		events[i] = events[p]
 		i = p
 	}
-	s.keys = keys
+	events[i] = ev
+	s.events = events
 }
 
 func (s *scheduler) next() (event, bool) {
-	keys := s.keys
-	if len(keys) == 0 {
+	events := s.events
+	if len(events) == 0 {
 		return event{}, false
 	}
-	top := keys[0]
-	n := len(keys) - 1
-	keys[0] = keys[n]
-	keys = keys[:n]
+	top := events[0]
+	n := len(events) - 1
+	last := events[n]
+	events = events[:n]
 
-	// Sift down (4-ary: shallower trees mean fewer swaps per pop).
-	for i := 0; ; {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
+	// Sift down (4-ary: shallower trees mean fewer moves per pop): move
+	// the least child up into the hole until last fits.
+	i := 0
+	for c := 1; c < n; c = 4*i + 1 {
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if keyLess(keys[j], keys[m]) {
+		for j := c + 1; j < min(c+4, n); j++ {
+			if events[j].before(&events[m]) {
 				m = j
 			}
 		}
-		if !keyLess(keys[m], keys[i]) {
+		if !events[m].before(&last) {
 			break
 		}
-		keys[i], keys[m] = keys[m], keys[i]
+		events[i] = events[m]
 		i = m
 	}
-	s.keys = keys
-
-	p := s.pay[top.slot]
-	s.pay[top.slot] = eventPayload{} // release the pointers for the GC
-	s.free = append(s.free, top.slot)
+	if n > 0 {
+		events[i] = last
+	}
+	s.events = events
 	s.now = top.at
-	return event{at: top.at, kind: p.kind, req: p.req, st: p.st, seq: int(top.seq)}, true
+	return top, true
 }
 
-// station is a multi-server queueing station with a bounded FIFO queue.
-// Service times are chosen by the caller at dispatch time, so they can
-// depend on instantaneous load (thrashing, lock contention).
+// station is a multi-server queueing station with a bounded FIFO queue of
+// waiting browsers. Service times are chosen by the caller at dispatch
+// time, so they can depend on instantaneous load (thrashing, lock
+// contention).
 type station struct {
-	name     string
 	servers  int
 	queueCap int
 	busy     int
-	queue    []*request
-	// Drops counts arrivals rejected because the queue was full.
-	drops int
+	// ring holds the queued browsers in arrival order, head first.
+	ring   []int32
+	head   int
+	queued int
 	// busyTime accumulates server-seconds for utilization reporting.
 	busyTime  float64
 	lastStamp float64
 }
 
 // newStation builds a station; servers is clamped to at least 1 and a
-// negative queueCap means unbounded.
-func newStation(name string, servers, queueCap int) *station {
+// negative queueCap means unbounded. The queue is sized for depth waiting
+// browsers (capped at queueCap) and grows only past that.
+func newStation(servers, queueCap, depth int) station {
 	if servers < 1 {
 		servers = 1
 	}
-	return &station{name: name, servers: servers, queueCap: queueCap}
+	if queueCap >= 0 && queueCap < depth {
+		depth = queueCap
+	}
+	return station{servers: servers, queueCap: queueCap, ring: make([]int32, depth)}
 }
 
 // stamp updates the utilization integral up to time now.
@@ -176,36 +151,52 @@ func (st *station) stamp(now float64) {
 	st.lastStamp = now
 }
 
-// offer presents a request to the station. It returns:
+// offer presents browser b's request to the station. It returns:
 //
 //	admitted == true, started == true  — a server was free, serve now
 //	admitted == true, started == false — queued
 //	admitted == false                  — queue full, dropped
-func (st *station) offer(now float64, r *request) (admitted, started bool) {
+func (st *station) offer(now float64, b int) (admitted, started bool) {
 	st.stamp(now)
 	if st.busy < st.servers {
 		st.busy++
 		return true, true
 	}
-	if st.queueCap >= 0 && len(st.queue) >= st.queueCap {
-		st.drops++
+	if st.queueCap >= 0 && st.queued >= st.queueCap {
 		return false, false
 	}
-	st.queue = append(st.queue, r)
+	if st.queued == len(st.ring) {
+		// Full ring: unroll it into one twice the size.
+		grown := make([]int32, max(2*len(st.ring), 4))
+		k := copy(grown, st.ring[st.head:])
+		copy(grown[k:], st.ring[:st.head])
+		st.ring, st.head = grown, 0
+	}
+	tail := st.head + st.queued
+	if tail >= len(st.ring) {
+		tail -= len(st.ring)
+	}
+	st.ring[tail] = int32(b)
+	st.queued++
 	return true, false
 }
 
-// release frees a server and pops the next queued request, if any.
-func (st *station) release(now float64) (*request, bool) {
+// release frees a server and starts the next queued browser's request, if
+// any, returning that browser.
+func (st *station) release(now float64) (int, bool) {
 	st.stamp(now)
 	st.busy--
-	if len(st.queue) == 0 {
-		return nil, false
+	if st.queued == 0 {
+		return 0, false
 	}
-	r := st.queue[0]
-	st.queue = st.queue[1:]
+	b := st.ring[st.head]
+	st.head++
+	if st.head == len(st.ring) {
+		st.head = 0
+	}
+	st.queued--
 	st.busy++
-	return r, true
+	return int(b), true
 }
 
 // utilization returns mean busy servers over the horizon.
