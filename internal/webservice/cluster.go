@@ -356,7 +356,7 @@ func (s *simulation) run() Result {
 	s.reqs = make([]request, n)
 	// At most one issue, timeout or service-done event per browser is
 	// pending, plus one drain per occupied delayed-write slot.
-	s.sched.events = make([]event, 0, n+max(s.cfg.delayedQ, 0))
+	s.sched.reserve(n + max(s.cfg.delayedQ, 0))
 	s.proxy = newStation(proxyServers, s.cfg.httpAccept, n)
 	s.app = newStation(s.cfg.ajpWorkers, s.cfg.ajpAccept, n)
 	s.db = newStation(s.cfg.dbConns, 4*s.cfg.dbConns+16, n)

@@ -344,9 +344,9 @@ func TestBrowsingHasMoreCacheHitsThanOrdering(t *testing.T) {
 }
 
 func TestRunAllocationsIndependentOfHorizon(t *testing.T) {
-	// A run allocates its state once: request slots, event heap and
-	// station queues are sized from the browser count, so a longer
-	// horizon costs time, never allocations.
+	// A run allocates its state once: request slots, the scheduler's
+	// node slab and station queues are sized from the browser count, so
+	// a longer horizon costs time, never allocations.
 	cfg := Space().DefaultConfig()
 	allocs := func(duration float64) float64 {
 		c := NewCluster(Options{Duration: duration, Seed: 3})
@@ -360,8 +360,8 @@ func TestRunAllocationsIndependentOfHorizon(t *testing.T) {
 	if long > short {
 		t.Errorf("a 240-s run allocates %v objects, a 60-s run %v: allocations grow with the horizon", long, short)
 	}
-	if long > 32 {
-		t.Errorf("a 240-s run allocates %v objects, want at most 32", long)
+	if long > 8 {
+		t.Errorf("a 240-s run allocates %v objects, want at most 8", long)
 	}
 }
 

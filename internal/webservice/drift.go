@@ -42,19 +42,6 @@ func (k *MeasureClock) tick() float64 {
 	return t
 }
 
-// RunSchedule simulates the cluster under cfg serving the schedule's state
-// at time t: the effective (possibly mid-ramp) mix, with the browser
-// population scaled by any active flash crowd. Deterministic in (cfg,
-// sched, t, opts.Seed) like Run; for a stationary schedule it is
-// bit-identical to Run(cfg, mix).
-func (c *Cluster) RunSchedule(cfg search.Config, sched *tpcw.Schedule, t float64) (Result, error) {
-	cl := *c
-	if load := sched.LoadAt(t); load != 1 {
-		cl.opts.Browsers = int(float64(cl.opts.Browsers)*load + 0.5)
-	}
-	return cl.Run(cfg, sched.MixAt(t))
-}
-
 // ScheduleObjective adapts the cluster to a drifting workload: each
 // measurement observes the schedule at the clock's current virtual time
 // and charges the clock one measurement horizon. Per-configuration

@@ -1,6 +1,7 @@
 package webservice
 
 import (
+	"math"
 	"testing"
 
 	"harmony/internal/stats"
@@ -47,22 +48,27 @@ func TestSchedulerClampsNegativeDelay(t *testing.T) {
 }
 
 // TestSchedulerMatchesReferenceOrder interleaves schedules and pops at
-// random, with many equal times and some negative delays, and checks every
-// pop against a linear scan for the least pending (at, seq).
+// random and checks every pop against a linear scan for the least pending
+// (at, seq). The delays cover the calendar's edges: many equal times and
+// some negative delays, delays of one or more whole revolutions (5, 17.3
+// and 100 s against a 4-s revolution), bursts of equal times on both sides
+// of a bucket boundary, and sparse stretches in which one far event is the
+// only one pending, so the pop has to jump across empty revolutions.
 func TestSchedulerMatchesReferenceOrder(t *testing.T) {
 	rng := stats.NewRNG(11)
-	delays := []float64{-1, 0, 0, 0.5, 1, 1, 2, 3.25}
+	delays := []float64{-1, 0, 0, 0.5, 1, 1, 2, 3.25, 5, 17.3, 100}
+	far := []float64{5, 17.3, 100}
 	var s scheduler
 	var pending []event
+	id := int32(0)
+	push := func(d float64) {
+		id++
+		s.schedule(d, eventKind(rng.Intn(4)), int(id))
+		pending = append(pending, event{at: s.now + max(d, 0), seq: s.seq, browser: id})
+	}
 	popped := 0
-	for step := 0; step < 20000; step++ {
-		if len(pending) == 0 || rng.Intn(5) < 3 {
-			d := delays[rng.Intn(len(delays))]
-			id := int32(step)
-			s.schedule(d, eventKind(rng.Intn(4)), int(id))
-			pending = append(pending, event{at: s.now + max(d, 0), seq: s.seq, browser: id})
-			continue
-		}
+	pop := func() {
+		t.Helper()
 		least := 0
 		for i, ev := range pending {
 			if l := pending[least]; ev.at < l.at || ev.at == l.at && ev.seq < l.seq {
@@ -80,17 +86,39 @@ func TestSchedulerMatchesReferenceOrder(t *testing.T) {
 		}
 		popped++
 	}
-	for len(pending) > 0 {
-		if _, ok := s.next(); !ok {
-			t.Fatalf("heap ran dry with %d events pending", len(pending))
+
+	bursts, sparse := 0, 0
+	for round := 0; round < 10; round++ {
+		for step := 0; step < 2000; step++ {
+			switch r := rng.Intn(20); {
+			case r == 0:
+				// A burst of equal times just below and exactly on a
+				// bucket boundary, interleaved in schedule order.
+				edge := (math.Floor(s.now*calPerSecond) + 1 + float64(rng.Intn(3))) / calPerSecond
+				for k := 0; k < 6; k++ {
+					push(edge - s.now - float64(k%2)/(16*calPerSecond))
+				}
+				bursts++
+			case len(pending) == 0 || r < 12:
+				push(delays[rng.Intn(len(delays))])
+			default:
+				pop()
+			}
 		}
-		pending = pending[1:]
+		for len(pending) > 0 {
+			pop()
+		}
+		for k := 0; k < 3; k++ {
+			push(far[rng.Intn(len(far))])
+			pop()
+			sparse++
+		}
 	}
 	if _, ok := s.next(); ok {
-		t.Fatal("heap popped more events than were scheduled")
+		t.Fatal("scheduler popped more events than were scheduled")
 	}
-	if popped < 5000 {
-		t.Fatalf("only %d interleaved pops exercised", popped)
+	if popped < 10000 || bursts < 100 || sparse < 30 {
+		t.Fatalf("exercised only %d pops, %d boundary bursts and %d sparse pops", popped, bursts, sparse)
 	}
 }
 
@@ -208,5 +236,33 @@ func TestStationUtilization(t *testing.T) {
 	}
 	if got := st.utilization(0); got != 0 {
 		t.Errorf("utilization over zero horizon = %v, want 0", got)
+	}
+}
+
+// BenchmarkScheduler measures one schedule and one pop at the simulator's
+// steady state: about 140 pending events, one in four a think pause
+// (exponential, mean 1 s) and the rest service hops (exponential, mean
+// 50 ms). The delays are drawn before the timer starts.
+func BenchmarkScheduler(b *testing.B) {
+	const pendingEvents = 140
+	rng := stats.NewRNG(1)
+	delays := make([]float64, 4096)
+	for i := range delays {
+		if i%4 == 0 {
+			delays[i] = rng.Exp(1)
+		} else {
+			delays[i] = rng.Exp(0.05)
+		}
+	}
+	var s scheduler
+	s.reserve(pendingEvents)
+	for i := 0; i < pendingEvents; i++ {
+		s.schedule(delays[i], evIssue, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev, _ := s.next()
+		s.schedule(delays[i&(len(delays)-1)], evDone, int(ev.browser))
 	}
 }

@@ -58,7 +58,8 @@ func goldenCase(i int, rng *stats.RNG) (Options, search.Config, tpcw.Mix) {
 		opts.Duration = 60 // else the default 120-s horizon
 	}
 	if i%8 == 3 {
-		// A flash crowd's population, scaled the way RunSchedule does.
+		// A flash crowd's population, scaled the way Cluster.measure
+		// scales it.
 		opts.Browsers = int(130*(1+rng.Float64()) + 0.5)
 	}
 	return opts, cfg, mix
