@@ -51,8 +51,9 @@ func warmWebStore(b *testing.B, dir string) {
 	}
 }
 
-// BenchmarkOpen times recovery of the warm-web-shaped store: decode the
-// snapshot, replay the WAL tail, reopen the log.
+// BenchmarkOpen times recovery of the warm-web-shaped store: validate the
+// snapshot, leaving its namespaces cold, replay the WAL tail, reopen the
+// log.
 func BenchmarkOpen(b *testing.B) {
 	dir := b.TempDir()
 	warmWebStore(b, dir)
@@ -71,6 +72,44 @@ func BenchmarkOpen(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
+	}
+}
+
+// BenchmarkFirstTouch times the decode Open defers: the first Match on a
+// cold namespace of the warm-web-shaped store (25 experiences), which
+// decodes the namespace and builds its index.
+func BenchmarkFirstTouch(b *testing.B) {
+	dir := b.TempDir()
+	warmWebStore(b, dir)
+	chars := make([]float64, 14)
+	keys := make([]string, 40)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("filler-%02d/0123456789abcdef", i)
+	}
+	var s *Store
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(keys) == 0 { // every filler namespace touched: reopen, all cold again
+			b.StopTimer()
+			if s != nil {
+				if err := s.wal.close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var err error
+			if s, err = Open(Options{Dir: dir, SnapshotEvery: -1}); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, _, ok := s.Match(keys[i%len(keys)], chars); !ok {
+			b.Fatal("Match missed a filler namespace")
+		}
+	}
+	b.StopTimer()
+	if err := s.wal.close(); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -93,39 +93,50 @@ func appendRecordFrame(dst []byte, rec record) ([]byte, error) {
 // payload does not decode stops decoding with an error wrapping
 // errUnknownFormat or errMalformed (see intactButUndecodable).
 func decodeFrames(b []byte) (recs []record, validLen int, err error) {
+	d := decoder{build: true}
 	off := 0
 	for off < len(b) {
-		rest := b[off:]
-		if len(rest) < frameHeaderLen {
-			return recs, off, fmt.Errorf("expdb: torn frame header at offset %d", off)
+		payload, next, ferr := nextFrame(b, off)
+		if ferr != nil {
+			return recs, off, ferr
 		}
-		length, lok := parseHex(rest[:8])
-		sum, sok := parseHex(rest[9:17])
-		if rest[8] != ' ' || rest[17] != ' ' || !lok || !sok {
-			return recs, off, fmt.Errorf("expdb: corrupt frame header at offset %d", off)
-		}
-		if length > maxFramePayload {
-			return recs, off, fmt.Errorf("expdb: frame at offset %d claims %d bytes (limit %d)", off, length, maxFramePayload)
-		}
-		end := frameHeaderLen + int(length)
-		if len(rest) <= end {
-			return recs, off, fmt.Errorf("expdb: torn frame payload at offset %d", off)
-		}
-		payload := rest[frameHeaderLen:end]
-		if rest[end] != '\n' {
-			return recs, off, fmt.Errorf("expdb: frame at offset %d not newline-terminated", off)
-		}
-		if got := crc32.ChecksumIEEE(payload); got != sum {
-			return recs, off, fmt.Errorf("expdb: CRC mismatch at offset %d (stored %08x, computed %08x)", off, sum, got)
-		}
-		rec, derr := decodePayload(payload)
+		rec, derr := d.decode(payload)
 		if derr != nil {
 			return recs, off, fmt.Errorf("expdb: undecodable record at offset %d: %w", off, derr)
 		}
 		recs = append(recs, rec)
-		off += end + 1
+		off = next
 	}
 	return recs, off, nil
+}
+
+// nextFrame checks the frame at b[off:] — header, length, terminator and
+// CRC — and returns its payload and the offset one past the frame.
+func nextFrame(b []byte, off int) (payload []byte, next int, err error) {
+	rest := b[off:]
+	if len(rest) < frameHeaderLen {
+		return nil, off, fmt.Errorf("expdb: torn frame header at offset %d", off)
+	}
+	length, lok := parseHex(rest[:8])
+	sum, sok := parseHex(rest[9:17])
+	if rest[8] != ' ' || rest[17] != ' ' || !lok || !sok {
+		return nil, off, fmt.Errorf("expdb: corrupt frame header at offset %d", off)
+	}
+	if length > maxFramePayload {
+		return nil, off, fmt.Errorf("expdb: frame at offset %d claims %d bytes (limit %d)", off, length, maxFramePayload)
+	}
+	end := frameHeaderLen + int(length)
+	if len(rest) <= end {
+		return nil, off, fmt.Errorf("expdb: torn frame payload at offset %d", off)
+	}
+	payload = rest[frameHeaderLen:end]
+	if rest[end] != '\n' {
+		return nil, off, fmt.Errorf("expdb: frame at offset %d not newline-terminated", off)
+	}
+	if got := crc32.ChecksumIEEE(payload); got != sum {
+		return nil, off, fmt.Errorf("expdb: CRC mismatch at offset %d (stored %08x, computed %08x)", off, sum, got)
+	}
+	return payload, off + end + 1, nil
 }
 
 // intactButUndecodable reports whether decodeFrames stopped at a frame
@@ -175,45 +186,86 @@ const (
 	minRecordLen = 1 + 8 + 1 // dim, perf, seq
 )
 
-// decodePayload parses one payload. It accepts only the canonical encoding
+// decoder parses record payloads. It accepts only the canonical encoding
 // appendPayload produces — minimal varints, no trailing bytes — so every
-// payload it decodes re-encodes to the same bytes.
-func decodePayload(p []byte) (record, error) {
+// payload it decodes re-encodes to the same bytes. It runs in one of two
+// modes that make the same reads and the same checks, so both accept
+// exactly the same payloads: building (build set) returns each experience
+// whole, while validating builds nothing and reports only an experience's
+// key and measurement count — the snapshot walk at Open, which leaves the
+// building to a namespace's first use.
+type decoder struct {
+	build bool
+	// key and label are the last strings decoded. A payload carrying the
+	// same bytes reuses them, so consecutive frames of one namespace share
+	// one key string and the walk allocates one per namespace.
+	key, label string
+}
+
+// decode parses one payload. rec.Count is, on an experience, its number of
+// measurements, in both modes; rec.Exp is set only when building, so a
+// caller of a validating decoder tells the two formats apart by p[0].
+func (d *decoder) decode(p []byte) (rec record, err error) {
 	if len(p) == 0 {
 		return record{}, errMalformed
 	}
 	r := payloadReader{b: p[1:]}
-	var rec record
 	switch p[0] {
 	case formatHorizon:
 		rec.LSN = r.uvarint()
 		rec.Count = r.uvarint()
 	case formatExperience:
 		rec.LSN = r.uvarint()
-		rec.Key = string(r.bytes())
-		e := &history.Experience{Label: string(r.bytes())}
-		if n := r.count(minFloatLen); n > 0 {
-			e.Characteristics = make([]float64, n)
-			for i := range e.Characteristics {
-				e.Characteristics[i] = r.float()
-			}
+		if k := r.bytes(); string(k) != d.key {
+			d.key = string(k)
 		}
-		e.Direction = search.Direction(r.int())
-		if n := r.count(minRecordLen); n > 0 {
-			e.Records = make([]history.ConfigPerf, n)
-			for i := range e.Records {
-				cp := &e.Records[i]
-				if dim := r.count(1); dim > 0 {
-					cp.Config = make(search.Config, dim)
-					for k := range cp.Config {
-						cp.Config[k] = r.int()
-					}
+		rec.Key = d.key
+		label := r.bytes()
+		var chars []float64
+		if n := r.count(minFloatLen); n > 0 && d.build {
+			chars = make([]float64, n)
+			for i := range chars {
+				chars[i] = r.float()
+			}
+		} else {
+			r.skip(n * minFloatLen)
+		}
+		dir := search.Direction(r.int())
+		n := r.count(minRecordLen)
+		rec.Count = uint64(n)
+		var recs []history.ConfigPerf
+		var slab []int
+		if n > 0 && d.build {
+			recs = make([]history.ConfigPerf, n)
+			// Every record spends at least minRecordLen bytes beside its
+			// values and every value at least one, which bounds the values
+			// of a well-formed payload: all of them fit one slab.
+			slab = make([]int, 0, max(len(r.b)-n*minRecordLen, 0))
+		}
+		for i := 0; i < n; i++ {
+			dim := r.count(1)
+			start := len(slab)
+			if recs != nil && dim > cap(slab)-start {
+				r.fail() // past the bound: the payload cannot be well formed
+			}
+			slab = r.ints(dim, slab, recs != nil)
+			perf, seq := r.float(), r.int()
+			if recs != nil {
+				cp := &recs[i]
+				if dim > 0 {
+					// A full slice expression, so an append to one
+					// configuration cannot write into the next.
+					cp.Config = slab[start:len(slab):len(slab)]
 				}
-				cp.Perf = r.float()
-				cp.Seq = r.int()
+				cp.Perf, cp.Seq = perf, seq
 			}
 		}
-		rec.Exp = e
+		if d.build {
+			if string(label) != d.label {
+				d.label = string(label)
+			}
+			rec.Exp = &history.Experience{Label: d.label, Characteristics: chars, Direction: dir, Records: recs}
+		}
 	default:
 		return record{}, fmt.Errorf("%w (format byte 0x%02x)", errUnknownFormat, p[0])
 	}
@@ -228,7 +280,7 @@ func decodePayload(p []byte) (record, error) {
 
 // payloadReader consumes a payload front to back. The first failure
 // sticks: it empties the reader, later reads return zero values, and
-// decodePayload reports it once at the end.
+// decode reports it once at the end.
 type payloadReader struct {
 	b   []byte
 	bad bool
@@ -240,7 +292,17 @@ func (r *payloadReader) fail() {
 
 // uvarint reads a minimal unsigned varint: an overlong encoding (one whose
 // last byte is zero) would decode to the same value but re-encode shorter.
+// A one-byte varint, minimal by construction, takes the inlined fast path.
 func (r *payloadReader) uvarint() uint64 {
+	if len(r.b) == 0 || r.b[0] >= 0x80 {
+		return r.uvarintSlow()
+	}
+	v := r.b[0]
+	r.b = r.b[1:]
+	return uint64(v)
+}
+
+func (r *payloadReader) uvarintSlow() uint64 {
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 || n > 1 && r.b[n-1] == 0 {
 		r.fail()
@@ -251,12 +313,37 @@ func (r *payloadReader) uvarint() uint64 {
 }
 
 // int reads a zigzag varint that fits an int.
-func (r *payloadReader) int() int {
-	u := r.uvarint()
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
+func (r *payloadReader) int() int { return r.zigzag(r.uvarint()) }
+
+// ints reads n zigzag varints that fit an int, appending them to dst when
+// keep is set. It is the configuration values' loop, so it inlines the
+// one-byte fast path of uvarint.
+func (r *payloadReader) ints(n int, dst []int, keep bool) []int {
+	b, i := r.b, 0
+	for ; n > 0; n-- {
+		var u uint64
+		if i < len(b) && b[i] < 0x80 {
+			u = uint64(b[i])
+			i++
+		} else {
+			r.b = b[i:]
+			if u = r.uvarintSlow(); r.bad {
+				return dst
+			}
+			b, i = r.b, 0
+		}
+		if v := r.zigzag(u); keep {
+			dst = append(dst, v)
+		}
 	}
+	r.b = b[i:]
+	return dst
+}
+
+// zigzag decodes a zigzag-encoded value, failing when it does not fit an
+// int.
+func (r *payloadReader) zigzag(u uint64) int {
+	v := int64(u>>1) ^ -int64(u&1)
 	if int64(int(v)) != v {
 		r.fail()
 		return 0
@@ -280,6 +367,15 @@ func (r *payloadReader) bytes() []byte {
 	b := r.b[:n]
 	r.b = r.b[n:]
 	return b
+}
+
+// skip consumes n bytes.
+func (r *payloadReader) skip(n int) {
+	if len(r.b) < n {
+		r.fail()
+		return
+	}
+	r.b = r.b[n:]
 }
 
 func (r *payloadReader) float() float64 {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"harmony/internal/history"
 	"harmony/internal/search"
@@ -102,7 +103,8 @@ func TestCodecCarriesEveryField(t *testing.T) {
 	want := &history.Experience{}
 	n := 0
 	fillEvery(t, reflect.ValueOf(want).Elem(), &n)
-	got, err := decodePayload(appendPayload(nil, record{LSN: 1, Key: "k", Exp: want}))
+	d := decoder{build: true}
+	got, err := d.decode(appendPayload(nil, record{LSN: 1, Key: "k", Exp: want}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +143,21 @@ func fillEvery(t *testing.T, v reflect.Value, n *int) {
 	}
 }
 
+// overlongValue returns an experience payload under key whose one
+// configuration value, 1, is encoded in two bytes instead of one.
+func overlongValue(tb testing.TB, key string) []byte {
+	tb.Helper()
+	p := appendPayload(nil, record{Key: key, Exp: &history.Experience{
+		Records: []history.ConfigPerf{{Config: search.Config{1}}}}})
+	// format, LSN, key length, key, label length, chars, direction,
+	// record count, dim: then the value.
+	i := 3 + len(key) + 5
+	if p[i] != 0x02 {
+		tb.Fatalf("payload %x: no zigzag 1 at offset %d", p, i)
+	}
+	return append(append(append([]byte(nil), p[:i]...), 0x82, 0x00), p[i+1:]...)
+}
+
 // TestDecodeRejectsNonCanonical: overlong varints, trailing bytes and
 // counts beyond the payload are malformed, not silently accepted.
 func TestDecodeRejectsNonCanonical(t *testing.T) {
@@ -148,6 +165,7 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 	for name, p := range map[string][]byte{
 		"empty":          {},
 		"overlong LSN":   {formatHorizon, 0x81, 0x00},
+		"overlong value": overlongValue(t, "k"),
 		"trailing byte":  append(append([]byte(nil), good...), 0),
 		"truncated":      good[:len(good)-1],
 		"huge key len":   {formatExperience, 1, 0xff, 0xff, 0xff, 0xff, 0x0f},
@@ -155,9 +173,31 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 		"JSON":           []byte(`{"lsn":1}`),
 		"unknown format": {0x03, 1},
 	} {
-		if _, err := decodePayload(p); err == nil {
+		d := decoder{build: true}
+		if _, err := d.decode(p); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
+	}
+}
+
+// TestDecodedConfigsDoNotAlias: the building decoder puts an experience's
+// configurations in one slab, yet an append to one configuration must not
+// write into the next, and consecutive records of one key share its
+// string.
+func TestDecodedConfigsDoNotAlias(t *testing.T) {
+	stream := append(frameOf(t, record{Key: "app/x", Exp: mkExp("w", []float64{1}, 3)}),
+		frameOf(t, record{Key: "app/x", Exp: mkExp("w", []float64{2}, 1)})...)
+	recs, _, err := decodeFrames(stream)
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("decoded %d records, err %v", len(recs), err)
+	}
+	r := recs[0].Exp.Records
+	r[0].Config = append(r[0].Config, 99)
+	if want := (search.Config{1, 2}); !r[1].Config.Equal(want) {
+		t.Fatalf("appending to config 0 changed config 1 to %v, want %v", r[1].Config, want)
+	}
+	if unsafe.StringData(recs[0].Key) != unsafe.StringData(recs[1].Key) {
+		t.Fatal("consecutive records of one key decoded two key strings")
 	}
 }
 

@@ -86,7 +86,10 @@ func FuzzWALDecode(f *testing.F) {
 //     allocate gigabytes;
 //  3. any payload that decodes re-encodes to exactly the same bytes: the
 //     decoder accepts only the canonical encoding, so a record has one
-//     byte image and snapshots of identical stores are identical.
+//     byte image and snapshots of identical stores are identical;
+//  4. the validating mode Open walks a snapshot with accepts exactly the
+//     payloads the building mode accepts, and reports the same LSN, key
+//     and count: a frame Open lets through always decodes on first use.
 func FuzzRecordDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(`{"lsn":1,"key":"app/x"}`))
@@ -97,6 +100,7 @@ func FuzzRecordDecode(f *testing.F) {
 	f.Add([]byte{formatExperience, 1, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{formatExperience, 1, 0, 0, 0, 0, 0xff, 0xff, 0x03, 0xff, 0xff, 0x03})
 	f.Add([]byte{formatHorizon, 0x80, 0x00}) // overlong varint
+	f.Add(overlongValue(f, "app/x"))
 
 	f.Fuzz(func(t *testing.T, p []byte) {
 		rec, alloc, err := decodeMeasured(p)
@@ -107,8 +111,19 @@ func FuzzRecordDecode(f *testing.F) {
 				t.Fatalf("decoding %d bytes allocated %d bytes (bound %d)", len(p), again, bound)
 			}
 		}
+		v := decoder{}
+		vrec, verr := v.decode(p)
+		if (verr == nil) != (err == nil) {
+			t.Fatalf("validating decode err %v, building decode err %v", verr, err)
+		}
 		if err != nil {
 			return
+		}
+		if vrec.LSN != rec.LSN || vrec.Key != rec.Key || vrec.Count != rec.Count || vrec.Exp != nil {
+			t.Fatalf("validating decode %+v, building decode %+v", vrec, rec)
+		}
+		if rec.Exp != nil && rec.Count != uint64(len(rec.Exp.Records)) {
+			t.Fatalf("experience with %d records reports count %d", len(rec.Exp.Records), rec.Count)
 		}
 		if again := appendPayload(nil, rec); !bytes.Equal(again, p) {
 			t.Fatalf("decoded payload re-encodes differently:\n in  %x\n out %x", p, again)
@@ -125,7 +140,8 @@ func decodeAllocBound(n int) uint64 { return uint64(24*n + 1024) }
 func decodeMeasured(p []byte) (record, uint64, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	rec, err := decodePayload(p)
+	d := decoder{build: true}
+	rec, err := d.decode(p)
 	runtime.ReadMemStats(&after)
 	return rec, after.TotalAlloc - before.TotalAlloc, err
 }

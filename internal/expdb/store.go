@@ -91,10 +91,64 @@ func (o *Options) fill() {
 }
 
 // namespace is one (app, spec) experience class set plus its lazily built
-// nearest-neighbour index.
+// nearest-neighbour index. A namespace recovered from the snapshot starts
+// cold: it holds its snapshot frames, validated at Open but not decoded,
+// and the counts the validating walk found. Its first use decodes it, once,
+// under its shard's write lock (materialize); it never turns cold again.
 type namespace struct {
-	db  *history.DB
-	cls *IndexedClassifier
+	db  history.DB
+	cls IndexedClassifier
+	// frames are a cold namespace's snapshot frames, verbatim; nil once the
+	// namespace is decoded.
+	frames []byte
+	// exps and recs are a cold namespace's experience and measurement
+	// counts.
+	exps, recs int
+}
+
+// len returns the namespace's experience count, cold or not.
+func (ns *namespace) len() int {
+	if ns.frames != nil {
+		return ns.exps
+	}
+	return ns.db.Len()
+}
+
+// records returns the namespace's measurement count, cold or not.
+func (ns *namespace) records() int {
+	if ns.frames != nil {
+		return ns.recs
+	}
+	n := 0
+	for _, e := range ns.db.Experiences {
+		n += len(e.Records)
+	}
+	return n
+}
+
+// materialize decodes a cold namespace's frames into its experiences; on a
+// decoded namespace it does nothing. The caller holds the shard's write
+// lock. Open validated these frames with the same decoder, so a failure
+// here is a bug in this package, not damage.
+func (ns *namespace) materialize(key string) {
+	if ns.frames == nil {
+		return
+	}
+	d := decoder{build: true, key: key}
+	ns.db.Experiences = make([]*history.Experience, 0, ns.exps)
+	for off := 0; off < len(ns.frames); {
+		payload, next, err := nextFrame(ns.frames, off)
+		var rec record
+		if err == nil {
+			rec, err = d.decode(payload)
+		}
+		if err != nil {
+			panic(fmt.Sprintf("expdb: namespace %q: a snapshot frame validated at Open does not decode: %v", key, err))
+		}
+		ns.db.Add(rec.Exp)
+		off = next
+	}
+	ns.frames = nil
 }
 
 // shard is one lock stripe of the in-memory view.
@@ -193,19 +247,22 @@ func Open(opts Options) (*Store, error) {
 	elapsed := time.Since(start)
 	opts.Metrics.RecoverySeconds.Set(elapsed.Seconds())
 	if recovered > 0 || appliedLSN > 0 {
+		cold := s.coldNamespaces()
 		opts.Logger.Info("expdb: recovered prior-run store",
 			"dir", opts.Dir, "namespaces", s.namespaces.Load(),
+			"cold_namespaces", cold, "materialized_namespaces", s.namespaces.Load()-int64(cold),
 			"experiences", s.experiences.Load(), "wal_records_replayed", recovered,
 			"snapshot_lsn", appliedLSN, "elapsed", elapsed)
 	}
 	return s, nil
 }
 
-// loadSnapshot folds the snapshot at path into the empty view and returns
-// the LSN horizon it covers (0 when there is none). Unlike a WAL tail, a
-// snapshot is published whole by rename, so any bad frame, or fewer or
-// more experience records than its horizon declares, is damage, not an
-// interrupted write: it fails, naming the file.
+// loadSnapshot validates the snapshot at path and leaves each of its
+// namespaces cold in the empty view, returning the LSN horizon it covers (0
+// when there is none). Unlike a WAL tail, a snapshot is published whole by
+// rename, so any bad frame, or fewer or more experience records than its
+// horizon declares, is damage, not an interrupted write: it fails, naming
+// the file.
 func (s *Store) loadSnapshot(path string) (uint64, error) {
 	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -214,30 +271,74 @@ func (s *Store) loadSnapshot(path string) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("expdb: reading snapshot: %w", err)
 	}
-	recs, _, err := decodeFrames(b)
-	switch {
-	case err != nil:
-	case len(recs) == 0 || recs[0].Exp != nil:
-		err = errors.New("no horizon record")
-	case recs[0].Count != uint64(len(recs)-1):
-		err = fmt.Errorf("holds %d experience records, its horizon declares %d", len(recs)-1, recs[0].Count)
-	}
+	horizon, err := s.walkSnapshot(b)
 	if err != nil {
 		return 0, fmt.Errorf("expdb: corrupt snapshot %s: %w", path, err)
 	}
-	var ns *namespace
-	for i, rec := range recs[1:] {
-		if rec.Exp == nil {
-			return 0, fmt.Errorf("expdb: corrupt snapshot %s: record %d is a second horizon", path, i+1)
-		}
-		if ns == nil || rec.Key != recs[i].Key {
-			ns = s.ns(rec.Key, true)
-			ns.cls.Invalidate()
-		}
-		ns.db.Add(rec.Exp)
+	return horizon, nil
+}
+
+// walkSnapshot checks every frame of the snapshot image b — header, CRC,
+// format and canonical payload, with the decoder validating, not building —
+// and the horizon's experience count. It adds one cold namespace per key,
+// holding that key's frames. Each key's frames must form one run, keys in
+// ascending order, and every experience record must carry LSN 0, as
+// Snapshot writes them: a cold namespace's frames are then byte for byte
+// what re-encoding its experiences would write.
+func (s *Store) walkSnapshot(b []byte) (uint64, error) {
+	if len(b) == 0 {
+		return 0, errors.New("no horizon record")
 	}
-	s.experiences.Add(int64(len(recs) - 1))
-	return recs[0].LSN, nil
+	d := decoder{}
+	payload, off, err := nextFrame(b, 0)
+	if err != nil {
+		return 0, err
+	}
+	horizon, err := d.decode(payload)
+	if err != nil {
+		return 0, fmt.Errorf("undecodable record at offset 0: %w", err)
+	}
+	if payload[0] != formatHorizon {
+		return 0, errors.New("no horizon record")
+	}
+	var ns *namespace
+	var key string
+	start, count := off, uint64(0)
+	for off < len(b) {
+		payload, next, err := nextFrame(b, off)
+		if err != nil {
+			return 0, err
+		}
+		rec, err := d.decode(payload)
+		switch {
+		case err != nil:
+			return 0, fmt.Errorf("undecodable record at offset %d: %w", off, err)
+		case payload[0] == formatHorizon:
+			return 0, fmt.Errorf("record %d is a second horizon", count+1)
+		case rec.LSN != 0:
+			return 0, fmt.Errorf("record %d carries LSN %d, not 0", count+1, rec.LSN)
+		}
+		if ns == nil || rec.Key != key {
+			if ns != nil && rec.Key < key {
+				return 0, fmt.Errorf("record %d: key %q out of order", count+1, rec.Key)
+			}
+			key, start = rec.Key, off
+			sh := s.shardFor(key)
+			sh.mu.Lock()
+			ns = s.addNamespace(sh, key)
+			sh.mu.Unlock()
+		}
+		ns.frames = b[start:next:next]
+		ns.exps++
+		ns.recs += int(rec.Count)
+		count++
+		off = next
+	}
+	if count != horizon.Count {
+		return 0, fmt.Errorf("holds %d experience records, its horizon declares %d", count, horizon.Count)
+	}
+	s.experiences.Add(int64(count))
+	return horizon.LSN, nil
 }
 
 // NewMemory returns a Store that keeps everything in memory: the same
@@ -258,25 +359,51 @@ func newStore(opts Options) *Store {
 	return s
 }
 
-// ns returns the namespace for key, creating it when create is set.
-// Returns nil when absent and create is false.
-func (s *Store) ns(key string, create bool) *namespace {
+// addNamespace creates an empty namespace under key. The caller holds
+// sh's write lock and has found no namespace there.
+func (s *Store) addNamespace(sh *shard, key string) *namespace {
+	ns := &namespace{}
+	sh.ns[key] = ns
+	s.namespaces.Add(1)
+	s.opts.Metrics.Namespaces.Inc()
+	return ns
+}
+
+// readNamespace returns key's namespace, decoded first if it was cold, with
+// its shard's read lock held; the caller releases it. The namespace is nil
+// when key has none.
+func (s *Store) readNamespace(key string) (*shard, *namespace) {
 	sh := s.shardFor(key)
 	sh.mu.RLock()
 	ns := sh.ns[key]
+	if ns == nil || ns.frames == nil {
+		return sh, ns
+	}
 	sh.mu.RUnlock()
-	if ns != nil || !create {
-		return ns
-	}
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if ns = sh.ns[key]; ns == nil {
-		ns = &namespace{db: history.NewDB(), cls: &IndexedClassifier{}}
-		sh.ns[key] = ns
-		s.namespaces.Add(1)
-		s.opts.Metrics.Namespaces.Inc()
+	if ns = sh.ns[key]; ns != nil {
+		ns.materialize(key)
 	}
-	return ns
+	sh.mu.Unlock()
+	sh.mu.RLock()
+	// Pruned or re-created meanwhile, it is still not cold: only the
+	// snapshot walk at Open makes cold namespaces.
+	return sh, sh.ns[key]
+}
+
+// coldNamespaces counts the namespaces not yet decoded.
+func (s *Store) coldNamespaces() int {
+	n := 0
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		for _, ns := range sh.ns {
+			if ns.frames != nil {
+				n++
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return n
 }
 
 func (s *Store) shardFor(key string) *shard {
@@ -289,8 +416,12 @@ func (s *Store) shardFor(key string) *shard {
 // namespace when it outgrows CompactAbove.
 func (s *Store) apply(key string, exp *history.Experience) {
 	sh := s.shardFor(key)
-	ns := s.ns(key, true)
 	sh.mu.Lock()
+	ns := sh.ns[key]
+	if ns == nil {
+		ns = s.addNamespace(sh, key)
+	}
+	ns.materialize(key)
 	before := ns.db.Len()
 	ns.db.Add(exp)
 	if s.opts.CompactAbove >= 0 && ns.db.Len() > s.opts.CompactAbove {
@@ -359,14 +490,12 @@ func (s *Store) Match(key string, chars []float64) (*history.Experience, float64
 	if len(chars) == 0 {
 		return nil, 0, false
 	}
-	sh := s.shardFor(key)
-	sh.mu.RLock()
+	sh, ns := s.readNamespace(key)
 	defer sh.mu.RUnlock()
-	ns := sh.ns[key]
 	if ns == nil {
 		return nil, 0, false
 	}
-	an := &history.Analyzer{DB: ns.db, Classifier: ns.cls}
+	an := &history.Analyzer{DB: &ns.db, Classifier: &ns.cls}
 	exp, dist, ok := an.Match(chars)
 	if !ok {
 		return nil, dist, false
@@ -447,7 +576,8 @@ func (s *Store) keys() []string {
 
 // appendNamespace appends one snapshot record per experience under key,
 // holding the key's shard read lock while it encodes, and reports how many
-// it appended. A namespace pruned since it was listed appends nothing.
+// it appended. A cold namespace appends its frames as it holds them. A
+// namespace pruned since it was listed appends nothing.
 func (s *Store) appendNamespace(buf []byte, key string) ([]byte, int, error) {
 	sh := s.shardFor(key)
 	sh.mu.RLock()
@@ -455,6 +585,9 @@ func (s *Store) appendNamespace(buf []byte, key string) ([]byte, int, error) {
 	ns := sh.ns[key]
 	if ns == nil {
 		return buf, 0, nil
+	}
+	if ns.frames != nil {
+		return append(buf, ns.frames...), ns.exps, nil
 	}
 	var err error
 	for _, e := range ns.db.Experiences {
@@ -541,10 +674,9 @@ func (s *Store) Close() error {
 // The evaluation cache's warm fill uses it to hydrate a fresh session with
 // every truth prior runs already paid for.
 func (s *Store) WalkRecords(key string, fn func(cfg search.Config, perf float64)) {
-	sh := s.shardFor(key)
-	sh.mu.RLock()
+	sh, ns := s.readNamespace(key)
 	var recs []history.ConfigPerf
-	if ns := sh.ns[key]; ns != nil {
+	if ns != nil {
 		for _, e := range ns.db.Experiences {
 			recs = append(recs, e.Records...)
 		}
@@ -565,10 +697,8 @@ func (s *Store) WalkRecordsPage(key string, offset, limit int) (page []history.C
 	if offset < 0 {
 		offset = 0
 	}
-	sh := s.shardFor(key)
-	sh.mu.RLock()
+	sh, ns := s.readNamespace(key)
 	defer sh.mu.RUnlock()
-	ns := sh.ns[key]
 	if ns == nil {
 		return nil, 0
 	}
@@ -601,11 +731,7 @@ func (s *Store) Namespaces() []NamespaceInfo {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for key, ns := range sh.ns {
-			info := NamespaceInfo{Key: key, Experiences: ns.db.Len()}
-			for _, e := range ns.db.Experiences {
-				info.Records += len(e.Records)
-			}
-			out = append(out, info)
+			out = append(out, NamespaceInfo{Key: key, Experiences: ns.len(), Records: ns.records()})
 		}
 		sh.mu.RUnlock()
 	}
@@ -627,7 +753,7 @@ func (s *Store) Prune(key string) (int, error) {
 	ns := sh.ns[key]
 	removed := 0
 	if ns != nil {
-		removed = ns.db.Len()
+		removed = ns.len()
 		delete(sh.ns, key)
 		s.namespaces.Add(-1)
 		s.experiences.Add(int64(-removed))
@@ -662,7 +788,7 @@ func (s *Store) NamespaceLen(key string) int {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if ns := sh.ns[key]; ns != nil {
-		return ns.db.Len()
+		return ns.len()
 	}
 	return 0
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -276,6 +277,306 @@ func TestSnapshotsOfIdenticalStoresAreByteIdentical(t *testing.T) {
 	a, b := build([]int{0, 1, 2, 3, 4}), build([]int{4, 2, 0, 3, 1})
 	if !bytes.Equal(a, b) {
 		t.Fatalf("snapshots of identical stores differ (%d vs %d bytes)", len(a), len(b))
+	}
+}
+
+// copyDataDir copies the files of a data directory into a fresh one, so
+// two stores can be opened on the same state without sharing a WAL.
+func copyDataDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	for _, name := range []string{snapshotName, walName} {
+		b, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestLazyOpenMatchesEager: a freshly opened store, whose snapshot
+// namespaces are cold, and one where every namespace has been touched
+// answer every call alike and write byte-identical snapshots, before and
+// after the cold side is touched too.
+func TestLazyOpenMatchesEager(t *testing.T) {
+	src := t.TempDir()
+	s := openTest(t, src, func(o *Options) { o.SnapshotEvery = -1 })
+	keys := []string{"app/a", "app/b", "app/c", "filler/d", "filler/e", "zz/f"}
+	for round := 0; round < 4; round++ {
+		for k, key := range keys {
+			dir := search.Maximize
+			if k%2 == 1 {
+				dir = search.Minimize
+			}
+			chars := []float64{float64(k), float64(round), -0.5 * float64(k*round)}
+			if _, err := s.Deposit(key, fmt.Sprintf("w%d", round%2), chars, dir, trace(k-round, round*7, 1+(k+round)%4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	// A WAL tail into one snapshot namespace and one new namespace: replay
+	// decodes the first and creates the second.
+	for i, key := range []string{"app/b", "new/g", "app/b"} {
+		if _, err := s.Deposit(key, "tail", []float64{9, float64(i), 1}, search.Maximize, trace(i, i, 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.wal.close(); err != nil { // no fold: both opens replay the tail
+		t.Fatal(err)
+	}
+
+	ma, mb := NewMetrics(obs.NewRegistry()), NewMetrics(obs.NewRegistry())
+	lazy := openTest(t, copyDataDir(t, src), func(o *Options) { o.Metrics = ma })
+	defer lazy.Close()
+	eager := openTest(t, copyDataDir(t, src), func(o *Options) { o.Metrics = mb })
+	defer eager.Close()
+	for _, info := range eager.Namespaces() {
+		eager.WalkRecords(info.Key, func(search.Config, float64) {})
+	}
+	if got := eager.coldNamespaces(); got != 0 {
+		t.Fatalf("eager store has %d cold namespaces after touching all", got)
+	}
+	wantCold := len(keys) - 1 // app/b was decoded by the WAL replay
+	if got := lazy.coldNamespaces(); got != wantCold {
+		t.Fatalf("fresh store has %d cold namespaces, want %d", got, wantCold)
+	}
+
+	sameCounts := func(when string) {
+		t.Helper()
+		if a, b := lazy.Len(), eager.Len(); a != b {
+			t.Fatalf("%s: Len %d vs %d", when, a, b)
+		}
+		if a, b := lazy.Namespaces(), eager.Namespaces(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: Namespaces\n lazy  %+v\n eager %+v", when, a, b)
+		}
+		for _, key := range append(keys, "new/g", "missing/x") {
+			if a, b := lazy.NamespaceLen(key), eager.NamespaceLen(key); a != b {
+				t.Fatalf("%s: NamespaceLen(%q) %d vs %d", when, key, a, b)
+			}
+		}
+		if a, b := ma.IndexSize.Value(), mb.IndexSize.Value(); a != b {
+			t.Fatalf("%s: expdb_index_size %v vs %v", when, a, b)
+		}
+		if a, b := ma.Namespaces.Value(), mb.Namespaces.Value(); a != b {
+			t.Fatalf("%s: expdb_namespaces %v vs %v", when, a, b)
+		}
+	}
+	sameSnapshot := func(when string) {
+		t.Helper()
+		if err := lazy.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if err := eager.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		a, err := os.ReadFile(filepath.Join(lazy.opts.Dir, snapshotName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(eager.opts.Dir, snapshotName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: snapshots differ (%d vs %d bytes)", when, len(a), len(b))
+		}
+	}
+
+	sameCounts("cold")
+	sameSnapshot("cold")
+	if got := lazy.coldNamespaces(); got != wantCold {
+		t.Fatalf("counting and snapshotting decoded namespaces: %d cold, want %d", got, wantCold)
+	}
+	ra, errA := lazy.Prune("filler/e")
+	rb, errB := eager.Prune("filler/e")
+	if errA != nil || errB != nil || ra != rb || ra == 0 {
+		t.Fatalf("Prune: lazy %d, %v; eager %d, %v", ra, errA, rb, errB)
+	}
+	sameCounts("pruned")
+	sameSnapshot("pruned") // Prune snapshots too; this compares a second one
+
+	// First touch by each reader in turn, then every reader on every key.
+	type walked struct {
+		Cfg  search.Config
+		Perf float64
+	}
+	walk := func(st *Store, key string) (out []walked) {
+		st.WalkRecords(key, func(cfg search.Config, perf float64) { out = append(out, walked{cfg, perf}) })
+		return out
+	}
+	for i, key := range keys {
+		switch i % 3 {
+		case 0:
+			lazy.Match(key, []float64{0, 0, 0})
+		case 1:
+			walk(lazy, key)
+		case 2:
+			lazy.WalkRecordsPage(key, 0, 0)
+		}
+		for _, q := range [][]float64{{0, 0, 0}, {float64(i), 2, -1}, {5, 3, -7.5}} {
+			ea, da, oka := lazy.Match(key, q)
+			eb, db, okb := eager.Match(key, q)
+			if oka != okb || da != db || !reflect.DeepEqual(ea, eb) {
+				t.Fatalf("Match(%q, %v): lazy %+v %v %v, eager %+v %v %v", key, q, ea, da, oka, eb, db, okb)
+			}
+		}
+		if a, b := walk(lazy, key), walk(eager, key); !reflect.DeepEqual(a, b) {
+			t.Fatalf("WalkRecords(%q): lazy %v, eager %v", key, a, b)
+		}
+		pa, ta := lazy.WalkRecordsPage(key, 1, 3)
+		pb, tb := eager.WalkRecordsPage(key, 1, 3)
+		if ta != tb || !reflect.DeepEqual(pa, pb) {
+			t.Fatalf("WalkRecordsPage(%q): lazy %v/%d, eager %v/%d", key, pa, ta, pb, tb)
+		}
+	}
+	if got := lazy.coldNamespaces(); got != 0 {
+		t.Fatalf("%d namespaces still cold after every key was read", got)
+	}
+	sameCounts("touched")
+	sameSnapshot("touched")
+}
+
+// TestFirstTouchConcurrent races first-touch Match, WalkRecords and
+// Deposit calls on one cold namespace: it must be decoded exactly once —
+// a second decode would duplicate its experiences — and no deposit may be
+// lost. Run it under -race.
+func TestFirstTouchConcurrent(t *testing.T) {
+	const (
+		snapExps = 20
+		perTrace = 3
+		writers  = 4
+		deposits = 2
+	)
+	dir := t.TempDir()
+	s := openTest(t, dir, nil)
+	for i := 0; i < snapExps; i++ {
+		if _, err := s.Deposit("app/cold", "w", []float64{float64(i), 1}, search.Maximize, trace(i, i, perTrace)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s = openTest(t, dir, func(o *Options) { o.CompactAbove = -1; o.Sync = SyncNone })
+	if got := s.coldNamespaces(); got != 1 {
+		t.Fatalf("%d cold namespaces after reopen, want 1", got)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, _, ok := s.Match("app/cold", []float64{3, 1}); !ok {
+				t.Error("first-touch Match missed")
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			n := 0
+			s.WalkRecords("app/cold", func(search.Config, float64) { n++ })
+			if n < snapExps*perTrace {
+				t.Errorf("first-touch WalkRecords saw %d records, want at least %d", n, snapExps*perTrace)
+			}
+		}()
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			if g >= writers {
+				return
+			}
+			for i := 0; i < deposits; i++ {
+				if _, err := s.Deposit("app/cold", "w", []float64{float64(100 + g), float64(i)}, search.Maximize, trace(g, i, perTrace)); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+
+	want := snapExps + writers*deposits
+	if got := s.NamespaceLen("app/cold"); got != want || s.Len() != want {
+		t.Fatalf("after concurrent first touch: NamespaceLen %d, Len %d; want %d", got, s.Len(), want)
+	}
+	n := 0
+	s.WalkRecords("app/cold", func(search.Config, float64) { n++ })
+	if n != want*perTrace {
+		t.Fatalf("walked %d records, want %d", n, want*perTrace)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openTest(t, dir, nil)
+	defer s.Close()
+	if s.Len() != want {
+		t.Fatalf("reopened store holds %d experiences, want %d", s.Len(), want)
+	}
+}
+
+// TestSnapshotFrameInUntouchedNamespaceFailsOpen: Open validates every
+// snapshot frame even though it decodes none. A frame whose CRC holds but
+// whose payload is not what Snapshot writes fails Open with an error
+// naming the file, whichever namespace it sits in.
+func TestSnapshotFrameInUntouchedNamespaceFailsOpen(t *testing.T) {
+	exp := func(key string, lsn uint64) []byte {
+		return appendPayload(nil, record{LSN: lsn, Key: key, Exp: mkExp("w", []float64{1, 2}, 2)})
+	}
+	overlong := exp("zz/untouched", 0)
+	overlong = append([]byte{overlong[0], 0x80, 0x00}, overlong[2:]...) // LSN 0 in two bytes
+	image := func(payloads ...[]byte) []byte {
+		b := frameOf(t, record{LSN: 1, Count: uint64(len(payloads))})
+		for _, p := range payloads {
+			b = append(b, rawFrame(p)...)
+		}
+		return b
+	}
+	for name, tc := range map[string]struct {
+		snap []byte
+		ok   bool
+	}{
+		"well formed":        {image(exp("app/a", 0), exp("zz/untouched", 0)), true},
+		"overlong varint":    {image(exp("app/a", 0), overlong), false},
+		"overlong value":     {image(exp("app/a", 0), overlongValue(t, "zz/untouched")), false},
+		"trailing byte":      {image(exp("app/a", 0), append(exp("zz/untouched", 0), 0)), false},
+		"nonzero LSN":        {image(exp("app/a", 0), exp("zz/untouched", 7)), false},
+		"keys out of order":  {image(exp("zz/untouched", 0), exp("app/a", 0)), false},
+		"key run split":      {image(exp("app/a", 0), exp("zz/untouched", 0), exp("app/a", 0)), false},
+		"unknown format":     {image(exp("app/a", 0), append([]byte{0x03}, exp("zz/untouched", 0)[1:]...)), false},
+		"experience as head": {append(rawFrame(exp("app/a", 0)), rawFrame(exp("zz/untouched", 0))...), false},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, snapshotName)
+		if err := os.WriteFile(path, tc.snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(Options{Dir: dir})
+		if tc.ok {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if s.Len() != 2 {
+				t.Fatalf("%s: opened %d experiences, want 2", name, s.Len())
+			}
+			s.Close()
+			continue
+		}
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s: Open accepted the snapshot", name)
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Fatalf("%s: error %q does not name %s", name, err, path)
+		}
 	}
 }
 

@@ -28,13 +28,16 @@
 //
 // Both files are sequences of the same frames — length, CRC32, binary
 // record payload, newline — written and read by one codec (codec.go).
-// Recovery decodes the snapshot, which must be intact and whole, then
-// replays WAL records with LSN beyond the snapshot's horizon and truncates
-// the log at the first torn frame or CRC mismatch: everything before the
-// corruption point is recovered. A directory written in another format (a
-// snapshot.json, or a WAL holding a CRC-intact record this codec cannot
-// decode) is refused and left untouched. Records are inspected through the daemon's control
-// plane (GET /api/v1/expdb/records), not by reading the files.
+// Recovery validates every frame of the snapshot, which must be intact and
+// whole, but decodes none: each namespace stays cold, holding its frames,
+// until its first use decodes it, and a cold namespace is copied verbatim
+// into the next snapshot. Recovery then replays WAL records with LSN
+// beyond the snapshot's horizon and truncates the log at the first torn
+// frame or CRC mismatch: everything before the corruption point is
+// recovered. A directory written in another format (a snapshot.json, or a
+// WAL holding a CRC-intact record this codec cannot decode) is refused and
+// left untouched. Records are inspected through the daemon's control plane
+// (GET /api/v1/expdb/records), not by reading the files.
 package expdb
 
 import (
