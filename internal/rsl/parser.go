@@ -72,20 +72,7 @@ func (b binExpr) Refs(into []string) []string {
 	return b.r.Refs(b.l.Refs(into))
 }
 
-func (b binExpr) String() string {
-	var op string
-	switch b.op {
-	case tokPlus:
-		op = "+"
-	case tokMinus:
-		op = "-"
-	case tokStar:
-		op = "*"
-	case tokSlash:
-		op = "/"
-	}
-	return "(" + b.l.String() + op + b.r.String() + ")"
-}
+func (b binExpr) String() string { return string(appendExpr(nil, b)) }
 
 // negExpr is unary minus.
 type negExpr struct{ e Expr }
@@ -95,7 +82,33 @@ func (n negExpr) Eval(env map[string]int) (int, error) {
 	return -v, err
 }
 func (n negExpr) Refs(into []string) []string { return n.e.Refs(into) }
-func (n negExpr) String() string              { return "(-" + n.e.String() + ")" }
+func (n negExpr) String() string              { return string(appendExpr(nil, n)) }
+
+// appendExpr appends e's RSL rendering (its String form) to b.
+func appendExpr(b []byte, e Expr) []byte {
+	switch e := e.(type) {
+	case numExpr:
+		return strconv.AppendInt(b, int64(e), 10)
+	case refExpr:
+		return append(append(b, '$'), e...)
+	case binExpr:
+		b = appendExpr(append(b, '('), e.l)
+		switch e.op {
+		case tokPlus:
+			b = append(b, '+')
+		case tokMinus:
+			b = append(b, '-')
+		case tokStar:
+			b = append(b, '*')
+		case tokSlash:
+			b = append(b, '/')
+		}
+		return append(appendExpr(b, e.r), ')')
+	case negExpr:
+		return append(appendExpr(append(b, "(-"...), e.e), ')')
+	}
+	return append(b, e.String()...)
+}
 
 // Bundle is one declared parameter with (possibly restricted) bounds.
 type Bundle struct {

@@ -418,12 +418,18 @@ func (s *Spec) Static() (*search.Space, error) {
 	return search.NewSpace(params...)
 }
 
-// Format renders the spec back to RSL source.
-func (s *Spec) Format() string {
-	var b strings.Builder
+// Format renders the spec back to RSL source: its canonical form.
+func (s *Spec) Format() string { return string(s.AppendFormat(nil)) }
+
+// AppendFormat appends the spec's canonical form (see Format) to b.
+func (s *Spec) AppendFormat(b []byte) []byte {
 	for _, bundle := range s.Bundles {
-		fmt.Fprintf(&b, "{ harmonyBundle %s { int {%s %s %s} } }\n",
-			bundle.Name, bundle.Min.String(), bundle.Max.String(), bundle.Step.String())
+		b = append(b, "{ harmonyBundle "...)
+		b = append(b, bundle.Name...)
+		b = append(b, " { int {"...)
+		b = append(appendExpr(b, bundle.Min), ' ')
+		b = append(appendExpr(b, bundle.Max), ' ')
+		b = append(appendExpr(b, bundle.Step), "} } }\n"...)
 	}
-	return b.String()
+	return b
 }

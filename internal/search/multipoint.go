@@ -91,58 +91,15 @@ func (o NelderMeadOptions) pbest(dim int) int {
 func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p int) (*Result, error) {
 	dim := space.Dim()
 	dir := opts.Direction
+	better := dir.Better
 
-	initPts := opts.Init.Initial(space)
-	if len(initPts) != dim+1 {
-		return nil, fmt.Errorf("search: init strategy %q produced %d vertices, want %d",
-			opts.Init.Name(), len(initPts), dim+1)
+	// Candidate 2j is the j-th worst vertex's reflection, 2j+1 its inside
+	// contraction.
+	r := newSimplexRun(space, ev, opts, p, 2*p)
+	if res, err := r.start(); res != nil || err != nil {
+		return res, err
 	}
-	clamped := make([][]float64, len(initPts))
-	for i, pt := range initPts {
-		clamped[i] = clampPoint(space, pt)
-	}
-	_, initPerfs, err := ev.EvalBatch(clamped, opts.Parallel)
-	budgetHit := err == ErrBudget
-	if err != nil && !budgetHit {
-		return nil, err
-	}
-	verts := make([]vertex, 0, dim+1)
-	for i, perf := range initPerfs {
-		verts = append(verts, vertex{pt: clamped[i], perf: perf})
-	}
-
-	result := func(converged bool) *Result {
-		tr := ev.Trace()
-		if len(tr) == 0 {
-			return &Result{Trace: tr, Evals: 0, Converged: converged}
-		}
-		best := tr.Best(dir)
-		return &Result{
-			BestConfig: best.Config.Clone(),
-			BestPerf:   best.Perf,
-			Trace:      tr,
-			Evals:      ev.Count(),
-			Converged:  converged,
-		}
-	}
-	clock := stallClock{horizon: opts.MaxStall}
-	finish := func(reason string, iter int, converged bool) *Result {
-		res := result(converged)
-		emit(opts.Tracer, Event{
-			Type: EventConverge, Op: reason, Iter: iter,
-			Perf: res.BestPerf, Config: res.BestConfig,
-			Note: fmt.Sprintf("evals=%d pbest=%d %s", res.Evals, p, clock.note()),
-		})
-		return res
-	}
-	if budgetHit || len(verts) < dim+1 {
-		return finish("init_budget", 0, false), nil
-	}
-
-	better := func(a, b float64) bool { return dir.Better(a, b) }
-	sortVerts := func() { sortVertices(verts, better) }
-	sortVerts()
-	clock = opts.startStall(ev, verts)
+	verts := r.verts
 
 	// converge ends the coarse walk. Leftover budget — the wide walk
 	// typically converges in fewer evaluations than the sequential kernel
@@ -152,8 +109,8 @@ func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p
 	// simplex leaves the incumbent out, so it rarely comes near a best the
 	// prior already confirmed.
 	converge := func(reason string, iter int) (*Result, error) {
-		res := finish(reason, iter, true)
-		if clock.confirmed || ev.MaxEvals <= 0 || len(res.BestConfig) == 0 {
+		res := r.finish(reason, iter, true)
+		if r.clock.confirmed || ev.MaxEvals <= 0 || len(res.BestConfig) == 0 {
 			return res, nil
 		}
 		remaining := ev.MaxEvals - ev.Count()
@@ -177,10 +134,6 @@ func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p
 		return pres, nil
 	}
 
-	step := func(op string, iter int, perf float64, note string) {
-		emit(opts.Tracer, Event{Type: EventSimplex, Op: op, Iter: iter, Perf: perf, Note: note})
-	}
-
 	for iter := 0; ; iter++ {
 		bestV, worstV := verts[0].perf, verts[len(verts)-1].perf
 		spread := abs(bestV - worstV)
@@ -188,47 +141,26 @@ func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p
 		if scale > 0 && spread/scale < opts.RelTol {
 			return converge("reltol", iter)
 		}
-		if clock.expired() {
+		if r.clock.expired() {
 			return converge("stall", iter)
 		}
 
 		// Centroid of everything except the p vertices being updated.
-		keep := len(verts) - p
-		centroid := make([]float64, dim)
-		for _, v := range verts[:keep] {
-			for j := range centroid {
-				centroid[j] += v.pt[j]
-			}
-		}
-		for j := range centroid {
-			centroid[j] /= float64(keep)
-		}
-
-		// move computes centroid + coef*(centroid - from), clamped.
-		move := func(from []float64, coef float64) []float64 {
-			pt := make([]float64, dim)
-			for j := range pt {
-				pt[j] = centroid[j] + coef*(centroid[j]-from[j])
-			}
-			return clampPoint(space, pt)
-		}
+		r.centroidOf(len(verts) - p)
 
 		// One concurrent round measures every candidate the iteration can
 		// commit: the reflection and the inside contraction of each of the
 		// p worst vertices, in a fixed order (worst first, reflection
 		// before contraction) so the committed trace is deterministic.
-		reflPts := make([][]float64, p)
-		contrPts := make([][]float64, p)
-		batch := make([][]float64, 0, 2*p)
 		for j := 0; j < p; j++ {
 			w := verts[len(verts)-1-j]
-			reflPts[j] = move(w.pt, opts.Reflection)
-			contrPts[j] = move(w.pt, -opts.Contraction)
-			batch = append(batch, reflPts[j], contrPts[j])
+			r.move(r.cands[2*j], w.pt, opts.Reflection)
+			r.move(r.cands[2*j+1], w.pt, -opts.Contraction)
 		}
-		_, perfs, err := ev.EvalBatch(batch, opts.Parallel)
-		if err != nil || len(perfs) < len(batch) {
-			return finish("budget", iter, false), nil
+		var err error
+		_, r.perfs, err = ev.evalBatch(r.cands, opts.Parallel, nil, r.perfs[:0])
+		if err != nil || len(r.perfs) < len(r.cands) {
+			return r.finish("budget", iter, false), nil
 		}
 
 		// Commit the p updates: reflection if it beats the vertex, else
@@ -237,18 +169,18 @@ func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p
 		for j := 0; j < p; j++ {
 			idx := len(verts) - 1 - j
 			w := verts[idx]
-			rPerf, cPerf := perfs[2*j], perfs[2*j+1]
+			rPerf, cPerf := r.perfs[2*j], r.perfs[2*j+1]
 			switch {
 			case better(rPerf, w.perf):
-				step(OpReflect, iter, rPerf, fmt.Sprintf("vertex %d accepted", idx))
-				verts[idx] = vertex{pt: reflPts[j], perf: rPerf}
+				r.stepf(OpReflect, iter, rPerf, "vertex %d accepted", idx)
+				r.accept(idx, r.cands[2*j], rPerf)
 				improved = true
 			case better(cPerf, w.perf):
-				step(OpContractIn, iter, cPerf, fmt.Sprintf("vertex %d accepted", idx))
-				verts[idx] = vertex{pt: contrPts[j], perf: cPerf}
+				r.stepf(OpContractIn, iter, cPerf, "vertex %d accepted", idx)
+				r.accept(idx, r.cands[2*j+1], cPerf)
 				improved = true
 			default:
-				step(OpContractIn, iter, cPerf, fmt.Sprintf("vertex %d rejected", idx))
+				r.stepf(OpContractIn, iter, cPerf, "vertex %d rejected", idx)
 			}
 		}
 
@@ -257,28 +189,15 @@ func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p
 			// ends here, as the sequential kernel does at a failed
 			// contraction; any other walk shrinks the whole simplex toward
 			// the best vertex — one more concurrent batch.
-			if clock.confirmed {
+			if r.clock.confirmed {
 				return converge("confirmed", iter)
 			}
-			bestPt := verts[0].pt
-			shrunk := make([][]float64, 0, len(verts)-1)
-			for i := 1; i < len(verts); i++ {
-				for j := range verts[i].pt {
-					verts[i].pt[j] = bestPt[j] + opts.Shrink*(verts[i].pt[j]-bestPt[j])
-				}
-				shrunk = append(shrunk, verts[i].pt)
+			if !r.shrink(iter) {
+				return r.finish("budget", iter, false), nil
 			}
-			_, perfs, err := ev.EvalBatch(shrunk, opts.Parallel)
-			if err != nil || len(perfs) < len(shrunk) {
-				return finish("budget", iter, false), nil
-			}
-			for i := 1; i < len(verts); i++ {
-				verts[i].perf = perfs[i-1]
-			}
-			step(OpShrink, iter, verts[0].perf, fmt.Sprintf("re-measured %d vertices", len(shrunk)))
 		}
 
-		sortVerts()
-		clock.tick(verts[0].perf, p, dir)
+		r.sortVerts()
+		r.clock.tick(verts[0].perf, p, dir)
 	}
 }

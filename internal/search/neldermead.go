@@ -114,7 +114,7 @@ func (o NelderMeadOptions) stallHorizon(ev *Evaluator, verts []vertex) (int, boo
 	prior := *o.PriorBest
 	found, best := false, 0.0
 	for _, v := range verts {
-		if ev.truth(ev.Space.Snap(v.pt)) && (!found || o.Direction.Better(v.perf, best)) {
+		if ev.truth(ev.snap(v.pt)) && (!found || o.Direction.Better(v.perf, best)) {
 			found, best = true, v.perf
 		}
 	}
@@ -297,217 +297,323 @@ func (s ScaledInit) Initial(space *Space) [][]float64 {
 			offset := (float64((i+j)%n)+0.5)/float64(n) - 0.5
 			v[j] = s.Center[j] + span*offset
 		}
-		pts[i] = clampPoint(space, v)
+		pts[i] = clampInto(space, v, v)
 	}
 	return pts
 }
 
 func nelderMead(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Result, error) {
-	dim := space.Dim()
-	if p := opts.pbest(dim); p > 1 {
+	if p := opts.pbest(space.Dim()); p > 1 {
 		return nelderMeadMultiPoint(space, ev, opts, p)
 	}
-	dir := opts.Direction
+	r := newSimplexRun(space, ev, opts, 1, 4)
+	if res, err := r.start(); res != nil || err != nil {
+		return res, err
+	}
+	for iter := 0; ; iter++ {
+		if res := r.iterate(iter); res != nil {
+			return res, nil
+		}
+	}
+}
 
-	initPts := opts.Init.Initial(space)
+// simplexRun is one run of a simplex kernel: the simplex and the per-run
+// scratch its iterations reuse. The vertices own their points. Every
+// iteration writes the centroid and its candidate points into the same
+// buffers, and an accepted candidate is copied into the buffer of the
+// vertex it replaces, so no vertex ever aliases scratch and a steady
+// iteration allocates only what the evaluator keeps of its commits.
+type simplexRun struct {
+	space *Space
+	ev    *Evaluator
+	opts  NelderMeadOptions
+	p     int      // vertices a round updates: 1, or the multi-point width
+	verts []vertex // sorted best first once start returns
+	clock stallClock
+
+	centroid []float64
+	// cands holds the iteration's candidate points, clamped into the box.
+	// The sequential kernel's are the reflection, the expansion and the
+	// outside and inside contractions; the multi-point kernel's are each
+	// updated vertex's reflection and inside contraction.
+	cands [][]float64
+	// evalBatch scratch for the initial simplex and the shrink steps, and
+	// the measured values of those and the multi-point rounds.
+	batch [][]float64
+	perfs []float64
+}
+
+// newSimplexRun allocates a kernel run updating p vertices a round with
+// nCand candidate buffers. The vertex points, the centroid and the
+// candidates share one backing array.
+func newSimplexRun(space *Space, ev *Evaluator, opts NelderMeadOptions, p, nCand int) *simplexRun {
+	dim := space.Dim()
+	n := dim + 1
+	buf := make([]float64, (n+1+nCand)*dim)
+	next := func() []float64 {
+		pt := buf[:dim:dim]
+		buf = buf[dim:]
+		return pt
+	}
+	pts := make([][]float64, nCand+n)
+	r := &simplexRun{
+		space: space, ev: ev, opts: opts, p: p,
+		verts: make([]vertex, n),
+		clock: stallClock{horizon: opts.MaxStall},
+		cands: pts[:nCand:nCand],
+		batch: pts[nCand:nCand],
+		perfs: make([]float64, 0, max(n, nCand)),
+	}
+	for i := range r.verts {
+		r.verts[i].pt = next()
+	}
+	r.centroid = next()
+	for i := range r.cands {
+		r.cands[i] = next()
+	}
+	return r
+}
+
+// start measures the run's initial simplex, sorts it and starts the stall
+// clock. It returns the run's result when the budget ran out first, or an
+// error.
+func (r *simplexRun) start() (*Result, error) {
+	dim := r.space.Dim()
+	initPts := r.opts.Init.Initial(r.space)
 	if len(initPts) != dim+1 {
 		return nil, fmt.Errorf("search: init strategy %q produced %d vertices, want %d",
-			opts.Init.Name(), len(initPts), dim+1)
+			r.opts.Init.Name(), len(initPts), dim+1)
 	}
-
-	clamped := make([][]float64, len(initPts))
+	r.batch = r.batch[:0]
 	for i, pt := range initPts {
-		clamped[i] = clampPoint(space, pt)
+		r.batch = append(r.batch, clampInto(r.space, r.verts[i].pt, pt))
 	}
-	_, initPerfs, err := ev.EvalBatch(clamped, opts.Parallel)
+	var err error
+	_, r.perfs, err = r.ev.evalBatch(r.batch, r.opts.Parallel, nil, r.perfs[:0])
 	budgetHit := err == ErrBudget
 	if err != nil && !budgetHit {
 		return nil, err
 	}
-	verts := make([]vertex, 0, dim+1)
-	for i, perf := range initPerfs {
-		verts = append(verts, vertex{pt: clamped[i], perf: perf})
+	r.verts = r.verts[:len(r.perfs)]
+	for i, perf := range r.perfs {
+		r.verts[i].perf = perf
 	}
+	if budgetHit || len(r.verts) < dim+1 {
+		return r.finish("init_budget", 0, false), nil
+	}
+	r.sortVerts()
+	r.clock = r.opts.startStall(r.ev, r.verts)
+	return nil, nil
+}
 
-	result := func(converged bool) *Result {
-		tr := ev.Trace()
-		if len(tr) == 0 {
-			return &Result{Trace: tr, Evals: 0, Converged: converged}
-		}
-		best := tr.Best(dir)
-		return &Result{
-			BestConfig: best.Config.Clone(),
-			BestPerf:   best.Perf,
-			Trace:      tr,
-			Evals:      ev.Count(),
-			Converged:  converged,
-		}
+// better orders performances under the run's direction.
+func (r *simplexRun) better(a, b float64) bool { return r.opts.Direction.Better(a, b) }
+
+// sortVerts orders the simplex best to worst.
+func (r *simplexRun) sortVerts() { sortVertices(r.verts, r.opts.Direction.Better) }
+
+// finish records the kernel's termination decision and returns its result,
+// which summarizes the evaluator's trace.
+func (r *simplexRun) finish(reason string, iter int, converged bool) *Result {
+	tr := r.ev.Trace()
+	res := &Result{Trace: tr, Converged: converged}
+	if len(tr) > 0 {
+		best := tr.Best(r.opts.Direction)
+		res.BestConfig, res.BestPerf, res.Evals = best.Config.Clone(), best.Perf, r.ev.Count()
 	}
-	clock := stallClock{horizon: opts.MaxStall}
-	// finish records the kernel's termination decision before returning.
-	finish := func(reason string, iter int, converged bool) *Result {
-		res := result(converged)
-		emit(opts.Tracer, Event{
+	if r.opts.Tracer != nil {
+		note := fmt.Sprintf("evals=%d %s", res.Evals, r.clock.note())
+		if r.p > 1 {
+			note = fmt.Sprintf("evals=%d pbest=%d %s", res.Evals, r.p, r.clock.note())
+		}
+		emit(r.opts.Tracer, Event{
 			Type: EventConverge, Op: reason, Iter: iter,
-			Perf: res.BestPerf, Config: res.BestConfig,
-			Note: fmt.Sprintf("evals=%d %s", res.Evals, clock.note()),
+			Perf: res.BestPerf, Config: res.BestConfig, Note: note,
 		})
-		return res
 	}
-	if budgetHit || len(verts) < dim+1 {
-		return finish("init_budget", 0, false), nil
-	}
+	return res
+}
 
-	// worse(a, b) orders vertices from best to worst under dir.
-	better := func(a, b float64) bool { return dir.Better(a, b) }
-	sortVerts := func() { sortVertices(verts, better) }
-	sortVerts()
-	clock = opts.startStall(ev, verts)
+// step records one simplex operation for the tracer.
+func (r *simplexRun) step(op string, iter int, perf float64, note string) {
+	emit(r.opts.Tracer, Event{Type: EventSimplex, Op: op, Iter: iter, Perf: perf, Note: note})
+}
 
-	probe := func(spec *Speculation, pt []float64) (float64, bool) {
-		pt = clampPoint(space, pt)
-		_, perf, err := ev.EvalSpeculated(pt, spec)
-		if err != nil {
-			return 0, false
-		}
-		return perf, true
-	}
-
-	// step records one simplex operation for the tracer.
-	step := func(op string, iter int, perf float64, note string) {
-		emit(opts.Tracer, Event{Type: EventSimplex, Op: op, Iter: iter, Perf: perf, Note: note})
-	}
-
-	for iter := 0; ; iter++ {
-		// Convergence: relative spread between best and worst vertex.
-		bestV, worstV := verts[0].perf, verts[len(verts)-1].perf
-		spread := abs(bestV - worstV)
-		scale := abs(bestV) + abs(worstV)
-		if scale > 0 && spread/scale < opts.RelTol {
-			return finish("reltol", iter, true), nil
-		}
-		if clock.expired() {
-			return finish("stall", iter, true), nil
-		}
-
-		// Centroid of all but the worst vertex.
-		centroid := make([]float64, dim)
-		for _, v := range verts[:len(verts)-1] {
-			for j := range centroid {
-				centroid[j] += v.pt[j]
-			}
-		}
-		for j := range centroid {
-			centroid[j] /= float64(len(verts) - 1)
-		}
-		worst := verts[len(verts)-1]
-
-		move := func(coef float64) []float64 {
-			pt := make([]float64, dim)
-			for j := range pt {
-				pt[j] = centroid[j] + coef*(centroid[j]-worst.pt[j])
-			}
-			return pt
-		}
-
-		// All candidate points one iteration can probe are known before any
-		// measurement: the reflection, the expansion, and both contractions.
-		// With a parallel budget the kernel measures them speculatively as
-		// one concurrent round, then commits only the ones the sequential
-		// logic below actually probes — in the sequential order — so the
-		// committed trace is identical to the sequential kernel's while the
-		// iteration's wall-clock shrinks to one measurement round.
-		refl := move(opts.Reflection)
-		exp := move(opts.Reflection * opts.Expansion)
-		contrOutPt := move(opts.Reflection * opts.Contraction)
-		contrInPt := move(-opts.Contraction)
-		var spec *Speculation
-		if opts.Parallel > 1 {
-			spec = ev.Speculate([][]float64{
-				clampPoint(space, refl), clampPoint(space, exp),
-				clampPoint(space, contrOutPt), clampPoint(space, contrInPt),
-			}, opts.Parallel)
-		}
-
-		// Reflection.
-		rPerf, ok := probe(spec, refl)
-		if !ok {
-			return finish("budget", iter, false), nil
-		}
-		switch {
-		case better(rPerf, verts[0].perf):
-			// Expansion.
-			step(OpReflect, iter, rPerf, "improved best; trying expansion")
-			ePerf, ok := probe(spec, exp)
-			if !ok {
-				return finish("budget", iter, false), nil
-			}
-			if better(ePerf, rPerf) {
-				step(OpExpand, iter, ePerf, "accepted")
-				verts[len(verts)-1] = vertex{pt: clampPoint(space, exp), perf: ePerf}
-			} else {
-				step(OpExpand, iter, ePerf, "rejected; kept reflection")
-				verts[len(verts)-1] = vertex{pt: clampPoint(space, refl), perf: rPerf}
-			}
-		case better(rPerf, verts[len(verts)-2].perf):
-			// Better than the second-worst: accept the reflection.
-			step(OpReflect, iter, rPerf, "accepted")
-			verts[len(verts)-1] = vertex{pt: clampPoint(space, refl), perf: rPerf}
-		default:
-			// Contraction (outside if the reflection improved on the worst,
-			// inside otherwise).
-			step(OpReflect, iter, rPerf, "rejected; contracting")
-			var contr []float64
-			contrOp := OpContractIn
-			if better(rPerf, worst.perf) {
-				contr = contrOutPt
-				contrOp = OpContractOut
-			} else {
-				contr = contrInPt
-			}
-			cPerf, ok := probe(spec, contr)
-			if !ok {
-				return finish("budget", iter, false), nil
-			}
-			if better(cPerf, worst.perf) {
-				step(contrOp, iter, cPerf, "accepted")
-				verts[len(verts)-1] = vertex{pt: clampPoint(space, contr), perf: cPerf}
-			} else if clock.confirmed {
-				// A run whose start confirmed its prior ends at its first
-				// failed contraction: on warm-web the shrinks of confirmed
-				// runs cost 18.6% of the client's measurements and bought
-				// about 0.1% of re-measured performance.
-				step(contrOp, iter, cPerf, "rejected; prior confirmed")
-				return finish("confirmed", iter, true), nil
-			} else {
-				step(contrOp, iter, cPerf, "rejected; shrinking")
-				// Any other run shrinks every vertex toward the best — an
-				// embarrassingly parallel batch.
-				bestPt := verts[0].pt
-				shrunk := make([][]float64, 0, len(verts)-1)
-				for i := 1; i < len(verts); i++ {
-					for j := range verts[i].pt {
-						verts[i].pt[j] = bestPt[j] + opts.Shrink*(verts[i].pt[j]-bestPt[j])
-					}
-					shrunk = append(shrunk, verts[i].pt)
-				}
-				_, perfs, err := ev.EvalBatch(shrunk, opts.Parallel)
-				if err != nil || len(perfs) < len(shrunk) {
-					return finish("budget", iter, false), nil
-				}
-				for i := 1; i < len(verts); i++ {
-					verts[i].perf = perfs[i-1]
-				}
-				step(OpShrink, iter, verts[0].perf, fmt.Sprintf("re-measured %d vertices", len(shrunk)))
-			}
-		}
-		sortVerts()
-		clock.tick(verts[0].perf, 1, dir)
+// stepf is step with the note formatted from format and n, only when
+// there is a tracer.
+func (r *simplexRun) stepf(op string, iter int, perf float64, format string, n int) {
+	if r.opts.Tracer != nil {
+		r.step(op, iter, perf, fmt.Sprintf(format, n))
 	}
 }
 
+// centroidOf writes the centroid of the best keep vertices to r.centroid.
+func (r *simplexRun) centroidOf(keep int) []float64 {
+	centroid := r.centroid
+	clear(centroid)
+	for _, v := range r.verts[:keep] {
+		for j := range centroid {
+			centroid[j] += v.pt[j]
+		}
+	}
+	for j := range centroid {
+		centroid[j] /= float64(keep)
+	}
+	return centroid
+}
+
+// probe measures the candidate point pt, committing a speculated value
+// when spec holds one; ok is false once the budget is spent.
+func (r *simplexRun) probe(spec *Speculation, pt []float64) (float64, bool) {
+	_, perf, err := r.ev.EvalSpeculated(pt, spec)
+	if err != nil {
+		return 0, false
+	}
+	return perf, true
+}
+
+// move writes the candidate centroid + coef*(centroid - from), clamped
+// into the box, to dst.
+func (r *simplexRun) move(dst, from []float64, coef float64) []float64 {
+	for j := range dst {
+		dst[j] = r.centroid[j] + coef*(r.centroid[j]-from[j])
+	}
+	return clampInto(r.space, dst, dst)
+}
+
+// accept replaces vertex i with the candidate pt, copying pt into the
+// vertex's own buffer.
+func (r *simplexRun) accept(i int, pt []float64, perf float64) {
+	copy(r.verts[i].pt, pt)
+	r.verts[i].perf = perf
+}
+
+// iterate runs one iteration, or ends the run: it returns the run's result
+// when the run converged, stalled or spent its budget, and nil otherwise.
+func (r *simplexRun) iterate(iter int) *Result {
+	verts, opts := r.verts, r.opts
+	// Convergence: relative spread between best and worst vertex.
+	bestV, worstV := verts[0].perf, verts[len(verts)-1].perf
+	spread := abs(bestV - worstV)
+	scale := abs(bestV) + abs(worstV)
+	if scale > 0 && spread/scale < opts.RelTol {
+		return r.finish("reltol", iter, true)
+	}
+	if r.clock.expired() {
+		return r.finish("stall", iter, true)
+	}
+
+	// Centroid of all but the worst vertex.
+	r.centroidOf(len(verts) - 1)
+	worst := verts[len(verts)-1]
+
+	// All candidate points one iteration can probe are known before any
+	// measurement: the reflection, the expansion, and both contractions.
+	// With a parallel budget the kernel measures them speculatively as
+	// one concurrent round, then commits only the ones the sequential
+	// logic below actually probes — in the sequential order — so the
+	// committed trace is identical to the sequential kernel's while the
+	// iteration's wall-clock shrinks to one measurement round.
+	refl := r.move(r.cands[0], worst.pt, opts.Reflection)
+	exp := r.move(r.cands[1], worst.pt, opts.Reflection*opts.Expansion)
+	contrOutPt := r.move(r.cands[2], worst.pt, opts.Reflection*opts.Contraction)
+	contrInPt := r.move(r.cands[3], worst.pt, -opts.Contraction)
+	var spec *Speculation
+	if opts.Parallel > 1 {
+		spec = r.ev.Speculate(r.cands, opts.Parallel)
+	}
+
+	// Reflection.
+	rPerf, ok := r.probe(spec, refl)
+	if !ok {
+		return r.finish("budget", iter, false)
+	}
+	switch {
+	case r.better(rPerf, verts[0].perf):
+		// Expansion.
+		r.step(OpReflect, iter, rPerf, "improved best; trying expansion")
+		ePerf, ok := r.probe(spec, exp)
+		if !ok {
+			return r.finish("budget", iter, false)
+		}
+		if r.better(ePerf, rPerf) {
+			r.step(OpExpand, iter, ePerf, "accepted")
+			r.accept(len(verts)-1, exp, ePerf)
+		} else {
+			r.step(OpExpand, iter, ePerf, "rejected; kept reflection")
+			r.accept(len(verts)-1, refl, rPerf)
+		}
+	case r.better(rPerf, verts[len(verts)-2].perf):
+		// Better than the second-worst: accept the reflection.
+		r.step(OpReflect, iter, rPerf, "accepted")
+		r.accept(len(verts)-1, refl, rPerf)
+	default:
+		// Contraction (outside if the reflection improved on the worst,
+		// inside otherwise).
+		r.step(OpReflect, iter, rPerf, "rejected; contracting")
+		contr, contrOp := contrInPt, OpContractIn
+		if r.better(rPerf, worst.perf) {
+			contr, contrOp = contrOutPt, OpContractOut
+		}
+		cPerf, ok := r.probe(spec, contr)
+		if !ok {
+			return r.finish("budget", iter, false)
+		}
+		if r.better(cPerf, worst.perf) {
+			r.step(contrOp, iter, cPerf, "accepted")
+			r.accept(len(verts)-1, contr, cPerf)
+		} else if r.clock.confirmed {
+			// A run whose start confirmed its prior ends at its first
+			// failed contraction: on warm-web the shrinks of confirmed
+			// runs cost 18.6% of the client's measurements and bought
+			// about 0.1% of re-measured performance.
+			r.step(contrOp, iter, cPerf, "rejected; prior confirmed")
+			return r.finish("confirmed", iter, true)
+		} else {
+			r.step(contrOp, iter, cPerf, "rejected; shrinking")
+			if !r.shrink(iter) {
+				return r.finish("budget", iter, false)
+			}
+		}
+	}
+	r.sortVerts()
+	r.clock.tick(verts[0].perf, 1, opts.Direction)
+	return nil
+}
+
+// shrink moves every vertex but the best halfway (by the Shrink
+// coefficient) toward it and re-measures them — an embarrassingly parallel
+// batch. It reports false when the budget ran out.
+func (r *simplexRun) shrink(iter int) bool {
+	verts := r.verts
+	bestPt := verts[0].pt
+	r.batch = r.batch[:0]
+	for i := 1; i < len(verts); i++ {
+		for j := range verts[i].pt {
+			verts[i].pt[j] = bestPt[j] + r.opts.Shrink*(verts[i].pt[j]-bestPt[j])
+		}
+		r.batch = append(r.batch, verts[i].pt)
+	}
+	var err error
+	_, r.perfs, err = r.ev.evalBatch(r.batch, r.opts.Parallel, nil, r.perfs[:0])
+	if err != nil || len(r.perfs) < len(r.batch) {
+		return false
+	}
+	for i := 1; i < len(verts); i++ {
+		verts[i].perf = r.perfs[i-1]
+	}
+	r.stepf(OpShrink, iter, verts[0].perf, "re-measured %d vertices", len(r.batch))
+	return true
+}
+
+// clampPoint returns pt clamped into the space's box.
 func clampPoint(space *Space, pt []float64) []float64 {
-	out := make([]float64, len(pt))
+	return clampInto(space, make([]float64, len(pt)), pt)
+}
+
+// clampInto writes pt clamped into the space's box to dst, which may be pt
+// itself, and returns dst.
+func clampInto(space *Space, dst, pt []float64) []float64 {
 	for i, p := range space.Params {
 		v := pt[i]
 		if v < float64(p.Min) {
@@ -516,7 +622,7 @@ func clampPoint(space *Space, pt []float64) []float64 {
 		if v > float64(p.Max) {
 			v = float64(p.Max)
 		}
-		out[i] = v
+		dst[i] = v
 	}
-	return out
+	return dst
 }

@@ -333,20 +333,32 @@ type Evaluator struct {
 	// ablation mode re-measures everything by design).
 	External ExternalCache
 
-	cache map[string]float64
+	cache map[string]memo
 	trace Trace
 	hits  int
-	// keyBuf is EvalConfig's reusable key scratch: probing the cache with
+	// keyBuf is the reusable key scratch: probing the cache with
 	// string(keyBuf) compiles to an allocation-free map lookup, so only a
 	// committed measurement materializes its key string. Safe because
-	// EvalConfig runs on the evaluator's own goroutine.
+	// every evaluation runs on the evaluator's own goroutine.
 	keyBuf []byte
+	// snapBuf is the reusable configuration a continuous probe point snaps
+	// into (see snap), reused for the same reason: a memo hit allocates
+	// nothing, and a commit copies it into the configuration it keeps.
+	snapBuf Config
 	// one is measureOne's batch of one, reused for the same reason: a
 	// single evaluation allocates nothing to reach a BatchObjective.
 	one [1]Probe
 }
 
-// appendKey appends cfg's canonical key form (identical to Config.Key) to b.
+// memo is one memoized evaluation: its value and the configuration it was
+// taken at. The configuration is the one the trace entry and the tracer
+// events carry; all of them share it and treat it as immutable.
+type memo struct {
+	perf float64
+	cfg  Config
+}
+
+// appendKey appends cfg's canonical key form (see Config.Key) to b.
 func appendKey(b []byte, c Config) []byte {
 	for i, v := range c {
 		if i > 0 {
@@ -357,9 +369,19 @@ func appendKey(b []byte, c Config) []byte {
 	return b
 }
 
+// evalHint sizes a new evaluator's trace and memo. A tuning session
+// typically ends within a few dozen evaluations, so most never grow them:
+// growing both from empty cost a 22-evaluation session about ten
+// allocations.
+const evalHint = 32
+
 // NewEvaluator returns an Evaluator over the space and objective.
 func NewEvaluator(space *Space, obj Objective) *Evaluator {
-	return &Evaluator{Space: space, Objective: obj, cache: map[string]float64{}}
+	return &Evaluator{
+		Space: space, Objective: obj,
+		cache: make(map[string]memo, evalHint),
+		trace: make(Trace, 0, evalHint),
+	}
 }
 
 // ErrBudget is returned by Eval when the exploration budget is exhausted.
@@ -367,38 +389,51 @@ var ErrBudget = fmt.Errorf("search: evaluation budget exhausted")
 
 // Eval measures the configuration nearest to the continuous point pt.
 // Cached configurations are free; fresh measurements append to the trace.
+// Like every Eval method it returns the evaluator's own configuration,
+// which its trace and memo share: callers must not modify it.
 func (e *Evaluator) Eval(pt []float64) (Config, float64, error) {
-	cfg := e.Space.Snap(pt)
-	return e.EvalConfig(cfg)
+	return e.EvalConfig(e.snap(pt))
 }
 
-// EvalConfig measures an exact grid configuration.
+// snap snaps pt into the evaluator's scratch configuration, which stays
+// valid until the next snap. Everything the evaluator keeps is a copy.
+func (e *Evaluator) snap(pt []float64) Config {
+	if len(e.snapBuf) != e.Space.Dim() {
+		e.snapBuf = make(Config, e.Space.Dim())
+	}
+	return e.Space.snapInto(e.snapBuf, pt)
+}
+
+// EvalConfig measures an exact grid configuration. A memo hit allocates
+// nothing; a measurement allocates the copy of cfg the evaluator keeps and
+// its memo key.
 func (e *Evaluator) EvalConfig(cfg Config) (Config, float64, error) {
 	if !e.Space.Contains(cfg) {
 		return nil, 0, fmt.Errorf("search: configuration %v not in space", cfg)
 	}
 	e.keyBuf = appendKey(e.keyBuf[:0], cfg)
 	if !e.DisableCache {
-		if perf, ok := e.cache[string(e.keyBuf)]; ok { // alloc-free lookup
+		if m, ok := e.cache[string(e.keyBuf)]; ok { // alloc-free lookup
 			e.hits++
 			if e.Tracer != nil {
-				emit(e.Tracer, Event{Type: EventEval, Index: -1, Config: cfg.Clone(), Perf: perf, Cached: true})
+				emit(e.Tracer, Event{Type: EventEval, Index: -1, Config: m.cfg, Perf: m.perf, Cached: true})
 			}
-			return cfg, perf, nil
+			return m.cfg, m.perf, nil
 		}
 	}
 	if e.MaxEvals > 0 && len(e.trace) >= e.MaxEvals {
 		return nil, 0, ErrBudget
 	}
-	perf, estimated := e.measureOne(cfg, 0)
-	e.commitKeyed(cfg, string(e.keyBuf), perf, estimated)
-	return cfg, perf, nil
+	kept := cfg.Clone()
+	perf, estimated := e.measureOne(kept, 0)
+	e.commit(kept, string(e.keyBuf), perf, estimated, 0)
+	return kept, perf, nil
 }
 
 // EvalAt measures the configuration nearest to the continuous point pt at
 // the given fidelity. See EvalConfigAt.
 func (e *Evaluator) EvalAt(pt []float64, fidelity float64) (Config, float64, error) {
-	return e.EvalConfigAt(e.Space.Snap(pt), fidelity)
+	return e.EvalConfigAt(e.snap(pt), fidelity)
 }
 
 // EvalConfigAt measures an exact grid configuration at the given fidelity.
@@ -418,27 +453,30 @@ func (e *Evaluator) EvalConfigAt(cfg Config, fidelity float64) (Config, float64,
 	plain := len(e.keyBuf)
 	e.keyBuf = appendFidelity(e.keyBuf, fidelity)
 	if !e.DisableCache {
-		if perf, ok := e.cache[string(e.keyBuf[:plain])]; ok { // promoted truth
+		if m, ok := e.cache[string(e.keyBuf[:plain])]; ok { // promoted truth
 			e.hits++
 			if e.Tracer != nil {
-				emit(e.Tracer, Event{Type: EventEval, Index: -1, Config: cfg.Clone(), Perf: perf, Cached: true})
+				emit(e.Tracer, Event{Type: EventEval, Index: -1, Config: m.cfg, Perf: m.perf, Cached: true})
 			}
-			return cfg, perf, nil
+			return m.cfg, m.perf, nil
 		}
-		if perf, ok := e.cache[string(e.keyBuf)]; ok { // same-rung repeat
+		if m, ok := e.cache[string(e.keyBuf)]; ok { // same-rung repeat
 			e.hits++
 			if e.Tracer != nil {
-				emit(e.Tracer, Event{Type: EventEval, Index: -1, Config: cfg.Clone(), Perf: perf, Cached: true, Fidelity: fidelity})
+				emit(e.Tracer, Event{Type: EventEval, Index: -1, Config: m.cfg, Perf: m.perf, Cached: true, Fidelity: fidelity})
 			}
-			return cfg, perf, nil
+			return m.cfg, m.perf, nil
 		}
 	}
 	if e.MaxEvals > 0 && len(e.trace) >= e.MaxEvals {
 		return nil, 0, ErrBudget
 	}
-	perf, estimated := e.measureOne(cfg, fidelity)
-	e.commitFidelity(cfg, string(e.keyBuf), perf, estimated, fidelity)
-	return cfg, perf, nil
+	// The memo learns a reduced-fidelity value under the fidelity-suffixed
+	// key only: it must never answer a full-fidelity probe.
+	kept := cfg.Clone()
+	perf, estimated := e.measureOne(kept, fidelity)
+	e.commit(kept, string(e.keyBuf), perf, estimated, fidelity)
+	return kept, perf, nil
 }
 
 // appendFidelity appends the (config, fidelity) cache-key suffix. Full
@@ -446,20 +484,6 @@ func (e *Evaluator) EvalConfigAt(cfg Config, fidelity float64) (Config, float64,
 func appendFidelity(b []byte, f float64) []byte {
 	b = append(b, '@')
 	return strconv.AppendFloat(b, f, 'g', -1, 64)
-}
-
-// commitFidelity commits a reduced-fidelity evaluation: the dedup cache
-// learns it under the fidelity-suffixed key only (it must never answer a
-// full-fidelity probe), and the trace entry and tracer event carry the
-// fidelity so deposits and offline analysis can separate triage from
-// truth.
-func (e *Evaluator) commitFidelity(cfg Config, key string, perf float64, estimated bool, fidelity float64) {
-	e.cache[key] = perf
-	kept := cfg.Clone()
-	e.trace = append(e.trace, Evaluation{Index: len(e.trace), Config: kept, Perf: perf, Estimated: estimated, Fidelity: fidelity})
-	if e.Tracer != nil {
-		emit(e.Tracer, Event{Type: EventEval, Index: len(e.trace) - 1, Config: kept, Perf: perf, Estimated: estimated, Fidelity: fidelity})
-	}
 }
 
 // measureOne measures one configuration through the measure path.
@@ -575,22 +599,17 @@ func (e *Evaluator) rawMeasure(cfg Config, fidelity float64) float64 {
 	return e.Objective.Measure(cfg)
 }
 
-// commit appends one evaluation to the cache and trace and emits its
-// tracer event. Must run on the evaluator's own goroutine (commit order is
-// the determinism guarantee).
-func (e *Evaluator) commit(cfg Config, perf float64, estimated bool) {
-	e.commitKeyed(cfg, cfg.Key(), perf, estimated)
-}
-
-// commitKeyed is commit with the map key precomputed (EvalConfig already
-// built it for the cache probe). The trace entry and the tracer event share
-// one clone — both treat the configuration as immutable.
-func (e *Evaluator) commitKeyed(cfg Config, key string, perf float64, estimated bool) {
-	e.cache[key] = perf
-	kept := cfg.Clone()
-	e.trace = append(e.trace, Evaluation{Index: len(e.trace), Config: kept, Perf: perf, Estimated: estimated})
+// commit appends one evaluation to the memo under key and to the trace, and
+// emits its tracer event. cfg is the evaluator's own copy: the memo, the
+// trace entry and the event share it, and all treat it as immutable. The
+// trace entry and the event carry the fidelity (0 for full), so deposits
+// and offline analysis can separate triage from truth. Must run on the
+// evaluator's own goroutine (commit order is the determinism guarantee).
+func (e *Evaluator) commit(cfg Config, key string, perf float64, estimated bool, fidelity float64) {
+	e.cache[key] = memo{perf: perf, cfg: cfg}
+	e.trace = append(e.trace, Evaluation{Index: len(e.trace), Config: cfg, Perf: perf, Estimated: estimated, Fidelity: fidelity})
 	if e.Tracer != nil {
-		emit(e.Tracer, Event{Type: EventEval, Index: len(e.trace) - 1, Config: kept, Perf: perf, Estimated: estimated})
+		emit(e.Tracer, Event{Type: EventEval, Index: len(e.trace) - 1, Config: cfg, Perf: perf, Estimated: estimated, Fidelity: fidelity})
 	}
 }
 
@@ -600,8 +619,9 @@ func (e *Evaluator) Seed(cfg Config, perf float64) error {
 	if !e.Space.Contains(cfg) {
 		return fmt.Errorf("search: seed configuration %v not in space", cfg)
 	}
-	e.cache[cfg.Key()] = perf
-	emit(e.Tracer, Event{Type: EventSeed, Index: -1, Config: cfg.Clone(), Perf: perf})
+	kept := cfg.Clone()
+	e.cache[kept.Key()] = memo{perf: perf, cfg: kept}
+	emit(e.Tracer, Event{Type: EventSeed, Index: -1, Config: kept, Perf: perf})
 	return nil
 }
 
@@ -619,8 +639,8 @@ func (e *Evaluator) Trace() Trace {
 
 // Known returns the cached performance for cfg, if present.
 func (e *Evaluator) Known(cfg Config) (float64, bool) {
-	perf, ok := e.cache[cfg.Key()]
-	return perf, ok
+	m, ok := e.cache[cfg.Key()]
+	return m.perf, ok
 }
 
 // truth reports whether cfg's full-fidelity cached value is a truth: a
@@ -650,42 +670,9 @@ func (e *Evaluator) KnownConfigs() []Config {
 	sort.Strings(keys)
 	out := make([]Config, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, parseKey(k))
+		out = append(out, e.cache[k].cfg.Clone())
 	}
 	return out
-}
-
-func parseKey(key string) Config {
-	parts := splitComma(key)
-	cfg := make(Config, len(parts))
-	for i, p := range parts {
-		v := 0
-		neg := false
-		for j := 0; j < len(p); j++ {
-			if p[j] == '-' {
-				neg = true
-				continue
-			}
-			v = v*10 + int(p[j]-'0')
-		}
-		if neg {
-			v = -v
-		}
-		cfg[i] = v
-	}
-	return cfg
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == ',' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, s[start:])
 }
 
 func abs(x float64) float64 {

@@ -31,42 +31,51 @@ func Synchronized(obj Objective) Objective {
 // configurations within the batch are measured once. The Objective must be
 // safe for concurrent use when workers > 1 (wrap with Synchronized if not).
 // EvalBatch itself must not be called concurrently with other Evaluator
-// methods.
+// methods. The returned configurations are the evaluator's own (see Eval).
 func (e *Evaluator) EvalBatch(pts [][]float64, workers int) ([]Config, []float64, error) {
+	return e.evalBatch(pts, workers, make([]Config, 0, len(pts)), make([]float64, 0, len(pts)))
+}
+
+// evalBatch is EvalBatch appending its results to cfgs and perfs, so the
+// simplex kernels can hand it per-run scratch. A nil cfgs collects no
+// configurations.
+func (e *Evaluator) evalBatch(pts [][]float64, workers int, cfgs []Config, perfs []float64) ([]Config, []float64, error) {
 	if workers <= 1 || e.DisableCache {
 		// Sequential path (the cache-off mode re-measures duplicates, which
 		// has no deterministic parallel equivalent).
-		cfgs := make([]Config, 0, len(pts))
-		perfs := make([]float64, 0, len(pts))
 		for _, pt := range pts {
 			cfg, perf, err := e.Eval(pt)
 			if err != nil {
 				return cfgs, perfs, err
 			}
-			cfgs = append(cfgs, cfg)
+			if cfgs != nil {
+				cfgs = append(cfgs, cfg)
+			}
 			perfs = append(perfs, perf)
 		}
 		return cfgs, perfs, nil
 	}
 
 	// Snap everything and find the configurations that need measuring, in
-	// first-occurrence order.
-	cfgs := make([]Config, len(pts))
-	need := make([]Config, 0, len(pts))
+	// first-occurrence order. Each point's snapped configuration and key
+	// are built once: a measured one is committed with both.
+	snapped := make([]Config, len(pts))
+	keys := make([]string, len(pts))
+	need := make([]int, 0, len(pts)) // indexes into snapped
 	seen := map[string]bool{}
 	for i, pt := range pts {
-		cfgs[i] = e.Space.Snap(pt)
-		key := cfgs[i].Key()
-		if seen[key] {
+		snapped[i] = e.Space.Snap(pt)
+		keys[i] = snapped[i].Key()
+		if seen[keys[i]] {
 			continue
 		}
-		seen[key] = true
-		if perf, ok := e.cache[key]; !ok {
-			need = append(need, cfgs[i])
+		seen[keys[i]] = true
+		if m, ok := e.cache[keys[i]]; !ok {
+			need = append(need, i)
 		} else {
 			e.hits++
 			if e.Tracer != nil {
-				emit(e.Tracer, Event{Type: EventEval, Index: -1, Config: cfgs[i].Clone(), Perf: perf, Cached: true})
+				emit(e.Tracer, Event{Type: EventEval, Index: -1, Config: m.cfg, Perf: m.perf, Cached: true})
 			}
 		}
 	}
@@ -86,7 +95,7 @@ func (e *Evaluator) EvalBatch(pts [][]float64, workers int) ([]Config, []float64
 	ps := make([]Probe, allowed)
 	est := make([]bool, allowed)
 	for i := range ps {
-		ps[i].Config = need[i]
+		ps[i].Config = snapped[need[i]]
 	}
 	func() {
 		// Commit in input order. Tracer events follow the commit order — not
@@ -100,7 +109,7 @@ func (e *Evaluator) EvalBatch(pts [][]float64, workers int) ([]Config, []float64
 		defer func() {
 			for i := range ps {
 				if ps[i].Done {
-					e.commit(ps[i].Config, ps[i].Perf, est[i])
+					e.commit(ps[i].Config, keys[need[i]], ps[i].Perf, est[i], 0)
 				}
 			}
 		}()
@@ -108,20 +117,20 @@ func (e *Evaluator) EvalBatch(pts [][]float64, workers int) ([]Config, []float64
 	}()
 
 	// Assemble results for the longest answerable prefix.
-	outC := make([]Config, 0, len(pts))
-	outP := make([]float64, 0, len(pts))
-	for _, cfg := range cfgs {
-		perf, ok := e.cache[cfg.Key()]
+	for _, key := range keys {
+		m, ok := e.cache[key]
 		if !ok {
-			return outC, outP, ErrBudget
+			return cfgs, perfs, ErrBudget
 		}
-		outC = append(outC, cfg)
-		outP = append(outP, perf)
+		if cfgs != nil {
+			cfgs = append(cfgs, m.cfg)
+		}
+		perfs = append(perfs, m.perf)
 	}
 	if truncated {
-		return outC, outP, ErrBudget
+		return cfgs, perfs, ErrBudget
 	}
-	return outC, outP, nil
+	return cfgs, perfs, nil
 }
 
 // runWorkers runs fn(i) for every i in [0, n) on up to `workers` concurrent
@@ -256,17 +265,22 @@ func (e *Evaluator) Speculate(pts [][]float64, workers int) *Speculation {
 // calling the objective again. Commit semantics — cache entry, trace
 // append, budget charge, tracer event — are identical to a fresh Eval, so
 // traces cannot distinguish a speculated measurement from a sequential one.
+//
+// The probe is snapped into the evaluator's scratch configuration and looked
+// up by its key scratch, so like EvalConfig it allocates only when it
+// commits.
 func (e *Evaluator) EvalSpeculated(pt []float64, spec *Speculation) (Config, float64, error) {
-	cfg := e.Space.Snap(pt)
+	cfg := e.snap(pt)
 	if spec != nil && !e.DisableCache {
-		key := cfg.Key()
-		if _, cached := e.cache[key]; !cached {
-			if perf, ok := spec.perfs[key]; ok {
+		e.keyBuf = appendKey(e.keyBuf[:0], cfg)
+		if _, cached := e.cache[string(e.keyBuf)]; !cached {
+			if perf, ok := spec.perfs[string(e.keyBuf)]; ok {
 				if e.MaxEvals > 0 && len(e.trace) >= e.MaxEvals {
 					return nil, 0, ErrBudget
 				}
-				e.commit(cfg, perf, spec.est[key])
-				return cfg, perf, nil
+				kept := cfg.Clone()
+				e.commit(kept, string(e.keyBuf), perf, spec.est[string(e.keyBuf)], 0)
+				return kept, perf, nil
 			}
 		}
 	}

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"strconv"
-	"strings"
 )
 
 // Param describes one tunable parameter as the paper's prioritizing tool
@@ -102,17 +100,12 @@ func (c Config) Equal(other Config) bool {
 	return true
 }
 
-// Key returns a canonical string form usable as a map key.
+// Key returns a canonical string form usable as a map key: the values in
+// decimal, comma-separated. It is appendKey's form, which the Evaluator's
+// memo lookups build without allocating.
 func (c Config) Key() string {
-	var b strings.Builder
-	b.Grow(8 * len(c)) // one allocation for typical values
-	for i, v := range c {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(v))
-	}
-	return b.String()
+	var buf [64]byte // holds typical keys, so the string is the only allocation
+	return string(appendKey(buf[:0], c))
 }
 
 // Space is an ordered set of tunable parameters.
@@ -174,10 +167,14 @@ func (s *Space) DefaultConfig() Config {
 // Snap maps a continuous point onto the nearest valid configuration, the
 // discrete adaptation of the simplex method described in §2 of the paper.
 func (s *Space) Snap(pt []float64) Config {
+	return s.snapInto(make(Config, len(s.Params)), pt)
+}
+
+// snapInto is Snap writing into cfg, which must hold Dim values.
+func (s *Space) snapInto(cfg Config, pt []float64) Config {
 	if len(pt) != len(s.Params) {
 		panic("search: Snap with wrong dimensionality")
 	}
-	cfg := make(Config, len(pt))
 	for i, p := range s.Params {
 		cfg[i] = p.Snap(pt[i])
 	}

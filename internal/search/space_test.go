@@ -211,6 +211,29 @@ func TestConfigHelpers(t *testing.T) {
 	}
 }
 
+// TestKeyBytes pins Config.Key's form, which the evaluator's memo keys share
+// (appendKey): decimal values, a minus sign for negatives, comma-separated.
+func TestKeyBytes(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{}, ""},
+		{Config{0}, "0"},
+		{Config{-7}, "-7"},
+		{Config{20, 46}, "20,46"},
+		{Config{-1, 0, 1, -60, 120, -123456789}, "-1,0,1,-60,120,-123456789"},
+		{Config{1 << 40, -(1 << 40)}, "1099511627776,-1099511627776"},
+	} {
+		if got := c.cfg.Key(); got != c.want {
+			t.Errorf("%v.Key() = %q, want %q", c.cfg, got, c.want)
+		}
+		if got := string(appendKey([]byte("x"), c.cfg)); got != "x"+c.want {
+			t.Errorf("appendKey(x, %v) = %q, want %q", c.cfg, got, "x"+c.want)
+		}
+	}
+}
+
 func TestSubspaceEmbedding(t *testing.T) {
 	s := MustSpace(
 		Param{Name: "a", Min: 0, Max: 10, Step: 1, Default: 5},

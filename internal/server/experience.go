@@ -54,10 +54,14 @@ type Store interface {
 
 // specKey derives the experience namespace key from the application name
 // and the canonical form of the parameter specification, so only
-// compatible sessions share experience.
+// compatible sessions share experience. Durable stores persist the keys,
+// so their form is pinned (TestSpecKeyPinned). The canonical form is hashed
+// from a stack buffer, which leaves the key string as the only allocation
+// for specs of up to a few dozen bundles.
 func specKey(app string, spec *rsl.Spec) string {
-	sum := sha256.Sum256([]byte(spec.Format()))
-	return app + "/" + hex.EncodeToString(sum[:8])
+	var buf [1024]byte
+	sum := sha256.Sum256(spec.AppendFormat(buf[:0]))
+	return string(hex.AppendEncode(append(append(buf[:0], app...), '/'), sum[:8]))
 }
 
 // configsFromExperience extracts the experience's dim+1 best distinct

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"harmony/internal/expdb"
 	"harmony/internal/rsl"
 	"harmony/internal/search"
+	"harmony/internal/webservice"
 )
 
 // quadMeasure builds a measure function peaking at the given point with
@@ -415,5 +417,33 @@ func TestConfirmedWarmSessionEndsAtFailedContraction(t *testing.T) {
 	// measured 12 configurations.
 	if snap.Measured >= 12 {
 		t.Errorf("measured = %d, want fewer than the 12 measured when shrinks followed", snap.Measured)
+	}
+}
+
+// TestSpecKeyPinned pins the experience namespace keys: durable stores
+// persist them, so a change to the canonical spec form or its hashing would
+// orphan every namespace in an existing data dir.
+func TestSpecKeyPinned(t *testing.T) {
+	var web strings.Builder
+	for _, p := range webservice.Space().Params {
+		fmt.Fprintf(&web, "{ harmonyBundle %s { int {%d %d %d} } }\n", p.Name, p.Min, p.Max, p.Step)
+	}
+	const restricted = `
+{ harmonyBundle A { int {1 4 1} } }
+{ harmonyBundle B { int {-$A 2*($A+1) 1} } }
+{ harmonyBundle C { int {1 9-$B/2 1} } }
+`
+	for _, c := range []struct{ app, src, want string }{
+		{"quad", quadRSL, "quad/a940a2599676e45d"},
+		{"web", web.String(), "web/6e7c95e16e0bc54a"},
+		{"", restricted, "/f203e67a885f71d4"},
+	} {
+		spec, err := rsl.Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := specKey(c.app, spec); got != c.want {
+			t.Errorf("specKey(%q, %q) = %q, want %q", c.app, spec.Format(), got, c.want)
+		}
 	}
 }

@@ -253,27 +253,30 @@ func (t *binWire) sendBatch(ms ...message) error {
 	return t.fw.w.Flush()
 }
 
-// frameReader decodes v3 frames. The body scratch buffer is reused across
-// frames, so steady-state hot-path reads (fetch, report) allocate nothing;
-// decode copies every value that outlives the call (config values, error
-// strings, JSON envelopes) out of the scratch. With mux set (a v4-mux
-// connection, after the negotiation register) every frame carries a varint
-// session token after the opcode, surfaced on message.sess.
+// frameReader decodes v3 frames. The length header and the body are read
+// into buffers the reader keeps (the body's grows to the largest frame
+// seen), so reading a fetch, report or reportf frame allocates nothing.
+// decode copies every value that outlives the call out of the body: a
+// config frame's values (one allocation, which the receiver keeps), a
+// reportc frame's characteristics, error strings and JSON envelopes. With
+// mux set (a v4-mux connection, after the negotiation register) every frame
+// carries a varint session token after the opcode, surfaced on
+// message.sess.
 type frameReader struct {
 	r   *bufio.Reader
+	hdr [4]byte
 	buf []byte
 	mux bool
 }
 
 func (fr *frameReader) read() (message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return message{}, io.ErrUnexpectedEOF // died mid-header
 		}
 		return message{}, err // io.EOF between frames is a clean close
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(fr.hdr[:])
 	if n == 0 {
 		// Nothing was consumed beyond the header: still in sync.
 		return message{}, &garbageError{reason: "v3 frame with zero length"}
@@ -436,7 +439,15 @@ func decodeFrame(body []byte) (message, error) {
 		if err != nil {
 			return message{}, &garbageError{reason: err.Error()}
 		}
-		want := map[byte]string{opRegister: "register", opRegistered: "registered", opBest: "best"}[op]
+		var want string
+		switch op {
+		case opRegister:
+			want = "register"
+		case opRegistered:
+			want = "registered"
+		default:
+			want = "best"
+		}
 		if m.Op != want {
 			return message{}, &garbageError{reason: fmt.Sprintf("v3 opcode 0x%02x carries op %q, want %q", op, m.Op, want)}
 		}

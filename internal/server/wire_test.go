@@ -11,6 +11,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -723,3 +724,110 @@ func benchmarkExchange(b *testing.B, proto int) {
 
 func BenchmarkExchangeV2JSON(b *testing.B)   { benchmarkExchange(b, 2) }
 func BenchmarkExchangeV3Binary(b *testing.B) { benchmarkExchange(b, 3) }
+
+// --- frame layer: allocation guards and benchmarks ---------------------------
+
+// hotFrames are the v3 frames of the steady-state exchange: the lockstep
+// fetch and report, and the pipelined reduced-fidelity report, with the
+// config frames that answer them.
+var hotFrames = []struct {
+	name string
+	m    message
+}{
+	{"fetch", message{Op: "fetch"}},
+	{"report", message{Op: "report", Perf: 987.5}},
+	{"reportf", message{Op: "report", Perf: 987.5, Fidelity: 0.25, id: 7, hasID: true}},
+	{"config", message{Op: "config", Values: []int{20, 46}}},
+	{"configf", message{Op: "config", Values: []int{8, 4, 2, 8, 4, 0, 1, 8, 0, 16}, Fidelity: 0.5, id: 7, hasID: true}},
+}
+
+// frameSource replays one encoded frame to a frameReader: each read
+// rewinds the source and decodes the frame again.
+type frameSource struct {
+	frame []byte
+	rd    *bytes.Reader
+	fr    frameReader
+}
+
+func newFrameSource(tb testing.TB, m message, mux bool) *frameSource {
+	tb.Helper()
+	var buf bytes.Buffer
+	fw := frameWriter{w: bufio.NewWriter(&buf), mux: mux}
+	if err := fw.append(m); err != nil {
+		tb.Fatal(err)
+	}
+	if err := fw.w.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	s := &frameSource{frame: buf.Bytes(), rd: bytes.NewReader(nil)}
+	s.fr = frameReader{r: bufio.NewReader(s.rd), mux: mux}
+	return s
+}
+
+func (s *frameSource) read() (message, error) {
+	s.rd.Reset(s.frame)
+	s.fr.r.Reset(s.rd)
+	return s.fr.read()
+}
+
+// TestFrameReadAllocs guards the frame reader's steady state: reading a
+// fetch, report or reportf frame allocates nothing, and a config frame
+// allocates exactly its values, which the receiver keeps.
+func TestFrameReadAllocs(t *testing.T) {
+	for _, mux := range []bool{false, true} {
+		for _, f := range hotFrames {
+			want := 0.0
+			if f.m.Op == "config" {
+				want = 1
+			}
+			m := f.m
+			m.sess = 3
+			src := newFrameSource(t, m, mux)
+			got, err := src.read()
+			if err != nil {
+				t.Fatalf("%s (mux=%v): %v", f.name, mux, err)
+			}
+			if got.Op != m.Op || got.Perf != m.Perf || got.Fidelity != m.Fidelity || got.id != m.id ||
+				!slices.Equal(got.Values, m.Values) || got.hasSess != mux {
+				t.Fatalf("%s (mux=%v) decoded as %+v, want %+v", f.name, mux, got, m)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { src.read() }); allocs != want { //nolint:errcheck
+				t.Errorf("%s (mux=%v): read allocated %v, want %v", f.name, mux, allocs, want)
+			}
+		}
+	}
+}
+
+// BenchmarkFrameDecode times reading and decoding one v3 frame of each
+// hot-path kind.
+func BenchmarkFrameDecode(b *testing.B) {
+	for _, f := range hotFrames {
+		b.Run(f.name, func(b *testing.B) {
+			src := newFrameSource(b, f.m, false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := src.read(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFrameEncode times encoding one v3 frame of each hot-path kind
+// onto a buffered writer.
+func BenchmarkFrameEncode(b *testing.B) {
+	for _, f := range hotFrames {
+		b.Run(f.name, func(b *testing.B) {
+			fw := frameWriter{w: bufio.NewWriter(io.Discard)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := fw.append(f.m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
