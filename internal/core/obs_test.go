@@ -102,15 +102,13 @@ func TestTunerPhaseMarkers(t *testing.T) {
 		t.Fatal("experience supplied but no training vertices used")
 	}
 
-	trainingAt, liveAt, firstSeed, firstEval := -1, -1, -1, -1
+	trainingAt, liveAt, firstEval := -1, -1, -1
 	for i, e := range tr.Events {
 		switch {
 		case e.Type == search.EventPhase && e.Op == "training":
 			trainingAt = i
 		case e.Type == search.EventPhase && e.Op == "live":
 			liveAt = i
-		case e.Type == search.EventSeed && firstSeed < 0:
-			firstSeed = i
 		case e.Type == search.EventEval && !e.Cached && firstEval < 0:
 			firstEval = i
 		}
@@ -120,9 +118,6 @@ func TestTunerPhaseMarkers(t *testing.T) {
 	}
 	if !(trainingAt < liveAt) {
 		t.Errorf("training marker (%d) not before live marker (%d)", trainingAt, liveAt)
-	}
-	if firstSeed >= 0 && !(trainingAt < firstSeed && firstSeed < liveAt) {
-		t.Errorf("seed injection at %d outside the training window (%d, %d)", firstSeed, trainingAt, liveAt)
 	}
 	if firstEval >= 0 && firstEval < liveAt {
 		t.Errorf("real measurement at %d before the live marker %d", firstEval, liveAt)

@@ -10,9 +10,8 @@
 //     supplied, its best configurations become the initial simplex. Vertices
 //     the history never measured are ranked by triangulation estimates, so
 //     the search starts from the most promising region instead of from
-//     predefined extreme configurations. When the experience's workload
-//     characteristics exactly match the current workload, its measurements
-//     may additionally be reused outright (no re-measurement).
+//     predefined extreme configurations. The records only rank the seeds:
+//     every seed is measured again under the current workload.
 //  2. Tuning: the (improved) Nelder–Mead kernel searches from that start,
 //     measuring real performance for every new configuration.
 package core
@@ -67,10 +66,6 @@ type Options struct {
 	Priorities []int
 	// Experience, when non-nil, supplies the training stage (§4.2).
 	Experience *history.Experience
-	// ReuseMeasurements additionally seeds the evaluator with the
-	// experience's exact measurements so they are never re-measured. Only
-	// sound when the experience's workload matches the current one.
-	ReuseMeasurements bool
 	// TrainingVertices is how many historical configurations seed the
 	// simplex (default dim+1, i.e. the full initial simplex when the
 	// history is rich enough).
@@ -175,13 +170,9 @@ func (t *Tuner) Run(opts Options) (*Session, error) {
 			init = search.ExtremeInit{}
 		}
 		if opts.Experience != nil && len(opts.Experience.Records) > 0 {
-			phase("training", fmt.Sprintf("records=%d reuse=%v", len(opts.Experience.Records), opts.ReuseMeasurements))
-			var seeds [][]float64
-			seeds, trainingUsed, err = t.trainingSeeds(space, opts, ev)
-			if err != nil {
-				return nil, err
-			}
-			if len(seeds) > 0 {
+			phase("training", fmt.Sprintf("records=%d", len(opts.Experience.Records)))
+			seeds := t.trainingSeeds(space, opts)
+			if trainingUsed = len(seeds); trainingUsed > 0 {
 				init = search.SeededInit{Seeds: seeds, Fallback: init}
 			}
 		}
@@ -223,7 +214,7 @@ func (t *Tuner) Run(opts Options) (*Session, error) {
 // trainingSeeds builds the training-stage initial simplex from the
 // experience: project historical records into the (sub)space, rank by known
 // or estimated performance, and return the best as continuous seed points.
-func (t *Tuner) trainingSeeds(space *search.Space, opts Options, ev *search.Evaluator) ([][]float64, int, error) {
+func (t *Tuner) trainingSeeds(space *search.Space, opts Options) [][]float64 {
 	exp := opts.Experience
 	want := opts.TrainingVertices
 	if want <= 0 {
@@ -251,7 +242,7 @@ func (t *Tuner) trainingSeeds(space *search.Space, opts Options, ev *search.Eval
 		cands = append(cands, cand{cfg: proj, perf: rec.Perf})
 	}
 	if len(cands) == 0 {
-		return nil, 0, nil
+		return nil
 	}
 
 	// When the history is too sparse to fill the simplex, rank additional
@@ -287,20 +278,7 @@ func (t *Tuner) trainingSeeds(space *search.Space, opts Options, ev *search.Eval
 	for _, c := range cands[:want] {
 		seeds = append(seeds, space.Continuous(c.cfg))
 	}
-
-	used := want
-	if opts.ReuseMeasurements {
-		for _, rec := range exp.Records {
-			proj, ok := t.project(space, opts.Priorities, rec.Config)
-			if !ok {
-				continue
-			}
-			if err := ev.Seed(proj, rec.Perf); err != nil {
-				return nil, 0, fmt.Errorf("core: seeding measurement: %w", err)
-			}
-		}
-	}
-	return seeds, used, nil
+	return seeds
 }
 
 // project maps a full-space configuration onto the searched space,

@@ -119,44 +119,6 @@ func TestTunerTrainingWarmStart(t *testing.T) {
 	}
 }
 
-func TestTunerReuseMeasurements(t *testing.T) {
-	s, obj := benchSpace()
-	calls := 0
-	counting := search.ObjectiveFunc(func(c search.Config) float64 {
-		calls++
-		return obj.Measure(c)
-	})
-	tuner := New(s, counting)
-	exp := &history.Experience{Label: "same", Direction: search.Maximize}
-	for _, cfg := range []search.Config{
-		{30, 15, 40, 25}, {31, 15, 40, 25}, {30, 16, 40, 25}, {30, 15, 41, 25}, {29, 15, 40, 25},
-	} {
-		exp.AddRecord(cfg, obj.Measure(cfg))
-	}
-	sess, err := tuner.Run(Options{
-		Direction:         search.Maximize,
-		MaxEvals:          60,
-		Improved:          true,
-		Experience:        exp,
-		ReuseMeasurements: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The five seeded vertices must not have been re-measured: the total
-	// measurement count is below the trace length plus seeds.
-	if calls != sess.Result.Evals {
-		t.Errorf("calls %d != evals %d", calls, sess.Result.Evals)
-	}
-	for _, ev := range sess.Result.Trace {
-		for _, rec := range exp.Records {
-			if ev.Config.Equal(rec.Config) {
-				t.Errorf("seeded config %v re-measured", ev.Config)
-			}
-		}
-	}
-}
-
 func TestTunerTrainingWithSparseHistory(t *testing.T) {
 	// One historical record: estimation must fill the remaining vertices
 	// without error.

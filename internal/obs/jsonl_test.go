@@ -132,7 +132,7 @@ func TestNilJSONL(t *testing.T) {
 }
 
 // TestTrajectoryJSONL pins the reduction from the full event stream to the
-// per-iteration records hbench -json emits: cache hits, seeds and simplex
+// per-iteration records hbench -json emits: cache hits, phase markers and simplex
 // bookkeeping fold away; best is monotone under the direction; elapsed uses
 // the injected clock.
 func TestTrajectoryJSONL(t *testing.T) {
@@ -144,7 +144,7 @@ func TestTrajectoryJSONL(t *testing.T) {
 		return clock
 	}
 
-	tr.Emit(search.Event{Type: search.EventSeed, Perf: 999})              // folded away
+	tr.Emit(search.Event{Type: search.EventPhase, Perf: 999})             // folded away
 	tr.Emit(search.Event{Type: search.EventEval, Perf: 10})               // iter 1, best 10
 	tr.Emit(search.Event{Type: search.EventEval, Perf: 8})                // iter 2, best 10
 	tr.Emit(search.Event{Type: search.EventEval, Cached: true, Perf: 50}) // folded away

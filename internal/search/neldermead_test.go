@@ -352,10 +352,8 @@ func TestNelderMeadImprovedBeatsOriginalOnInteriorOptimum(t *testing.T) {
 func TestNelderMeadWithEvaluatorSeededHistory(t *testing.T) {
 	s, obj := quadSpace()
 	ev := NewEvaluator(s, obj)
-	// Pre-seed the near-optimal region as historical knowledge.
-	if err := ev.Seed(Config{60, 30, 75}, 1000); err != nil {
-		t.Fatal(err)
-	}
+	// The near-optimal region is historical knowledge: it seeds the
+	// simplex and is measured like any other vertex.
 	opts := NelderMeadOptions{
 		Direction: Maximize,
 		MaxEvals:  50,
@@ -370,6 +368,9 @@ func TestNelderMeadWithEvaluatorSeededHistory(t *testing.T) {
 	}
 	if res.BestPerf < 990 {
 		t.Errorf("warm-started BestPerf = %v, want ~1000", res.BestPerf)
+	}
+	if first := res.Trace[0].Config; !first.Equal(Config{60, 30, 75}) {
+		t.Errorf("first measurement = %v, want the seed [60 30 75]", first)
 	}
 }
 

@@ -2,9 +2,7 @@ package search
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 )
 
 // Direction states whether larger or smaller objective values are better.
@@ -321,10 +319,9 @@ type Evaluator struct {
 	// the ablation bench to quantify the cache's value under noise).
 	DisableCache bool
 	// Tracer, when non-nil, receives an EventEval for every exploration
-	// (fresh measurements and cache hits) and an EventSeed for every
-	// training-stage injection. Events are emitted in commit order — even
-	// for parallel batches — so the stream is deterministic for
-	// deterministic objectives. Nil costs one branch per call.
+	// (fresh measurements and cache hits). Events are emitted in commit
+	// order — even for parallel batches — so the stream is deterministic
+	// for deterministic objectives. Nil costs one branch per call.
 	Tracer Tracer
 	// External, when non-nil, is the measure-once layer consulted after a
 	// local cache miss and budget check: an external answer (prior truth,
@@ -613,18 +610,6 @@ func (e *Evaluator) commit(cfg Config, key string, perf float64, estimated bool,
 	}
 }
 
-// Seed injects an already-known (configuration, performance) pair without
-// consuming budget — the "training stage" replay of historical data (§4.2).
-func (e *Evaluator) Seed(cfg Config, perf float64) error {
-	if !e.Space.Contains(cfg) {
-		return fmt.Errorf("search: seed configuration %v not in space", cfg)
-	}
-	kept := cfg.Clone()
-	e.cache[kept.Key()] = memo{perf: perf, cfg: kept}
-	emit(e.Tracer, Event{Type: EventSeed, Index: -1, Config: kept, Perf: perf})
-	return nil
-}
-
 // Count returns the number of real measurements performed.
 func (e *Evaluator) Count() int { return len(e.trace) }
 
@@ -637,16 +622,9 @@ func (e *Evaluator) Trace() Trace {
 	return append(Trace(nil), e.trace...)
 }
 
-// Known returns the cached performance for cfg, if present.
-func (e *Evaluator) Known(cfg Config) (float64, bool) {
-	m, ok := e.cache[cfg.Key()]
-	return m.perf, ok
-}
-
 // truth reports whether cfg's full-fidelity cached value is a truth: a
-// measured or cache-served evaluation, or a training-stage seed, rather than
-// a gate estimate. The latest full-fidelity trace entry for cfg decides; a
-// value with no such entry was seeded.
+// measured or cache-served evaluation rather than a gate estimate. The
+// latest full-fidelity trace entry for cfg decides.
 func (e *Evaluator) truth(cfg Config) bool {
 	for i := len(e.trace) - 1; i >= 0; i-- {
 		if t := e.trace[i]; FullFidelity(t.Fidelity) && t.Config.Equal(cfg) {
@@ -654,25 +632,6 @@ func (e *Evaluator) truth(cfg Config) bool {
 		}
 	}
 	return true
-}
-
-// KnownConfigs returns all cached full-fidelity configurations in
-// deterministic order. Fidelity-suffixed triage entries are skipped: they
-// are noisy observations, not known truths.
-func (e *Evaluator) KnownConfigs() []Config {
-	keys := make([]string, 0, len(e.cache))
-	for k := range e.cache {
-		if strings.IndexByte(k, '@') >= 0 {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Config, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, e.cache[k].cfg.Clone())
-	}
-	return out
 }
 
 func abs(x float64) float64 {

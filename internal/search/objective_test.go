@@ -121,12 +121,6 @@ func TestEvaluatorCachingAndTrace(t *testing.T) {
 	if ev.Count() != 1 {
 		t.Errorf("Count = %d, want 1", ev.Count())
 	}
-	if perf, ok := ev.Known(Config{4, 3}); !ok || perf != 7 {
-		t.Errorf("Known = %v %v", perf, ok)
-	}
-	if _, ok := ev.Known(Config{0, 1}); ok {
-		t.Error("Known true for unmeasured config")
-	}
 }
 
 func TestEvaluatorBudget(t *testing.T) {
@@ -160,28 +154,6 @@ func TestEvaluatorRejectsOffGrid(t *testing.T) {
 	}
 }
 
-func TestEvaluatorSeed(t *testing.T) {
-	s := smallSpace(t)
-	calls := 0
-	ev := NewEvaluator(s, ObjectiveFunc(func(c Config) float64 {
-		calls++
-		return 0
-	}))
-	if err := ev.Seed(Config{4, 3}, 42); err != nil {
-		t.Fatal(err)
-	}
-	_, perf, err := ev.EvalConfig(Config{4, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perf != 42 || calls != 0 {
-		t.Errorf("seeded eval = %v (calls %d), want 42 with 0 calls", perf, calls)
-	}
-	if err := ev.Seed(Config{5, 3}, 1); err == nil {
-		t.Error("off-grid seed accepted")
-	}
-}
-
 func TestEvaluatorDisableCache(t *testing.T) {
 	s := smallSpace(t)
 	calls := 0
@@ -194,30 +166,6 @@ func TestEvaluatorDisableCache(t *testing.T) {
 	ev.EvalConfig(Config{0, 1})
 	if calls != 2 {
 		t.Errorf("calls = %d, want 2 with cache disabled", calls)
-	}
-}
-
-func TestKnownConfigsRoundTrip(t *testing.T) {
-	s := MustSpace(Param{Name: "x", Min: -10, Max: 10, Step: 5, Default: 0})
-	ev := NewEvaluator(s, ObjectiveFunc(func(c Config) float64 { return float64(c[0]) }))
-	ev.EvalConfig(Config{-10})
-	ev.EvalConfig(Config{5})
-	ev.EvalConfig(Config{0})
-	got := ev.KnownConfigs()
-	if len(got) != 3 {
-		t.Fatalf("KnownConfigs len = %d, want 3", len(got))
-	}
-	seen := map[string]bool{}
-	for _, c := range got {
-		seen[c.Key()] = true
-		if !s.Contains(c) {
-			t.Errorf("KnownConfigs returned off-grid %v", c)
-		}
-	}
-	for _, want := range []string{"-10", "5", "0"} {
-		if !seen[want] {
-			t.Errorf("KnownConfigs missing %q", want)
-		}
 	}
 }
 

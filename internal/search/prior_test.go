@@ -277,23 +277,16 @@ func TestEvaluatorTruth(t *testing.T) {
 	s, obj := quadSpace()
 	ev := NewEvaluator(s, obj)
 	ev.External = estimateCache{cfg: Config{1, 1, 1}, perf: 5}
-	if err := ev.Seed(Config{2, 2, 2}, 7); err != nil {
-		t.Fatal(err)
-	}
 	for _, cfg := range []Config{{1, 1, 1}, {3, 3, 3}} {
 		if _, _, err := ev.EvalConfig(cfg); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, _, err := ev.EvalConfigAt(Config{2, 2, 2}, 0.5); err != nil {
-		t.Fatal(err)
 	}
 	cases := []struct {
 		cfg  Config
 		want bool
 	}{
 		{Config{1, 1, 1}, false}, // gate estimate
-		{Config{2, 2, 2}, true},  // seeded; the low-fidelity probe does not count
 		{Config{3, 3, 3}, true},  // measured
 	}
 	for _, c := range cases {

@@ -4,7 +4,7 @@ import "time"
 
 // EventType classifies the typed events a Tracer receives. The set covers
 // everything the paper's trajectory claims depend on — evaluations, simplex
-// operations, training-seed injection, and convergence decisions — plus the
+// operations and convergence decisions — plus the
 // server-side events (failure-budget charges, phase markers) that share the
 // same stream so one JSONL file reconstructs a whole session.
 type EventType string
@@ -14,9 +14,6 @@ const (
 	// (Cached=false, Index = exploration order) or a cache hit
 	// (Cached=true, Index = -1).
 	EventEval EventType = "eval"
-	// EventSeed is a training-stage injection of a historical
-	// (configuration, performance) pair — it consumed no budget (§4.2).
-	EventSeed EventType = "seed"
 	// EventSimplex is one Nelder–Mead operation; Op is one of "reflect",
 	// "expand", "contract_out", "contract_in" or "shrink".
 	EventSimplex EventType = "simplex"

@@ -98,7 +98,7 @@ func TestTracerOrderingUnderParallel(t *testing.T) {
 }
 
 // TestTracerEvaluatorEvents pins the per-site event shapes: fresh
-// measurement, cache hit, seed.
+// measurement and cache hit.
 func TestTracerEvaluatorEvents(t *testing.T) {
 	ev := NewEvaluator(tracerSpace(t), ObjectiveFunc(func(cfg Config) float64 {
 		return float64(cfg[0])
@@ -106,9 +106,6 @@ func TestTracerEvaluatorEvents(t *testing.T) {
 	var tr CollectTracer
 	ev.Tracer = &tr
 
-	if err := ev.Seed(Config{7, 7}, 123); err != nil {
-		t.Fatal(err)
-	}
 	if _, _, err := ev.EvalConfig(Config{5, 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +113,10 @@ func TestTracerEvaluatorEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if len(tr.Events) != 3 {
-		t.Fatalf("events = %+v, want 3", tr.Events)
+	if len(tr.Events) != 2 {
+		t.Fatalf("events = %+v, want 2", tr.Events)
 	}
-	seed, fresh, hit := tr.Events[0], tr.Events[1], tr.Events[2]
-	if seed.Type != EventSeed || seed.Perf != 123 || seed.Index != -1 {
-		t.Errorf("seed event = %+v", seed)
-	}
+	fresh, hit := tr.Events[0], tr.Events[1]
 	if fresh.Type != EventEval || fresh.Cached || fresh.Index != 0 || fresh.Perf != 5 {
 		t.Errorf("fresh event = %+v", fresh)
 	}
@@ -233,10 +227,10 @@ func TestMultiTracerAndStampSession(t *testing.T) {
 }
 
 // TestBestTrajectoryDirections: the fold respects the tuning direction and
-// skips cache hits and seeds.
+// skips cache hits and non-eval events.
 func TestBestTrajectoryDirections(t *testing.T) {
 	events := []Event{
-		{Type: EventSeed, Perf: -999},
+		{Type: EventPhase, Perf: -999},
 		{Type: EventEval, Perf: 5},
 		{Type: EventEval, Perf: 3},
 		{Type: EventEval, Cached: true, Perf: math.Inf(1)},

@@ -19,6 +19,7 @@ import (
 	"harmony/internal/drift"
 	"harmony/internal/evalcache"
 	"harmony/internal/expdb"
+	"harmony/internal/history"
 	"harmony/internal/mfsearch"
 	"harmony/internal/obs"
 	"harmony/internal/rsl"
@@ -127,11 +128,13 @@ type Server struct {
 	// characteristics maintain an EWMA of the characteristics their reports
 	// carry (Client.SetObserved) and, when the live vector leaves the
 	// matched centroid for a full hysteresis window, deposit the finished
-	// phase's trace as its own experience, flush the estimation gate's
-	// geometric history, re-match the classifier against the live vector
-	// and fund a warm in-session re-tune from the incumbent best — instead
-	// of converging on a configuration tuned for traffic that no longer
-	// exists. Stationary workloads are unaffected: the detector never
+	// phase's trace as its own experience (each phase deposits under its
+	// own vector through the session's one workload identity: the
+	// registered vector, then the live vector at each boundary), flush the
+	// estimation gate's geometric history, re-match the classifier against
+	// the live vector and fund a warm in-session re-tune from the
+	// incumbent best — instead of converging on a configuration tuned for
+	// traffic that no longer exists. Stationary workloads are unaffected: the detector never
 	// trips, no drift events are emitted, and trajectories are identical
 	// to detection being off. Note the gate-flush scope: the estimation
 	// gate is shared by every session in one (app, spec) namespace, and
@@ -554,20 +557,65 @@ type session struct {
 	// tune runs the kernel to its end: the final result, or nil once the
 	// session ended with the returned error.
 	tune func() (*search.Result, error)
-	warm bool // a prior experience seeded this session
 	// deposited reports that the session's trace entered the store.
 	deposited bool
-	// detector is the session's workload-drift detector, nil unless the
-	// server enables detection and the registration carried
-	// characteristics.
-	detector *drift.Detector
 	// tracer is the session's stamped trace stream (set at registration),
 	// kept here so the exchange can emit drift events onto the same
 	// demultiplexable stream the kernel uses.
 	tracer search.Tracer
-	// drifted hands a detector trip from the exchange to the session's
-	// next convergence decision.
-	drifted bool
+	workload
+}
+
+// workload is a session's workload identity (§4.2): the class of runs it
+// was seeded from and deposits into. startSession sets it; deposit and
+// match are the session's only calls into the experience store.
+type workload struct {
+	// key is the (app, spec) namespace.
+	key string
+	// chars is the vector the current phase deposits under: the registered
+	// characteristics, then each drift phase's live vector.
+	chars []float64
+	// cursor is the deposit cursor: the trace before it was deposited at
+	// an earlier drift boundary, under that phase's vector.
+	cursor int
+	// prior holds the matched experience's best configurations: the warm
+	// simplex seeds and the multi-fidelity sampling prior. priorBest is
+	// the experience's recorded best; a warm session whose measured start
+	// confirms it stops early (search.NelderMeadOptions.PriorBest).
+	prior     []search.Config
+	priorBest *float64
+	// layer is the namespace's measure-once layer, nil when the eval cache
+	// is off.
+	layer *evalcache.Layer
+	// detector is the session's workload-drift detector, nil unless the
+	// server enables detection and the registration carried
+	// characteristics. drifted hands a detector trip from the exchange to
+	// the session's next convergence decision.
+	detector *drift.Detector
+	drifted  bool
+}
+
+// warm reports whether a prior experience seeded the session.
+func (w *workload) warm() bool { return len(w.prior) > 0 }
+
+// deposit files the trace past the deposit cursor under the current
+// phase's vector and advances the cursor. Measured() keeps gate estimates
+// out: an estimate must never masquerade as prior-run truth. It reports
+// whether anything was stored.
+func (sess *session) deposit(tr search.Trace) bool {
+	stored := sess.srv.store().Record(sess.key, sess.chars, sess.dir, tr[sess.cursor:].Measured())
+	sess.cursor = len(tr)
+	return stored
+}
+
+// match returns the stored experience closest to chars in the session's
+// namespace, or nil, and the centroid the drift detector measures
+// against: the experience's characteristics, or chars itself.
+func (sess *session) match(chars []float64) (*history.Experience, []float64) {
+	if exp, ok := sess.srv.store().Match(sess.key, chars); ok {
+		return exp, exp.Characteristics
+	}
+	return nil, chars
 }
 
 // outstanding is one configuration sent and not yet reported: its
@@ -652,7 +700,7 @@ func (s *Server) openSession(remote, connID string) *session {
 // returns err.
 func (s *Server) endSession(sess *session, err error) error {
 	end := &sess.end
-	end.Warm, end.Deposited, end.Err = sess.warm, sess.deposited, err
+	end.Warm, end.Deposited, end.Err = sess.warm(), sess.deposited, err
 	m := s.m()
 	if end.Completed {
 		m.SessionsCompleted.Inc()
@@ -783,7 +831,7 @@ func (s *Server) register(sess *session, reg message) error {
 		return s.fail(sess, err.Error())
 	}
 	sess.end.App = reg.App
-	if sess.warm {
+	if sess.warm() {
 		s.m().WarmStarts.Inc()
 	}
 	st := sess.state
@@ -793,7 +841,7 @@ func (s *Server) register(sess *session, reg message) error {
 	st.snap.Mux = sess.token != 0
 	st.mu.Unlock()
 	sess.log.Info("session registered",
-		"app", reg.App, "dim", len(sess.names), "warm", sess.warm,
+		"app", reg.App, "dim", len(sess.names), "warm", sess.warm(),
 		"improved", reg.Improved, "max_evals", reg.MaxEvals,
 		"window", sess.window)
 	return nil
@@ -906,7 +954,7 @@ func (s *Server) tolerate(sess *session, what string) error {
 // batch it measures goes out through MeasureBatch, which reads the
 // session's messages until the batch is resolved.
 func (s *Server) serve(sess *session) error {
-	reply := message{Op: "registered", Names: sess.names, Warm: sess.warm}
+	reply := message{Op: "registered", Names: sess.names, Warm: sess.warm()}
 	if sess.window > 1 {
 		// Only v2 sessions see v2 fields: a v1 registration (no window)
 		// gets the byte-identical v1 reply.
@@ -1148,39 +1196,24 @@ func (s *Server) startSession(sess *session, reg message) error {
 	}
 	// Warm-start from the closest prior session of the same application and
 	// specification, when the client told us what workload it is serving.
-	key := specKey(reg.App, spec)
-	store := s.store()
-	// priorCfgs doubles as the multi-fidelity sampling prior: the same
-	// best-of-experience configurations that seed the simplex center the
-	// hyperband kernel's candidate distribution.
-	var priorCfgs []search.Config
-	// priorBest is the matched experience's recorded best: a warm session
-	// whose measured start confirms it stops on the short stall horizon or
-	// at its first failed contraction (search.NelderMeadOptions.PriorBest).
-	var priorBest *float64
-	// matchedRef is the centroid the drift detector measures against: the
-	// matched experience's characteristics when one exists, the registered
-	// vector otherwise.
-	matchedRef := reg.Characteristics
+	sess.workload = workload{key: specKey(reg.App, spec), chars: reg.Characteristics}
 	if len(reg.Characteristics) > 0 {
-		if exp, ok := store.Match(key, reg.Characteristics); ok {
-			priorCfgs = configsFromExperience(exp, space)
-			matchedRef = exp.Characteristics
-			if len(priorCfgs) > 0 {
-				init = search.SeededInit{Seeds: continuousSeeds(space, priorCfgs), Fallback: init}
-				sess.warm = true
-				priorBest = &exp.Best(1)[0].Perf
+		exp, ref := sess.match(reg.Characteristics)
+		if exp != nil {
+			if sess.prior = configsFromExperience(exp, space); sess.warm() {
+				init = search.SeededInit{Seeds: continuousSeeds(space, sess.prior), Fallback: init}
+				sess.priorBest = &exp.Best(1)[0].Perf
 			}
 		}
-	}
-	if s.DriftDetect && len(reg.Characteristics) > 0 {
-		sess.detector = drift.New(matchedRef, s.DriftOptions)
+		if s.DriftDetect {
+			sess.detector = drift.New(ref, s.DriftOptions)
+		}
 	}
 
 	// The session's state twin mirrors registration outcome and, through
 	// the tracer fan-out below, every kernel event — the control plane's
 	// read path.
-	st.registered(reg.App, dir, space.Dim(), window, sess.warm, sess.toWire)
+	st.registered(reg.App, dir, space.Dim(), window, sess.warm(), sess.toWire)
 
 	// The session is the kernel's objective: its client measures every
 	// batch over the wire. Holding the evaluator here (instead of inside
@@ -1199,21 +1232,11 @@ func (s *Server) startSession(sess *session, reg message) error {
 	// plane fit. The layer keys by kernel-space configurations — the same
 	// coordinates experiences are stored in — so warm fills and live
 	// probes meet in one namespace.
-	layer := s.evalLayer(key, space)
-	if layer != nil {
-		ev.External = layer
+	if sess.layer = s.evalLayer(sess.key, space); sess.layer != nil {
+		ev.External = sess.layer
 	}
 
 	sess.tune = func() (res *search.Result, err error) {
-		// depositedThrough and depositChars are the per-phase deposit
-		// cursor: every drift boundary deposits the trace segment measured
-		// since the previous boundary under the finished phase's workload
-		// identity, then the final deposit covers the tail under the last
-		// phase's live vector. A session that never drifts deposits its
-		// whole trace under the registered characteristics — the historical
-		// behaviour, bit for bit.
-		depositedThrough := 0
-		depositChars := reg.Characteristics
 		defer func() {
 			rec := recover()
 			if rec == nil {
@@ -1227,15 +1250,11 @@ func (s *Server) startSession(sess *session, reg message) error {
 			// The wire ended the session mid-kernel: deposit whatever was
 			// measured so the experience survives for future sessions
 			// (§4.2) — and say so: a silently dropped (or silently kept)
-			// partial trace is invisible to operators otherwise. Measured()
-			// keeps gate estimates out of the store: an estimate must never
-			// masquerade as prior-run truth. Only the tail past the
-			// per-phase deposit cursor goes in: segments before a drift
-			// boundary were already deposited under their own phase's
-			// identity.
+			// partial trace is invisible to operators otherwise. Segments
+			// before a drift boundary were already deposited under their
+			// own phase's vector.
 			tr := ev.Trace()
-			sess.deposited = store.Record(key, depositChars, dir, tr[depositedThrough:].Measured())
-			if sess.deposited {
+			if sess.deposited = sess.deposit(tr); sess.deposited {
 				s.m().PartialDeposits.Inc()
 			}
 			log.Warn("abnormal disconnect: partial trace",
@@ -1252,7 +1271,7 @@ func (s *Server) startSession(sess *session, reg message) error {
 			// once. window 1 is the sequential lockstep kernel,
 			// unchanged.
 			Parallel:  sess.window,
-			PriorBest: priorBest,
+			PriorBest: sess.priorBest,
 			Tracer:    tracer,
 		}
 		if s.SearchKernel == KernelHyperband {
@@ -1261,9 +1280,9 @@ func (s *Server) startSession(sess *session, reg message) error {
 			// full-fidelity polish. The experience configurations double
 			// as the sampling prior; a cold namespace degrades to plain
 			// Hyperband over uniform candidates.
-			res, err = mfsearch.Run(space, ev, mfsearch.NewPrior(space, priorCfgs), mfsearch.Options{
+			res, err = mfsearch.Run(space, ev, mfsearch.NewPrior(space, sess.prior), mfsearch.Options{
 				Direction: dir,
-				Seed:      kernelSeed(key, reg.Characteristics),
+				Seed:      kernelSeed(sess.key, reg.Characteristics),
 				Polish:    nmOpts,
 				Tracer:    tracer,
 			})
@@ -1277,17 +1296,14 @@ func (s *Server) startSession(sess *session, reg message) error {
 		for scale := 0.5; err == nil && st.takeRetune(sess.drifted, res.Converged && len(res.BestConfig) > 0); scale /= 2 {
 			if sess.drifted {
 				sess.drifted = false
-				det := sess.detector
 				// Warm in-session re-tune at a drift boundary. First close
 				// out the finished phase: its measurements become a prior-run
 				// experience under the workload identity they were measured
 				// on, so future sessions of that mix warm-start from them.
-				tr := ev.Trace()
-				if store.Record(key, depositChars, dir, tr[depositedThrough:].Measured()) {
+				if sess.deposit(ev.Trace()) {
 					st.notePhaseDeposit()
 					s.m().Deposits.Inc()
 				}
-				depositedThrough = len(tr)
 				// Exact memo entries are real measurements of real
 				// configurations and stay valid (the objective is what
 				// changed, and the memo is keyed per-configuration truth the
@@ -1296,21 +1312,22 @@ func (s *Server) startSession(sess *session, reg message) error {
 				// shared namespace-wide, so this flush acts for every peer
 				// session of the key — DriftDetect documents the assumption
 				// that they all observe the same live application.
-				if layer != nil && layer.Gate != nil {
-					layer.Gate.Flush()
+				if sess.layer != nil && sess.layer.Gate != nil {
+					sess.layer.Gate.Flush()
 				}
-				// Re-match the classifier against the live vector: the new
-				// phase may be one the server has seen before. Either way the
-				// detector rebases — on the matched centroid, or on the live
-				// vector itself — and re-arms for the next episode.
-				live := det.Live()
-				depositChars = live
-				ref, note := live, "no prior experience matched; tracking the live vector"
-				if exp, ok := store.Match(key, live); ok {
-					ref, note = exp.Characteristics, "re-matched a prior experience"
+				// Re-match the classifier against the live vector, which the
+				// new phase deposits under: it may be one the server has seen
+				// before. Either way the detector rebases — on the matched
+				// centroid, or on the live vector itself — and re-arms for
+				// the next episode.
+				sess.chars = sess.detector.Live()
+				exp, ref := sess.match(sess.chars)
+				note := "no prior experience matched; tracking the live vector"
+				if exp != nil {
+					note = "re-matched a prior experience"
 				}
-				det.Rebase(ref)
-				ds := det.Status()
+				sess.detector.Rebase(ref)
+				ds := sess.detector.Status()
 				tracer.Emit(search.Event{
 					Time: time.Now(), Type: search.EventDrift,
 					Op: "rematch", Iter: ds.Drifts, Dist: ds.Dist, Note: note,
@@ -1326,12 +1343,10 @@ func (s *Server) startSession(sess *session, reg message) error {
 		if err != nil {
 			return nil, s.fail(sess, err.Error())
 		}
-		// Deposit the session's tuning experience for future sessions.
-		// Measured() drops estimation-gate answers — only ground truth
-		// enters the prior-run store. After a drift the tail segment goes
-		// in under the last phase's live workload vector; earlier phases
-		// were already deposited at their boundaries.
-		sess.deposited = store.Record(key, depositChars, dir, res.Trace[depositedThrough:].Measured())
+		// Deposit the session's tuning experience for future sessions:
+		// after a drift only the tail, under the last phase's live vector;
+		// earlier phases were deposited at their boundaries.
+		sess.deposited = sess.deposit(res.Trace)
 		return res, nil
 	}
 	return nil

@@ -56,7 +56,6 @@ type SessionSnapshot struct {
 	Evals      int     `json:"evals"`
 	Cached     int     `json:"cached,omitempty"`
 	Estimated  int     `json:"estimated,omitempty"`
-	Seeds      int     `json:"seeds,omitempty"`
 	Iter       int     `json:"iter,omitempty"`
 	LastOp     string  `json:"last_op,omitempty"`
 	Phase      string  `json:"phase,omitempty"`
@@ -163,8 +162,6 @@ func (st *sessionState) Emit(e search.Event) {
 				st.snap.BestConfig = st.toWire(e.Config)
 			}
 		}
-	case search.EventSeed:
-		st.snap.Seeds++
 	case search.EventSimplex:
 		st.snap.Iter = e.Iter
 		st.snap.LastOp = e.Op

@@ -22,13 +22,12 @@ func TestSessionStateEmitTracksBest(t *testing.T) {
 	// separately but still feeds best-so-far.
 	st.Emit(search.Event{Type: search.EventEval, Cached: true, Config: search.Config{3, 4}, Perf: 4})
 	st.Emit(search.Event{Type: search.EventSimplex, Iter: 3, Op: search.OpReflect})
-	st.Emit(search.Event{Type: search.EventSeed})
 	st.Emit(search.Event{Type: search.EventPhase, Op: "retune"})
 	st.Emit(search.Event{Type: search.EventConverge, Op: "reltol"})
 
 	snap := st.Snapshot()
-	if snap.Evals != 3 || snap.Cached != 1 || snap.Seeds != 1 {
-		t.Errorf("counters = evals %d cached %d seeds %d, want 3/1/1", snap.Evals, snap.Cached, snap.Seeds)
+	if snap.Evals != 3 || snap.Cached != 1 {
+		t.Errorf("counters = evals %d cached %d, want 3/1", snap.Evals, snap.Cached)
 	}
 	if !snap.HaveBest || snap.BestPerf != 4 || len(snap.BestConfig) != 2 || snap.BestConfig[0] != 3 {
 		t.Errorf("best = %v @ %v, want [3 4] @ 4 (minimize keeps the lowest)", snap.BestConfig, snap.BestPerf)
