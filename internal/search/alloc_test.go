@@ -47,7 +47,9 @@ func allocSpaces() []struct {
 // configuration the evaluator keeps, which its memo, trace entry and
 // tracer events share, and its memo key — and nothing when every probe is
 // a memo hit. The trace and memo are pre-sized, so their amortized growth
-// does not count against an iteration.
+// does not count against an iteration. One iteration is one sample, so a
+// stray allocation by the race detector's runtime would fail it: under
+// -race the test still drives the kernel but checks no bound.
 func TestSimplexIterationAllocs(t *testing.T) {
 	for _, tc := range allocSpaces() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,7 +81,7 @@ func TestSimplexIterationAllocs(t *testing.T) {
 				if res != nil {
 					break // the iteration that ended the run built its result
 				}
-				if allocs > float64(2*commits) {
+				if !raceEnabled && allocs > float64(2*commits) {
 					t.Errorf("iteration %d allocated %v with %d committed evaluations, want at most %d",
 						iter-1, allocs, commits, 2*commits)
 				}

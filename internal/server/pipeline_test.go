@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"slices"
@@ -129,8 +128,8 @@ func (rs *rawSession) read() (string, message) {
 	if err != nil {
 		rs.t.Fatalf("read: %v (got %q)", err, line)
 	}
-	var m message
-	if err := json.Unmarshal([]byte(line), &m); err != nil {
+	m, err := decode([]byte(strings.TrimSuffix(line, "\n")))
+	if err != nil {
 		rs.t.Fatalf("decode %q: %v", line, err)
 	}
 	return line, m
@@ -156,10 +155,10 @@ func TestPipelinedOutOfOrderReports(t *testing.T) {
 	cfgs := make([]search.Config, 3)
 	for i := 0; i < 3; i++ {
 		line, m := rs.read()
-		if m.Op != "config" || m.ID == nil {
+		if m.Op != "config" || !m.hasID {
 			t.Fatalf("config %d = %q, want an id-tagged config", i, line)
 		}
-		ids[i], cfgs[i] = *m.ID, search.Config(m.Values)
+		ids[i], cfgs[i] = m.id, search.Config(m.Values)
 	}
 	if ids[0] == ids[1] || ids[1] == ids[2] || ids[0] == ids[2] {
 		t.Fatalf("ids not distinct: %v", ids)
@@ -172,12 +171,12 @@ func TestPipelinedOutOfOrderReports(t *testing.T) {
 	}
 	rs.write(`{"op":"fetch"}`)
 	line, m := rs.read()
-	if m.Op != "config" || m.ID == nil {
+	if m.Op != "config" || !m.hasID {
 		t.Fatalf("post-report dispatch = %q, want config", line)
 	}
 	for _, id := range ids {
-		if *m.ID == id {
-			t.Fatalf("dispatched id %d reused a live id (%v)", *m.ID, ids)
+		if m.id == id {
+			t.Fatalf("dispatched id %d reused a live id (%v)", m.id, ids)
 		}
 	}
 	rs.write(`{"op":"quit"}`)
@@ -243,10 +242,10 @@ func TestPipelinedDisconnectDepositsPartialTrace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reading configs: %v", err)
 		}
-		if m.Op != "config" || m.ID == nil {
+		if m.Op != "config" || !m.hasID {
 			t.Fatalf("unexpected reply %+v", m)
 		}
-		got[*m.ID] = search.Config(m.Values)
+		got[m.id] = search.Config(m.Values)
 	}
 	// Report the first two; leave the third outstanding and vanish.
 	for _, id := range []int{0, 1} {

@@ -41,8 +41,8 @@
 //	... fetch credits and id-keyed reports interleave ...
 //	S→C  {"op":"best","values":[4,5],"perf":80.1,"evals":57}
 //
-// The correlation id is a *int on the wire envelope so that id 0 still
-// encodes (a plain int with omitempty would drop it). A registration
+// The correlation id is written whenever a message carries one, so id 0
+// still encodes (a plain int with omitempty would drop it). A registration
 // without "window" (or with window 1) selects the lockstep v1 exchange,
 // whose bytes remain identical to prior releases; a v2 reply only
 // carries "window" when the granted window exceeds 1, so v1 clients never
@@ -66,12 +66,10 @@
 // always sends feasible decoded configurations to the client.
 package server
 
-import (
-	"encoding/json"
-	"fmt"
-)
-
-// message is the single wire envelope for both directions.
+// message is the single wire envelope for both directions. Its JSON tags
+// are the envelope schema: field order and omitempty rules as encoding/json
+// applies them, which the hand-written codec in envelope.go reproduces
+// byte for byte.
 type message struct {
 	Op string `json:"op"`
 
@@ -108,12 +106,6 @@ type message struct {
 	// Warm reports whether a prior experience seeded this session.
 	Warm bool `json:"warm,omitempty"`
 
-	// ID (protocol v2) correlates a config with its out-of-order report.
-	// It is a pointer so that id 0 still encodes: omitempty on a plain int
-	// would silently drop the first configuration's id and break report
-	// matching. Lockstep v1 messages leave it nil and stay byte-identical.
-	ID *int `json:"id,omitempty"`
-
 	// config / best
 	Values []int   `json:"values,omitempty"`
 	Perf   float64 `json:"perf,omitempty"`
@@ -131,10 +123,12 @@ type message struct {
 	// error
 	Msg string `json:"msg,omitempty"`
 
-	// id/hasID are the transport-normalized correlation id, the form the
-	// session's exchange and the binary framing use. decode/encode translate to
-	// and from the pointer-encoded JSON field: on the JSON wire nothing
-	// changes, and the binary hot path never allocates a *int.
+	// id/hasID (protocol v2) correlate a config with its out-of-order
+	// report. On the JSON envelope they are the "id" key, written between
+	// "warm" and "values" whenever hasID is set, so id 0 still encodes;
+	// lockstep v1 messages leave hasID unset and stay byte-identical. The
+	// envelope codec (envelope.go) reads and writes them directly; only its
+	// json.Unmarshal fallback decodes through a *int.
 	id    int
 	hasID bool
 
@@ -144,33 +138,4 @@ type message struct {
 	// a JSON envelope — the token lives in the frame, not the message.
 	sess    uint64
 	hasSess bool
-}
-
-// encode renders a message as one JSON line. The normalized id is
-// materialized into the pointer-encoded wire field on a local copy, so
-// callers build messages with id/hasID on every framing.
-func encode(m message) ([]byte, error) {
-	if m.hasID && m.ID == nil {
-		m.ID = &m.id
-	}
-	b, err := json.Marshal(m)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// decode parses one JSON line and normalizes the correlation id.
-func decode(line []byte) (message, error) {
-	var m message
-	if err := json.Unmarshal(line, &m); err != nil {
-		return message{}, fmt.Errorf("server: malformed message: %w", err)
-	}
-	if m.Op == "" {
-		return message{}, fmt.Errorf("server: message missing op")
-	}
-	if m.ID != nil {
-		m.id, m.hasID = *m.ID, true
-	}
-	return m, nil
 }

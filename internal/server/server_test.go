@@ -273,11 +273,11 @@ func TestConcurrentSessions(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	m := message{Op: "config", Values: []int{1, -2, 3}}
-	b, err := encode(m)
+	b, err := appendMessage(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decode(b[:len(b)-1])
+	got, err := decode(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,10 @@ package server
 // Cold-path opcodes — register (0x01), registered (0x02), best (0x07) —
 // wrap the JSON message envelope in a frame: they run once per session, and
 // keeping them JSON means every field (RSL, characteristics, window, warm)
-// rides along without a parallel binary schema.
+// rides along without a parallel binary schema. The envelope is encoded and
+// decoded by the hand-written codec in envelope.go, byte-identical to the
+// encoding/json output of earlier releases; json.Unmarshal decodes only an
+// envelope outside the codec's canonical form.
 //
 // # Session multiplexing (v4-mux)
 //
@@ -71,7 +74,6 @@ package server
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -136,12 +138,15 @@ type transport interface {
 }
 
 // jsonWire is the v1/v2 line-oriented JSON framing. Its bytes are pinned:
-// encode/decode are the same functions prior releases used.
+// the envelope codec writes exactly what encoding/json wrote for prior
+// releases. Each line is encoded into a scratch buffer the wire keeps, so a
+// send allocates nothing.
 type jsonWire struct {
 	sc          *bufio.Scanner
 	w           *bufio.Writer
 	beforeRead  func() // deadline hooks; nil means none
 	beforeWrite func()
+	scratch     []byte
 }
 
 func newJSONWire(r io.Reader, w *bufio.Writer, beforeRead, beforeWrite func()) *jsonWire {
@@ -174,8 +179,18 @@ func (t *jsonWire) recv() (message, error) {
 	return m, nil
 }
 
+// line encodes m as one newline-terminated line in the scratch buffer.
+func (t *jsonWire) line(m message) ([]byte, error) {
+	b, err := appendMessage(t.scratch[:0], m)
+	if err != nil {
+		return nil, err
+	}
+	t.scratch = append(b, '\n')
+	return t.scratch, nil
+}
+
 func (t *jsonWire) send(m message) error {
-	b, err := encode(m)
+	b, err := t.line(m)
 	if err != nil {
 		return err
 	}
@@ -196,7 +211,7 @@ func (t *jsonWire) sendBatch(ms ...message) error {
 		t.beforeWrite()
 	}
 	for _, m := range ms {
-		b, err := encode(m)
+		b, err := t.line(m)
 		if err != nil {
 			return err
 		}
@@ -563,16 +578,10 @@ func (fw *frameWriter) append(m message) error {
 		default:
 			op = opBest
 		}
-		jm := m
-		if jm.hasID {
-			jm.ID = &jm.id // materialize the pointer form for the JSON envelope
-		}
-		b, err := json.Marshal(jm)
-		if err != nil {
+		var err error
+		if body, err = appendMessage(fw.open(body, op, m), m); err != nil {
 			return err
 		}
-		body = fw.open(body, op, m)
-		body = append(body, b...)
 	default:
 		return fmt.Errorf("server: cannot encode op %q as a v3 frame", m.Op)
 	}

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"harmony/internal/faultnet"
+	"harmony/internal/rsl"
 	"harmony/internal/search"
 )
 
@@ -638,6 +639,14 @@ func FuzzV3FrameDecode(f *testing.F) {
 // is errFrameTooBig, and the end of the stream is io.EOF. Every accepted
 // line must carry an op and re-encode to a stable line.
 func FuzzJSONLineDecode(f *testing.F) {
+	// Seed the canonical envelopes, which take the hand parser's fast path.
+	for _, e := range envelopes {
+		b, err := appendMessage(nil, e.m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append(b, '\n'))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := newJSONWire(bytes.NewReader(data), nil, nil, nil)
 		for {
@@ -655,7 +664,7 @@ func FuzzJSONLineDecode(f *testing.F) {
 			if m.Op == "" {
 				t.Fatalf("accepted a line without an op: %+v", m)
 			}
-			b, err := encode(m)
+			b, err := appendMessage(nil, m)
 			if err != nil {
 				t.Fatalf("re-encode of accepted %q failed: %v", m.Op, err)
 			}
@@ -663,7 +672,7 @@ func FuzzJSONLineDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-decode of %s failed: %v", b, err)
 			}
-			if b2, _ := encode(m2); !bytes.Equal(b, b2) {
+			if b2, _ := appendMessage(nil, m2); !bytes.Equal(b, b2) {
 				t.Fatalf("round trip changed the line:\n was %s\n now %s", b, b2)
 			}
 		}
@@ -724,6 +733,54 @@ func benchmarkExchange(b *testing.B, proto int) {
 
 func BenchmarkExchangeV2JSON(b *testing.B)   { benchmarkExchange(b, 2) }
 func BenchmarkExchangeV3Binary(b *testing.B) { benchmarkExchange(b, 3) }
+
+// BenchmarkRegister times one v3 registration end to end: the preamble and
+// register frame out, the daemon's session setup with its classifier match
+// against a store of 256 experiences, and the registered frame back.
+// Dialing and closing the connection stay outside the timer.
+func BenchmarkRegister(b *testing.B) {
+	s := NewServer()
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	spec, err := rsl.Parse(quadRSL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := specKey("shop", spec)
+	for i := 0; i < 256; i++ {
+		x := float64(i) / 256
+		tr := search.Trace{
+			{Index: 0, Config: search.Config{i % 61, 45}, Perf: 1000 - x},
+			{Index: 1, Config: search.Config{20, i % 61}, Perf: 990 - x},
+		}
+		if !s.ExperienceStore().Record(key, []float64{x, 1 - x}, search.Maximize, tr) {
+			b.Fatalf("experience %d not stored", i)
+		}
+	}
+	opts := RegisterOptions{MaxEvals: 60, Improved: true, Proto: 3, App: "shop", Characteristics: []float64{0.3, 0.7}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := Dial(addr.String(), 2*time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := c.Register(quadRSL, opts); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if !c.WarmStarted() {
+			b.Fatal("registration did not match an experience")
+		}
+		c.Close()
+		b.StartTimer()
+	}
+}
 
 // --- frame layer: allocation guards and benchmarks ---------------------------
 
@@ -795,6 +852,61 @@ func TestFrameReadAllocs(t *testing.T) {
 				t.Errorf("%s (mux=%v): read allocated %v, want %v", f.name, mux, allocs, want)
 			}
 		}
+	}
+}
+
+// envelopes are the JSON envelopes of a session's life, one per kind the
+// daemon or its client sends: the register and registered pair, v2 configs
+// and reports with an id, full and reduced fidelity, the best, an error.
+var envelopes = []struct {
+	name string
+	m    message
+}{
+	{"register", message{Op: "register", RSL: quadRSL, Direction: "min", MaxEvals: 120, Improved: true,
+		App: "shop", Characteristics: []float64{0.8, 0.2}, Window: 4}},
+	{"registered", message{Op: "registered", Names: []string{"x", "y"}, Window: 4, Warm: true}},
+	{"fetch", message{Op: "fetch"}},
+	{"config", message{Op: "config", hasID: true, id: 3, Values: []int{20, 46}}},
+	{"report", message{Op: "report", hasID: true, id: 3, Perf: 987.5}},
+	{"configf", message{Op: "config", hasID: true, Values: []int{8, 4, 2, 8, 4, 0, 1, 8, 0, 16}, Fidelity: 0.0625}},
+	{"reportf", message{Op: "report", hasID: true, Perf: 63.25, Fidelity: 0.0625}},
+	{"best", message{Op: "best", Values: []int{20, 46}, Perf: 999.5, Evals: 57}},
+	{"error", message{Op: "error", Msg: "report for unknown id 99"}},
+}
+
+// BenchmarkEnvelopeEncode times encoding each JSON envelope into a reused
+// buffer.
+func BenchmarkEnvelopeEncode(b *testing.B) {
+	for _, e := range envelopes {
+		b.Run(e.name, func(b *testing.B) {
+			var buf []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if buf, err = appendMessage(buf[:0], e.m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEnvelopeDecode times decoding each JSON envelope.
+func BenchmarkEnvelopeDecode(b *testing.B) {
+	for _, e := range envelopes {
+		b.Run(e.name, func(b *testing.B) {
+			line, err := appendMessage(nil, e.m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := decode(line); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
