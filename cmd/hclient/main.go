@@ -25,17 +25,9 @@
 // kernel every request is full fidelity and the behaviour is unchanged.
 //
 // With -expect-warm the process exits 1 unless the server warm-started the
-// session from a prior run — the assertion the CI crash-recovery job leans
-// on: deposit, kill -9 the daemon, restart, and a matching session must
-// come back warm from the on-disk experience database.
-//
-// With -drift-after N the client simulates workload drift: every report
-// carries the current observed characteristic vector, and after N
-// measurements the vector switches to -drift-chars while the quadratic
-// optimum moves to (-drift-peak-x, -drift-peak-y). Against harmonyd
-// -drift-detect this exercises the whole continuous-tuning loop: the
-// server's EWMA tracker walks off the matched centroid, trips the
-// detector, and funds a warm in-session re-tune toward the new optimum.
+// session from a prior run — the assertion CI's harmonyd recovery drill
+// leans on: deposit, kill -9 the daemon, restart, and a matching session
+// must come back warm from the on-disk experience database.
 //
 // With -mux N the client switches to fleet mode: it dials ONE connection,
 // negotiates v4-mux session multiplexing, and runs N independent tuning
@@ -48,8 +40,7 @@
 //
 //	hclient -addr 127.0.0.1:7854 -app shop -chars 0.8,0.2 \
 //	        -peak-x 20 -peak-y 45 -max-evals 150 [-expect-warm] \
-//	        [-mux 16] \
-//	        [-drift-after 40 -drift-chars 0.1,0.9 -drift-peak-x 50 -drift-peak-y 10]
+//	        [-mux 16]
 package main
 
 import (
@@ -83,24 +74,11 @@ func main() {
 	workers := flag.Int("workers", 1, "concurrent measurements over the pipelined protocol (1 = lockstep v1)")
 	proto := flag.Int("proto", 2, "wire framing generation: 2 = JSON lines, 3 = length-prefixed binary")
 	muxN := flag.Int("mux", 0, "fleet mode: run this many sessions multiplexed over ONE v4-mux connection (0 = single un-muxed session)")
-	driftAfter := flag.Int("drift-after", 0, "simulate workload drift after this many measurements: report -drift-chars and move the optimum to (-drift-peak-x, -drift-peak-y); 0 = stationary")
-	driftChars := flag.String("drift-chars", "", "post-drift characteristic vector reported alongside measurements (needs -drift-after)")
-	driftPeakX := flag.Int("drift-peak-x", 50, "x coordinate of the post-drift optimum")
-	driftPeakY := flag.Int("drift-peak-y", 10, "y coordinate of the post-drift optimum")
 	flag.Parse()
 
 	characteristics, err := parseChars(*chars)
 	if err != nil {
 		fatalf("bad -chars: %v", err)
-	}
-	driftVector, err := parseChars(*driftChars)
-	if err != nil {
-		fatalf("bad -drift-chars: %v", err)
-	}
-	if *driftAfter > 0 {
-		if len(characteristics) == 0 || len(driftVector) != len(characteristics) {
-			fatalf("-drift-after needs -chars and a -drift-chars of the same length")
-		}
 	}
 
 	// runSession drives one full registered session on an established client
@@ -126,13 +104,8 @@ func main() {
 			return false, fmt.Errorf("register: %w", err)
 		}
 		warm := c.WarmStarted()
-		if *driftAfter > 0 {
-			// Pre-drift reports carry the registered vector so the server's EWMA
-			// tracker settles on the matched centroid before the drift hits.
-			c.SetObserved(characteristics)
-		}
 
-		var lowFi, measured atomic.Int64
+		var lowFi atomic.Int64
 		var (
 			gapMu   sync.Mutex
 			last    time.Time
@@ -144,12 +117,7 @@ func main() {
 			slowest = max(slowest, now.Sub(last))
 			last = now
 			gapMu.Unlock()
-			px, py := *peakX, *peakY
-			if *driftAfter > 0 && measured.Add(1) > int64(*driftAfter) {
-				c.SetObserved(driftVector)
-				px, py = *driftPeakX, *driftPeakY
-			}
-			dx, dy := float64(cfg[0]-px), float64(cfg[1]-py)
+			dx, dy := float64(cfg[0]-*peakX), float64(cfg[1]-*peakY)
 			perf := 1000 - dx*dx - dy*dy
 			if !search.FullFidelity(fidelity) {
 				// A shortened run: content-derived noise scaled by how much of

@@ -181,7 +181,7 @@ func TestSharedCacheLeaderDisconnectTakeover(t *testing.T) {
 	// A: a raw lockstep session that takes the first configuration and
 	// never reports it.
 	a := rawDial(t, addr)
-	a.write(`{"op":"register","rsl":` + strconv.Quote(quadRSL) + `,"app":"webapp","max_evals":150,"improved":true}`)
+	a.write(`{"op":"register","rsl":` + strconv.Quote(quadRSL) + `,"app":"webapp","maxEvals":150,"improved":true}`)
 	if _, reg := a.read(); reg.Op != "registered" {
 		t.Fatalf("A register reply = %+v", reg)
 	}

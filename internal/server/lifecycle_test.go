@@ -107,7 +107,7 @@ func TestOversizedLineClassified(t *testing.T) {
 		t.Cleanup(func() { s.Close() })
 
 		rs := rawDial(t, addr.String())
-		rs.write(`{"op":"register","rsl":"{ harmonyBundle x { int {0 60 1} } }","max_evals":40}`)
+		rs.write(`{"op":"register","rsl":"{ harmonyBundle x { int {0 60 1} } }","maxEvals":40}`)
 		if _, m := rs.read(); m.Op != "registered" {
 			t.Fatal("registration failed")
 		}
@@ -141,7 +141,7 @@ func TestOversizedLineClassified(t *testing.T) {
 		t.Cleanup(func() { s.Close() })
 
 		rs := rawDial(t, addr.String())
-		rs.write(`{"op":"register","rsl":"{ harmonyBundle x { int {0 60 1} } }","max_evals":40,"window":4}`)
+		rs.write(`{"op":"register","rsl":"{ harmonyBundle x { int {0 60 1} } }","maxEvals":40,"window":4}`)
 		if _, m := rs.read(); m.Op != "registered" || m.Window != 4 {
 			t.Fatal("v2 registration failed")
 		}

@@ -142,7 +142,7 @@ func TestPipelinedOutOfOrderReports(t *testing.T) {
 	_, addr := startServer(t)
 	rs := rawDial(t, addr)
 
-	rs.write(`{"op":"register","rsl":"{ harmonyBundle x { int {0 60 1} } }\n{ harmonyBundle y { int {0 60 1} } }","max_evals":100,"improved":true,"window":3}`)
+	rs.write(`{"op":"register","rsl":"{ harmonyBundle x { int {0 60 1} } }\n{ harmonyBundle y { int {0 60 1} } }","maxEvals":100,"improved":true,"window":3}`)
 	line, reg := rs.read()
 	if reg.Op != "registered" || reg.Window != 3 {
 		t.Fatalf("registered reply = %q", line)
@@ -337,7 +337,7 @@ func TestV1LockstepExchangeByteCompat(t *testing.T) {
 	_, addr := startServer(t)
 	rs := rawDial(t, addr)
 
-	rs.write(`{"op":"register","rsl":"{ harmonyBundle x { int {0 60 1} } }\n{ harmonyBundle y { int {0 60 1} } }","max_evals":60,"improved":true}`)
+	rs.write(`{"op":"register","rsl":"{ harmonyBundle x { int {0 60 1} } }\n{ harmonyBundle y { int {0 60 1} } }","maxEvals":60,"improved":true}`)
 	line, reg := rs.read()
 	if reg.Op != "registered" {
 		t.Fatalf("reply = %q", line)
@@ -391,8 +391,9 @@ func TestPipelinedGarbageWithinBudget(t *testing.T) {
 }
 
 // TestPipelinedMetrics: the pipeline gauges move — configs served and
-// reports received grow, and nothing is left on the outstanding gauge after
-// the sessions end.
+// reports received grow, the batch-size histogram records dispatches deeper
+// than 1, and nothing is left on the outstanding gauge after the sessions
+// end.
 func TestPipelinedMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := NewServer()
@@ -420,6 +421,10 @@ func TestPipelinedMetrics(t *testing.T) {
 	}
 	if v := s.Metrics.ReportsReceived.Value(); v == 0 {
 		t.Error("reports_received stayed zero")
+	}
+	// The session must have actually pipelined: the first bucket is le="1".
+	if h := s.Metrics.BatchSize; h.Count()-h.BucketCounts()[0] == 0 {
+		t.Errorf("batch_size count=%d, all at depth 1: no dispatch was pipelined", h.Count())
 	}
 	if v := s.Metrics.SessionOutstanding.Value(); v != 0 {
 		t.Errorf("session_outstanding = %v after session end, want 0", v)
