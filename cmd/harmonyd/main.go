@@ -26,8 +26,8 @@
 // next boot.
 //
 // And to save: -eval-cache wires the measure-once layer — exact hits from
-// prior runs and peer sessions are free, duplicate in-flight measurements
-// coalesce (shared scope), and -estimate-gate optionally answers
+// prior runs (and, in the shared scope, from peer sessions) are free, and
+// -estimate-gate optionally answers
 // well-supported probes from the §4.3 triangulation plane fit instead of a
 // client round-trip. -gate-truth-check-every keeps the gate honest by
 // re-measuring a sample of its answers and publishing the absolute error.
@@ -84,7 +84,7 @@ func main() {
 	compactAbove := flag.Int("experience-compact-above", expdb.DefaultCompactAbove, "per-workload-class experience count above which compaction runs (negative = never); bounds the in-memory and the durable store alike")
 	mergeDist := flag.Float64("experience-merge-dist", expdb.DefaultMergeDist, "squared-error radius merging near-identical workload classes during compaction")
 	keepRecords := flag.Int("experience-keep-records", expdb.DefaultKeepRecords, "best measurements each experience keeps through compaction")
-	evalCache := flag.String("eval-cache", "off", "measure-once evaluation cache scope: off, session (private per session, warm-filled from prior runs) or shared (cross-session exact hits + coalesced duplicate measurements)")
+	evalCache := flag.String("eval-cache", "off", "measure-once evaluation cache scope: off, session (private per session, warm-filled from prior runs) or shared (one memo per namespace: exact hits across sessions)")
 	estimateGate := flag.Bool("estimate-gate", false, "answer well-supported probes from the triangulation plane fit instead of measuring (needs -eval-cache session|shared; trades trajectory identity for savings)")
 	gateMaxDist := flag.Float64("gate-max-dist", evalcache.DefaultGateMaxDist, "estimation gate: max normalized distance from the target to any fitted vertex")
 	gateMaxResidual := flag.Float64("gate-max-residual", evalcache.DefaultGateMaxRelResidual, "estimation gate: max plane-fit RMS residual relative to the vertex performance scale")

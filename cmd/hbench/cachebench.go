@@ -46,7 +46,6 @@ type cacheBenchMode struct {
 	SavedFrac float64 `json:"saved_frac"`
 	// Cache counter values after the schedule (zero in off mode).
 	Hits         uint64  `json:"hits"`
-	Coalesced    uint64  `json:"coalesced"`
 	Estimated    uint64  `json:"estimated"`
 	GateRejects  uint64  `json:"gate_rejects"`
 	Fills        uint64  `json:"fills"`
@@ -187,7 +186,6 @@ func cacheBench(rt *obs.Runtime, target string, seed uint64, budget int, latency
 			m.SavedFrac = 1 - float64(m.Measured)/float64(m.Requested)
 		}
 		m.Hits = metrics.Hits.Value()
-		m.Coalesced = metrics.Coalesced.Value()
 		m.Estimated = metrics.Estimated.Value()
 		m.GateRejects = metrics.GateRejects.Value()
 		m.Fills = metrics.Fills.Value()

@@ -73,11 +73,12 @@ type Options struct {
 	// RelTol is the kernel's convergence tolerance (default 1e-3).
 	RelTol float64
 	// External, when non-nil, is consulted before every real measurement
-	// (the measure-once layer: exact memo hits, in-flight coalescing and —
-	// when its estimation gate is enabled — plane-fit answers). Cached
-	// answers are committed to the trace exactly like measurements, so an
-	// exact-only external layer leaves the trajectory bit-identical while
-	// skipping repeat objective invocations. See internal/evalcache.
+	// (the measure-once layer: exact memo hits and — when its estimation
+	// gate is enabled — plane-fit answers), and stores every measurement
+	// the objective makes. Cached answers are committed to the trace
+	// exactly like measurements, so an exact-only external layer leaves the
+	// trajectory bit-identical while skipping repeat objective invocations.
+	// See internal/evalcache.
 	External search.ExternalCache
 	// Tracer, when non-nil, receives the session's typed event stream:
 	// phase markers separating the training stage (§4.2 historical

@@ -19,11 +19,7 @@ func TestLayerFidelityKeying(t *testing.T) {
 	if _, _, ok := layer.LookupAt(cfg, 0.25); ok {
 		t.Fatal("empty layer answered a probe")
 	}
-	calls := 0
-	got := evalcache.MeasureVia(layer, cfg, 0.25, func() float64 { calls++; return 111 })
-	if got != 111 || calls != 1 {
-		t.Fatalf("MeasureVia = %v after %d calls, want 111 after 1", got, calls)
-	}
+	layer.Put(cfg, 0.25, 111, 0)
 
 	// The same (config, fidelity) pair is now answered measurement-free…
 	if perf, est, ok := layer.LookupAt(cfg, 0.25); !ok || est || perf != 111 {
@@ -39,7 +35,7 @@ func TestLayerFidelityKeying(t *testing.T) {
 	}
 
 	// Once the full truth is measured, it answers every fidelity (promotion).
-	evalcache.MeasureVia(layer, cfg, 1, func() float64 { return 100 })
+	layer.Put(cfg, 1, 100, 0)
 	for _, fid := range []float64{0.125, 0.25, 0.5, 1} {
 		perf, est, ok := layer.LookupAt(cfg, fid)
 		if !ok || est || perf != 100 {
@@ -52,10 +48,7 @@ func TestLayerFidelityFullDelegates(t *testing.T) {
 	layer := &evalcache.Layer{Cache: evalcache.New(0, 0, nil)}
 	cfg := search.Config{1, 2}
 	// Full fidelity (0 and ≥1) must be indistinguishable from the plain path.
-	perf := evalcache.MeasureVia(layer, cfg, 1, func() float64 { return 7 })
-	if perf != 7 {
-		t.Fatalf("MeasureVia(1) = %v, want 7", perf)
-	}
+	layer.Put(cfg, 1, 7, 0)
 	if got, est, ok := layer.LookupAt(cfg, 0); !ok || est || got != 7 {
 		t.Fatalf("LookupAt(0) = %v/%v/%v, want 7/false/true", got, est, ok)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strconv"
 	"sync"
+	"time"
 
 	"harmony/internal/estimate"
 	"harmony/internal/expdb"
@@ -317,7 +318,7 @@ func isFinite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
-// Layer binds a Cache (exact memo + claims) and an optional Gate to one
+// Layer binds a Cache (the exact memo) and an optional Gate to one
 // evaluator, implementing search.ExternalCache. Several sessions'
 // layers may share one Cache and Gate (the server's shared scope); the
 // layer itself is cheap per-session state.
@@ -353,7 +354,7 @@ func (l *Layer) Lookup(cfg search.Config) (perf float64, estimated, ok bool) {
 		if perf, ok := l.Gate.Estimate(cfg); ok {
 			if l.takeTruthCheck(key, perf) {
 				// Calibration: decline the estimate so the evaluator pays a
-				// real measurement; Settle correlates it back by key. No
+				// real measurement; Put correlates it back by key. No
 				// wall-clock is credited — none was saved.
 				return 0, false, false
 			}
@@ -385,26 +386,6 @@ func (l *Layer) takeTruthCheck(key string, est float64) bool {
 	}
 	l.pending[key] = est
 	return true
-}
-
-// observe feeds a leader's settled full-fidelity truth to the gate and
-// closes any truth check pending on key.
-func (l *Layer) observe(key string, cfg search.Config, perf float64) {
-	if l.Gate != nil {
-		l.Gate.Observe(cfg, perf)
-	}
-	l.closeCheck(key, perf)
-}
-
-// checking reports whether a truth check is pending on key.
-func (l *Layer) checking(key string) bool {
-	if l.TruthCheckEvery <= 0 {
-		return false
-	}
-	l.calMu.Lock()
-	defer l.calMu.Unlock()
-	_, pending := l.pending[key]
-	return pending
 }
 
 // closeCheck resolves the truth check pending on key, if any, with the
@@ -462,36 +443,21 @@ func (l *Layer) LookupAt(cfg search.Config, fidelity float64) (perf float64, est
 	return 0, false, false
 }
 
-// Claim implements search.ExternalCache: a claim on the shared cache, keyed
-// on (config, fidelity). A full-fidelity leader's settled truth also feeds
-// the gate; reduced-fidelity observations never do — its plane is fitted
-// through ground truth only.
-func (l *Layer) Claim(cfg search.Config, fidelity float64) (search.Claim, bool) {
+// Put implements search.ExternalCache: it memoizes a measurement under its
+// (config, fidelity) key, crediting future hits with cost. A full-fidelity
+// truth also feeds the gate and closes any truth check pending on the
+// configuration; reduced-fidelity observations never do — the gate's plane
+// is fitted through ground truth only.
+func (l *Layer) Put(cfg search.Config, fidelity float64, perf float64, cost time.Duration) {
 	key := cfg.Key()
+	l.Cache.Put(fidelityKey(key, fidelity), perf, cost)
 	if !search.FullFidelity(fidelity) {
-		return l.Cache.claim(fidelityKey(key, fidelity), nil, nil)
+		return
 	}
-	f, lead := l.Cache.claim(key, l, cfg)
-	if !lead && l.checking(key) {
-		return checkedWait{f, l, key}, false
+	if l.Gate != nil {
+		l.Gate.Observe(cfg, perf)
 	}
-	return f, lead
-}
-
-// checkedWait is a follower's claim on a key its layer holds a truth check
-// for: the peer's measurement is a real one, so it closes the check.
-type checkedWait struct {
-	*flight
-	l   *Layer
-	key string
-}
-
-func (c checkedWait) Wait() (float64, bool) {
-	perf, ok := c.flight.Wait()
-	if ok {
-		c.l.closeCheck(c.key, perf)
-	}
-	return perf, ok
+	l.closeCheck(key, perf)
 }
 
 // Fill hydrates both the memo and the gate with a prior-run truth (the

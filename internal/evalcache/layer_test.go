@@ -165,8 +165,8 @@ func TestNoDuplicateMeasurementsUnderSpeculation(t *testing.T) {
 	}
 }
 
-// TestLayerGateFallsBackToMeasurement: when the gate declines, the layer
-// must measure for real and feed the truth back to the gate.
+// TestLayerGateFallsBackToMeasurement: when the gate declines, the caller
+// measures for real, and Put feeds the truth to the memo and the gate.
 func TestLayerGateFallsBackToMeasurement(t *testing.T) {
 	sp := layerSpace(t)
 	m := evalcache.NewMetrics(obs.NewRegistry())
@@ -179,11 +179,8 @@ func TestLayerGateFallsBackToMeasurement(t *testing.T) {
 	if _, _, ok := layer.Lookup(cfg); ok {
 		t.Fatal("empty layer answered a probe")
 	}
-	measured := false
-	perf := evalcache.MeasureVia(layer, cfg, 0, func() float64 { measured = true; return quad(cfg) })
-	if !measured || perf != quad(cfg) {
-		t.Fatalf("measure fallback: measured=%v perf=%v", measured, perf)
-	}
+	perf := quad(cfg)
+	layer.Put(cfg, 0, perf, time.Millisecond)
 	// The truth entered both the memo and the gate's record set.
 	if got, _, ok := layer.Lookup(cfg); !ok || got != perf {
 		t.Fatalf("memo after measure: %v, %v", got, ok)
@@ -207,7 +204,7 @@ func TestLayerGateAnswersWhenSupported(t *testing.T) {
 	for _, dx := range []int{-6, -3, 0, 3, 6} {
 		for _, dy := range []int{-6, -3, 0, 3, 6} {
 			cfg := search.Config{30 + dx, 30 + dy}
-			evalcache.MeasureVia(layer, cfg, 0, func() float64 { return plane(cfg) })
+			layer.Put(cfg, 0, plane(cfg), 0)
 		}
 	}
 	target := search.Config{31, 29}
@@ -259,53 +256,59 @@ func (f batchFunc) Measure(cfg search.Config) float64 {
 
 func (f batchFunc) MeasureBatch(ps []search.Probe) { f(ps) }
 
-// TestBatchLeadsBeforeFollowing: one batch may lead some configurations
-// and follow a peer's claim on others; it measures its own first and only
-// then waits on the peer. A leads X and Y and, while measuring them, waits
-// for B to measure Z; B's batch follows A's Y and leads Z. Waiting on Y
-// before measuring Z would deadlock the pair.
-func TestBatchLeadsBeforeFollowing(t *testing.T) {
+// TestLayerKeepsMeasurementsOfPanickingBatch: a batch objective that stops
+// by panicking (the server's, when its client disconnects) still leaves
+// every probe it resolved in the layer; the probes it never reached stay
+// unknown.
+func TestLayerKeepsMeasurementsOfPanickingBatch(t *testing.T) {
 	sp := layerSpace(t)
 	layer := &evalcache.Layer{Cache: evalcache.New(0, 0, nil)}
-	x, y, z := []float64{1, 1}, []float64{2, 2}, []float64{3, 3}
-	resolve := func(ps []search.Probe) {
-		for i := range ps {
-			ps[i].Perf, ps[i].Done = quad(ps[i].Config), true
-		}
-	}
-
-	bMeasured := make(chan []search.Probe, 1)
-	bDone := make(chan error, 1)
-	a := search.NewEvaluator(sp, batchFunc(func(ps []search.Probe) {
-		b := search.NewEvaluator(sp, batchFunc(func(ps []search.Probe) {
-			bMeasured <- append([]search.Probe(nil), ps...)
-			resolve(ps)
-		}))
-		b.External = layer
-		go func() {
-			_, _, err := b.EvalBatch([][]float64{y, z}, 2)
-			bDone <- err
-		}()
-		select {
-		case got := <-bMeasured:
-			if len(got) != 1 || got[0].Config.Key() != "3,3" {
-				t.Errorf("B measured %v, want only its own Z", got)
-			}
-		case <-time.After(5 * time.Second):
-			t.Error("B never measured Z while A held Y")
-		}
-		resolve(ps)
+	ev := search.NewEvaluator(sp, batchFunc(func(ps []search.Probe) {
+		ps[0].Perf, ps[0].Done = quad(ps[0].Config), true
+		panic("client went away")
 	}))
-	a.External = layer
-	if _, _, err := a.EvalBatch([][]float64{x, y}, 2); err != nil {
-		t.Fatal(err)
+	ev.External = layer
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the objective's panic did not reach the caller")
+			}
+		}()
+		ev.EvalBatch([][]float64{{1, 1}, {2, 2}}, 2) //nolint:errcheck
+	}()
+	if perf, ok := layer.Cache.Peek("1,1"); !ok || perf != quad(search.Config{1, 1}) {
+		t.Fatalf("resolved probe in the layer = %v, %v, want its measurement", perf, ok)
 	}
-	select {
-	case err := <-bDone:
-		if err != nil {
+	if _, ok := layer.Cache.Peek("2,2"); ok {
+		t.Fatal("the unresolved probe was stored")
+	}
+	if ev.Count() != 1 {
+		t.Fatalf("evaluator committed %d measurements, want the resolved 1", ev.Count())
+	}
+}
+
+// TestLayerMissAllocs pins what one miss through an Evaluator with an
+// exact-only Layer allocates: the memo key the layer looks up and the one
+// it stores under, and the configuration and memo key the evaluator keeps.
+// The layer's memo is one shard whose first slot group is already in use,
+// so no map growth counts against a miss.
+func TestLayerMissAllocs(t *testing.T) {
+	layer := &evalcache.Layer{Cache: evalcache.New(1, 0, nil)}
+	layer.Cache.Put("warm", 0, 0)
+	ev := search.NewEvaluator(layerSpace(t), search.ObjectiveFunc(quad))
+	ev.External = layer
+	cfg := search.Config{0, 0}
+	miss := func() {
+		cfg[0]++
+		if _, _, err := ev.EvalConfig(cfg); err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("B never received A's Y")
+	}
+	const want = 4
+	if allocs := testing.AllocsPerRun(5, miss); allocs != want {
+		t.Errorf("one miss through the layer allocated %v, want %d", allocs, want)
+	}
+	if n := ev.Count(); n != 6 {
+		t.Fatalf("evaluator measured %d configurations, want 6 misses", n)
 	}
 }

@@ -16,10 +16,9 @@ type Metrics struct {
 	// the estimation gate or to a real measurement
 	// (harmony_eval_cache_misses_total).
 	Misses *obs.Counter
-	// Coalesced counts probes that piggybacked on another caller's
-	// in-flight measurement of the same configuration — the singleflight
-	// saves, within one pipelined window or across sessions
-	// (harmony_eval_cache_coalesced_total).
+	// Coalesced is always nil and reads 0: the layer no longer coalesces
+	// concurrent measurements of one configuration. The field stays because
+	// the benchmark module still reads it.
 	Coalesced *obs.Counter
 	// Estimated counts probes answered by the §4.3 estimation gate's plane
 	// fit instead of a real measurement
@@ -31,9 +30,10 @@ type Metrics struct {
 	// (harmony_eval_cache_gate_rejects_total).
 	GateRejects *obs.Counter
 	// SavedSeconds accumulates the measurement wall-clock the layer saved:
-	// each exact hit and coalesced wait is credited with the original
-	// measurement's cost, each estimated answer with the cache's mean
-	// measurement cost (harmony_eval_cache_saved_measurement_seconds_total).
+	// each exact hit is credited with the original measurement's cost (the
+	// wall time of the batch that measured it), each estimated answer with
+	// the cache's mean measurement cost
+	// (harmony_eval_cache_saved_measurement_seconds_total).
 	SavedSeconds *obs.FloatCounter
 	// Size is the number of distinct configurations resident in the memo
 	// (harmony_eval_cache_size). With several scoped caches alive the gauge
@@ -72,10 +72,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		Hits:         reg.Counter("harmony_eval_cache_hits_total", "Probes answered from the exact config-perf memo."),
 		Misses:       reg.Counter("harmony_eval_cache_misses_total", "Probes the memo could not answer."),
-		Coalesced:    reg.Counter("harmony_eval_cache_coalesced_total", "Probes coalesced onto another caller's in-flight measurement."),
 		Estimated:    reg.Counter("harmony_eval_cache_estimated_total", "Probes answered by the estimation gate's plane fit."),
 		GateRejects:  reg.Counter("harmony_eval_cache_gate_rejects_total", "Estimation attempts the gate refused (fell back to measurement)."),
-		SavedSeconds: reg.FloatCounter("harmony_eval_cache_saved_measurement_seconds_total", "Measurement wall-clock seconds saved by cache hits, coalescing and estimation."),
+		SavedSeconds: reg.FloatCounter("harmony_eval_cache_saved_measurement_seconds_total", "Measurement wall-clock seconds saved by cache hits and estimation."),
 		Size:         reg.Gauge("harmony_eval_cache_size", "Distinct configurations resident in the eval cache memo."),
 		Fills:        reg.Counter("harmony_eval_cache_warm_fills_total", "Configurations hydrated from the durable experience store."),
 		TruthChecks:  reg.Counter("harmony_estimate_truth_checks_total", "Estimation-gate answers re-measured for calibration."),

@@ -47,43 +47,58 @@ func allocSpaces() []struct {
 // configuration the evaluator keeps, which its memo, trace entry and
 // tracer events share, and its memo key — and nothing when every probe is
 // a memo hit. The trace and memo are pre-sized, so their amortized growth
-// does not count against an iteration. One iteration is one sample, so a
-// stray allocation by the race detector's runtime would fail it: under
-// -race the test still drives the kernel but checks no bound.
+// does not count against an iteration.
+//
+// One measurement of one iteration can catch an allocation the runtime
+// makes on its own account, so the deterministic run is replayed from the
+// same start several times in step and each iteration is held to the least
+// count its replays show. The race detector's runtime allocates more often
+// still: under -race the test drives the kernel but checks no bound.
 func TestSimplexIterationAllocs(t *testing.T) {
+	const replays = 5
 	for _, tc := range allocSpaces() {
 		t.Run(tc.name, func(t *testing.T) {
-			ev := NewEvaluator(tc.space, tc.obj)
-			ev.trace = make(Trace, 0, 1024)
-			ev.cache = make(map[string]memo, 1024)
-			// A long stall horizon keeps the run going once the simplex
-			// has collapsed onto the grid, where probes hit the memo.
-			opts := NelderMeadOptions{Init: DistributedInit{}, MaxEvals: 1000, MaxStall: 200, RelTol: 1e-12}
-			opts.fill(tc.space.Dim())
-			r := newSimplexRun(tc.space, ev, opts, 1, 4)
-			if res, err := r.start(); res != nil || err != nil {
-				t.Fatalf("start = %v, %v", res, err)
-			}
-			var res *Result
-			iter, commits := 0, 0
-			step := func() {
-				if res != nil {
-					return
+			runs := make([]*simplexRun, replays)
+			evs := make([]*Evaluator, replays)
+			for k := range runs {
+				ev := NewEvaluator(tc.space, tc.obj)
+				ev.trace = make(Trace, 0, 1024)
+				ev.cache = make(map[string]memo, 1024)
+				// A long stall horizon keeps the run going once the simplex
+				// has collapsed onto the grid, where probes hit the memo.
+				opts := NelderMeadOptions{Init: DistributedInit{}, MaxEvals: 1000, MaxStall: 200, RelTol: 1e-12}
+				opts.fill(tc.space.Dim())
+				r := newSimplexRun(tc.space, ev, opts, 1, 4)
+				if res, err := r.start(); res != nil || err != nil {
+					t.Fatalf("start = %v, %v", res, err)
 				}
-				before := ev.Count()
-				res = r.iterate(iter)
-				iter++
-				commits = ev.Count() - before
+				runs[k], evs[k] = r, ev
 			}
 			committing, hitOnly := 0, 0
-			for {
-				allocs := testing.AllocsPerRun(1, step)
-				if res != nil {
+			for iter := 0; ; iter++ {
+				least, commits, ended := math.Inf(1), 0, 0
+				for k, r := range runs {
+					before := evs[k].Count()
+					var res *Result
+					least = math.Min(least, allocsOf(func() { res = r.iterate(iter) }))
+					n := evs[k].Count() - before
+					if k > 0 && n != commits {
+						t.Fatalf("iteration %d committed %d evaluations in replay %d and %d in replay 0: the run is not deterministic", iter, n, k, commits)
+					}
+					commits = n
+					if res != nil {
+						ended++
+					}
+				}
+				if ended == replays {
 					break // the iteration that ended the run built its result
 				}
-				if !raceEnabled && allocs > float64(2*commits) {
-					t.Errorf("iteration %d allocated %v with %d committed evaluations, want at most %d",
-						iter-1, allocs, commits, 2*commits)
+				if ended > 0 {
+					t.Fatalf("iteration %d ended %d of %d replays", iter, ended, replays)
+				}
+				if !raceEnabled && least > float64(2*commits) {
+					t.Errorf("iteration %d allocated at least %v in each of %d replays with %d committed evaluations, want at most %d",
+						iter, least, replays, commits, 2*commits)
 				}
 				if commits == 0 {
 					hitOnly++
@@ -97,6 +112,20 @@ func TestSimplexIterationAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// allocsOf reports what one call of f allocates. testing.AllocsPerRun
+// calls its function once more to warm up; here that call does nothing, so
+// f runs exactly once.
+func allocsOf(f func()) float64 {
+	warm := true
+	return testing.AllocsPerRun(1, func() {
+		if warm {
+			warm = false
+			return
+		}
+		f()
+	})
 }
 
 // TestEvalMemoHitAllocs guards the evaluator's memo hit: a probe point that

@@ -3,6 +3,7 @@ package search
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 func fidelitySpace() *Space {
@@ -158,8 +159,8 @@ func TestTraceBestPrefersFullFidelity(t *testing.T) {
 // fakeFidCache implements ExternalCache and records the fidelity of every
 // call.
 type fakeFidCache struct {
-	lookups, claims []float64
-	store           map[string]float64
+	lookups, puts []float64
+	store         map[string]float64
 }
 
 func (f *fakeFidCache) key(cfg Config, fid float64) string {
@@ -175,19 +176,10 @@ func (f *fakeFidCache) LookupAt(cfg Config, fid float64) (float64, bool, bool) {
 	return p, false, ok
 }
 
-func (f *fakeFidCache) Claim(cfg Config, fid float64) (Claim, bool) {
-	f.claims = append(f.claims, fid)
-	return fakeClaim{f: f, key: f.key(cfg, fid)}, true
+func (f *fakeFidCache) Put(cfg Config, fid, perf float64, _ time.Duration) {
+	f.puts = append(f.puts, fid)
+	f.store[f.key(cfg, fid)] = perf
 }
-
-type fakeClaim struct {
-	f   *fakeFidCache
-	key string
-}
-
-func (c fakeClaim) Settle(perf float64)   { c.f.store[c.key] = perf }
-func (c fakeClaim) Abandon()              {}
-func (c fakeClaim) Wait() (float64, bool) { return 0, false }
 
 func TestEvalConfigAtRoutesThroughFidelityExternal(t *testing.T) {
 	obj := &countingFidObjective{}
@@ -198,11 +190,11 @@ func TestEvalConfigAtRoutesThroughFidelityExternal(t *testing.T) {
 	if _, _, err := ev.EvalConfigAt(Config{1, 2}, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if len(ext.lookups) != 1 || len(ext.claims) != 1 || ext.lookups[0] != 0.5 || ext.claims[0] != 0.5 {
-		t.Fatalf("routing: lookups=%v claims=%v, want one of each at fidelity 0.5", ext.lookups, ext.claims)
+	if len(ext.lookups) != 1 || len(ext.puts) != 1 || ext.lookups[0] != 0.5 || ext.puts[0] != 0.5 {
+		t.Fatalf("routing: lookups=%v puts=%v, want one of each at fidelity 0.5", ext.lookups, ext.puts)
 	}
 	if _, ok := ext.store["1,2@low"]; !ok || len(ext.store) != 1 {
-		t.Fatalf("settled entries %v, want only the low-fidelity key", ext.store)
+		t.Fatalf("stored entries %v, want only the low-fidelity key", ext.store)
 	}
 	if obj.low != 1 {
 		t.Fatalf("objective low calls = %d, want 1", obj.low)

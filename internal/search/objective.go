@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"strconv"
+	"time"
 )
 
 // Direction states whether larger or smaller objective values are better.
@@ -251,7 +252,7 @@ func (t Trace) InitialWindow(k int) Trace {
 //
 // MeasureBatch sets Perf and Done on each probe it resolves. It may stop
 // early by panicking: the probes it resolved before then keep Done set, and
-// the Evaluator commits (EvalBatch) and settles them before the panic
+// the Evaluator commits (EvalBatch) and stores them before the panic
 // continues, so a measurement that was paid for is never dropped.
 type BatchObjective interface {
 	Objective
@@ -270,16 +271,16 @@ type Probe struct {
 
 // ExternalCache is the measure-once layer an Evaluator consults between
 // its own per-session bookkeeping and the real objective: a cross-session
-// (config, fidelity)→perf memo with singleflight coalescing, optionally
-// backed by the §4.3 estimation gate (see the evalcache package).
+// (config, fidelity)→perf memo, optionally backed by the §4.3 estimation
+// gate (see the evalcache package).
 //
 // Contract: LookupAt answers with a previously measured truth (estimated ==
 // false) or a gate estimate (estimated == true). Reuse is promotion-aware: a
 // full-fidelity truth may answer a lower-fidelity probe, but a low-fidelity
-// observation never answers a full-fidelity one. Claim registers the
-// caller's intent to measure: the leader (lead == true) measures and then
-// settles or abandons the claim; every other caller waits on it and shares
-// the leader's result. Implementations must be safe for concurrent use.
+// observation never answers a full-fidelity one. Put stores a measurement
+// the objective made for a probe LookupAt could not answer; cost is the
+// wall time of the batch that measured it. Implementations must be safe
+// for concurrent use.
 //
 // Externally answered probes are committed to the trace exactly like
 // measurements (budget charge, trace index, tracer event), so with a
@@ -288,20 +289,7 @@ type Probe struct {
 // invocations drops.
 type ExternalCache interface {
 	LookupAt(cfg Config, fidelity float64) (perf float64, estimated, ok bool)
-	Claim(cfg Config, fidelity float64) (c Claim, lead bool)
-}
-
-// Claim is one configuration's measurement ticket from an ExternalCache.
-type Claim interface {
-	// Settle publishes the leader's measurement to the layer and its
-	// followers.
-	Settle(perf float64)
-	// Abandon releases a leader's claim unmeasured; one follower takes
-	// over.
-	Abandon()
-	// Wait blocks a follower until the leader settles (ok) or abandons
-	// (!ok: claim again).
-	Wait() (perf float64, ok bool)
+	Put(cfg Config, fidelity float64, perf float64, cost time.Duration)
 }
 
 // Evaluator wraps an Objective with exploration counting, a snap-to-grid
@@ -325,9 +313,10 @@ type Evaluator struct {
 	Tracer Tracer
 	// External, when non-nil, is the measure-once layer consulted after a
 	// local cache miss and budget check: an external answer (prior truth,
-	// coalesced peer measurement, or gate estimate) is committed exactly
-	// like a fresh measurement. Ignored when DisableCache is set (the
-	// ablation mode re-measures everything by design).
+	// peer measurement, or gate estimate) is committed exactly like a fresh
+	// measurement, and every measurement is put into it. Ignored when
+	// DisableCache is set (the ablation mode re-measures everything by
+	// design).
 	External ExternalCache
 
 	cache map[string]memo
@@ -493,69 +482,49 @@ func (e *Evaluator) measureOne(cfg Config, fidelity float64) (perf float64, esti
 
 // measure is the one measure path: it resolves every probe in ps, setting
 // est for the ones the estimation gate answered. The external layer answers
-// what it knows; the objective measures what this batch claims, in one
-// batch; then the batch waits for the configurations peers are measuring,
-// and measures itself any a peer abandoned. A panicking objective stops the
-// batch: the probes it resolved keep Done set and are settled, the rest are
-// abandoned to any follower, and the panic continues.
+// what it knows; the objective measures the rest in one batch, and the
+// layer stores each result. A panicking objective stops the batch: the
+// probes it resolved keep Done set and are stored all the same, and the
+// panic continues.
 func (e *Evaluator) measure(ps []Probe, est []bool, workers int) {
 	ext := e.External
 	if ext == nil || e.DisableCache {
 		e.measureRaw(ps, workers)
 		return
 	}
+	n := 0
 	for i := range ps {
 		ps[i].Perf, est[i], ps[i].Done = ext.LookupAt(ps[i].Config, ps[i].Fidelity)
+		if !ps[i].Done {
+			n++
+		}
 	}
-	claims := make([]Claim, len(ps))
-	for {
-		var leads []Probe
-		var at []int
-		following := false
-		for i := range ps {
-			if ps[i].Done {
-				continue
-			}
-			c, lead := ext.Claim(ps[i].Config, ps[i].Fidelity)
-			claims[i] = c
-			if !lead {
-				following = true
-				continue
-			}
-			leads, at = append(leads, ps[i]), append(at, i)
-		}
-		if len(leads) > 0 {
-			e.measureLeads(ps, leads, at, claims, workers)
-		}
-		if !following {
-			return
-		}
-		// The batch's own claims are settled; only now wait on peers, so two
-		// batches that follow each other's leads cannot deadlock.
+	if n == 0 {
+		return
+	}
+	// A batch the layer answered none of is measured in place.
+	misses, at := ps, []int(nil)
+	if n < len(ps) {
+		misses, at = make([]Probe, 0, n), make([]int, 0, n)
 		for i := range ps {
 			if !ps[i].Done {
-				ps[i].Perf, ps[i].Done = claims[i].Wait()
+				misses, at = append(misses, ps[i]), append(at, i)
 			}
 		}
 	}
-}
-
-// measureLeads measures the probes this batch leads, copies them back to
-// their places at in ps, and settles each claim, or abandons it when the
-// objective panicked before resolving it.
-func (e *Evaluator) measureLeads(ps, leads []Probe, at []int, claims []Claim, workers int) {
+	start := time.Now()
 	defer func() {
-		for j, p := range leads {
-			i := at[j]
-			ps[i] = p
+		cost := time.Since(start)
+		for j, p := range misses {
+			if at != nil {
+				ps[at[j]] = p
+			}
 			if p.Done {
-				claims[i].Settle(p.Perf)
-			} else {
-				claims[i].Abandon()
+				ext.Put(p.Config, p.Fidelity, p.Perf, cost)
 			}
 		}
 	}()
-	e.measureRaw(leads, workers)
+	e.measureRaw(misses, workers)
 }
 
 // measureRaw measures ps with the objective: one MeasureBatch call for a

@@ -172,11 +172,11 @@ func runWorkers(n, workers int, fn func(i int)) []any {
 // speculation) is valid and makes EvalSpeculated equivalent to Eval.
 //
 // When the evaluator carries an External measure-once layer, every value a
-// speculative round measures is remembered by that layer even if the round
+// speculative round measures is put into that layer even if the round
 // never commits it — so a candidate measured, discarded, and probed again
-// iterations (or sessions) later costs nothing the second time. Before the
-// layer existed, discarded speculative measurements were simply re-measured
-// (the multipoint/pipelined path's duplicate-config double measurement).
+// iterations (or sessions) later costs nothing the second time. Without
+// the layer, a discarded speculative measurement is measured again when a
+// later iteration probes it.
 type Speculation struct {
 	perfs map[string]float64
 	est   map[string]bool // keys answered by the estimation gate

@@ -67,17 +67,17 @@ func TestEvalBatchParallelDeterministic(t *testing.T) {
 
 func TestEvalBatchActuallyConcurrent(t *testing.T) {
 	s := MustSpace(Param{Name: "x", Min: 0, Max: 100, Step: 1, Default: 0})
-	var inflight, maxInflight int32
+	var active, maxActive int32
 	obj := ObjectiveFunc(func(c Config) float64 {
-		cur := atomic.AddInt32(&inflight, 1)
+		cur := atomic.AddInt32(&active, 1)
 		for {
-			max := atomic.LoadInt32(&maxInflight)
-			if cur <= max || atomic.CompareAndSwapInt32(&maxInflight, max, cur) {
+			max := atomic.LoadInt32(&maxActive)
+			if cur <= max || atomic.CompareAndSwapInt32(&maxActive, max, cur) {
 				break
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
-		atomic.AddInt32(&inflight, -1)
+		atomic.AddInt32(&active, -1)
 		return float64(c[0])
 	})
 	ev := NewEvaluator(s, obj)
@@ -88,10 +88,10 @@ func TestEvalBatchActuallyConcurrent(t *testing.T) {
 	if _, _, err := ev.EvalBatch(pts, 4); err != nil {
 		t.Fatal(err)
 	}
-	if got := atomic.LoadInt32(&maxInflight); got < 2 {
+	if got := atomic.LoadInt32(&maxActive); got < 2 {
 		t.Errorf("max concurrent measurements = %d, want >= 2", got)
 	}
-	if got := atomic.LoadInt32(&maxInflight); got > 4 {
+	if got := atomic.LoadInt32(&maxActive); got > 4 {
 		t.Errorf("max concurrent measurements = %d, want <= 4 workers", got)
 	}
 }
@@ -142,14 +142,14 @@ func TestEvalBatchUsesCache(t *testing.T) {
 }
 
 func TestSynchronizedSerializes(t *testing.T) {
-	var inflight, maxInflight int32
+	var active, maxActive int32
 	raw := ObjectiveFunc(func(c Config) float64 {
-		cur := atomic.AddInt32(&inflight, 1)
-		if cur > atomic.LoadInt32(&maxInflight) {
-			atomic.StoreInt32(&maxInflight, cur)
+		cur := atomic.AddInt32(&active, 1)
+		if cur > atomic.LoadInt32(&maxActive) {
+			atomic.StoreInt32(&maxActive, cur)
 		}
 		time.Sleep(2 * time.Millisecond)
-		atomic.AddInt32(&inflight, -1)
+		atomic.AddInt32(&active, -1)
 		return 0
 	})
 	obj := Synchronized(raw)
@@ -162,8 +162,8 @@ func TestSynchronizedSerializes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := atomic.LoadInt32(&maxInflight); got != 1 {
-		t.Errorf("max inflight through Synchronized = %d, want 1", got)
+	if got := atomic.LoadInt32(&maxActive); got != 1 {
+		t.Errorf("max active through Synchronized = %d, want 1", got)
 	}
 }
 

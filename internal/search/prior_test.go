@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // runEvents collects the EventSimplex, EventConverge and EventPhase events
@@ -243,13 +244,7 @@ func (c estimateCache) LookupAt(cfg Config, _ float64) (float64, bool, bool) {
 	return 0, false, false
 }
 
-func (estimateCache) Claim(Config, float64) (Claim, bool) { return noClaim{}, true }
-
-type noClaim struct{}
-
-func (noClaim) Settle(float64)        {}
-func (noClaim) Abandon()              {}
-func (noClaim) Wait() (float64, bool) { return 0, false }
+func (estimateCache) Put(Config, float64, float64, time.Duration) {}
 
 func TestPriorGateEstimateNeverConfirms(t *testing.T) {
 	s, obj := quadSpace()

@@ -19,12 +19,12 @@ const (
 	// CacheSession gives each session a private cache, warm-filled at
 	// registration with every truth the experience store holds for the
 	// session's (app, spec) namespace. Sessions never see each other's
-	// in-flight measurements, but they stop re-paying for prior runs.
+	// measurements, but they stop re-paying for prior runs.
 	CacheSession
 	// CacheShared shares one cache (and, when the gate is enabled, one
 	// gate) across every session of an (app, spec) namespace: exact hits
-	// cross session boundaries live, and concurrent duplicate measurements
-	// coalesce onto one client round-trip via singleflight.
+	// cross session boundaries live. Two sessions that miss one
+	// configuration at the same time each measure it.
 	CacheShared
 )
 

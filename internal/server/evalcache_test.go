@@ -1,9 +1,8 @@
 package server
 
 import (
-	"bytes"
+	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -36,22 +35,41 @@ func cacheQuad(cfg search.Config) float64 {
 // configurations the client actually measured.
 func tuneCounting(t *testing.T, addr string, opts RegisterOptions) int {
 	t.Helper()
-	c := dial(t, addr)
-	if _, err := c.Register(quadRSL, opts); err != nil {
+	_, measured, err := tuneSession(addr, opts, nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	return measured
+}
+
+// tuneSession runs one full tuning session over cacheQuad and returns the
+// session's best and how many configurations the client measured. after,
+// when non-nil, runs after each measurement with the count so far. It is
+// safe to call from any goroutine.
+func tuneSession(addr string, opts RegisterOptions, after func(measured int)) (*Best, int, error) {
+	c, err := Dial(addr, 2*time.Second)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer c.Close()
+	if _, err := c.Register(quadRSL, opts); err != nil {
+		return nil, 0, err
 	}
 	measured := 0
 	best, err := c.Tune(func(cfg search.Config) float64 {
 		measured++
+		if after != nil {
+			after(measured)
+		}
 		return cacheQuad(cfg)
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, 0, err
 	}
 	if best.Perf < 900 {
-		t.Fatalf("best = %+v, want a near-optimal maximum", best)
+		return nil, 0, fmt.Errorf("best = %+v, want a near-optimal maximum", best)
 	}
-	return measured
+	return best, measured, nil
 }
 
 // TestSharedCacheAnswersRepeatSessions: with the shared scope, the second
@@ -120,120 +138,65 @@ func TestCacheOffIsUnchanged(t *testing.T) {
 	}
 }
 
-// TestSharedCacheCoalescesConcurrentSessions: two concurrent sessions of
-// one namespace never pay twice for one configuration — singleflight
-// coalesces live duplicates and exact hits cover the rest, so the combined
-// client-side measurement count stays below two solo sessions.
-func TestSharedCacheCoalescesConcurrentSessions(t *testing.T) {
-	// Baseline: how much one solo session measures.
-	_, soloAddr, _ := startCacheServer(t, CacheOff)
+// TestSharedCacheConcurrentSessions: two concurrent sessions of one
+// namespace share the shared scope's memo. The second starts once the first
+// has measured a few configurations, so it answers those from the memo,
+// and the two then run side by side. Exact answers leave a deterministic
+// trajectory unchanged, so each session ends with the best and evaluation
+// count of its solo run, and neither measures more than the solo run does.
+func TestSharedCacheConcurrentSessions(t *testing.T) {
 	opts := RegisterOptions{App: "webapp", MaxEvals: 150, Improved: true}
-	solo := tuneCounting(t, soloAddr, opts)
+	_, soloAddr, _ := startCacheServer(t, CacheShared)
+	solo, soloMeasured, err := tuneSession(soloAddr, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const head = 5
+	if soloMeasured <= 2*head {
+		t.Fatalf("solo session measured %d configurations, too few to overlap", soloMeasured)
+	}
 
 	_, addr, m := startCacheServer(t, CacheShared)
+	started := make(chan struct{})
+	release := sync.OnceFunc(func() { close(started) })
 	var wg sync.WaitGroup
-	totals := make([]int, 2)
-	for i := range totals {
+	bests := make([]*Best, 2)
+	measured := make([]int, 2)
+	for i := range bests {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, err := Dial(addr, 2*time.Second)
-			if err != nil {
-				t.Error(err)
-				return
+			after := func(n int) {
+				if i == 0 && n == head {
+					release()
+				}
+				// Widen the window in which both sessions are live.
+				time.Sleep(200 * time.Microsecond)
 			}
-			defer c.Close()
-			if _, err := c.Register(quadRSL, opts); err != nil {
-				t.Error(err)
-				return
+			if i == 0 {
+				defer release() // a failed first session must not strand the second
+			} else {
+				<-started
 			}
-			measured := 0
-			if _, err := c.Tune(func(cfg search.Config) float64 {
-				measured++
-				time.Sleep(200 * time.Microsecond) // widen the overlap window
-				return cacheQuad(cfg)
-			}); err != nil {
+			var err error
+			if bests[i], measured[i], err = tuneSession(addr, opts, after); err != nil {
 				t.Error(err)
-				return
 			}
-			totals[i] = measured
 		}(i)
 	}
 	wg.Wait()
-	combined := totals[0] + totals[1]
-	if combined >= 2*solo {
-		t.Fatalf("concurrent sessions measured %d configs combined (solo %d): nothing was shared", combined, solo)
+	if t.Failed() {
+		return
 	}
-	if m.Hits.Value()+m.Coalesced.Value() == 0 {
-		t.Fatal("neither exact hits nor coalesced measurements were recorded")
-	}
-}
-
-// TestSharedCacheLeaderDisconnectTakeover: session A leads a configuration
-// of the shared cache and its client disconnects before reporting it, while
-// session B of the same namespace follows that configuration. A's kernel
-// unwinds and abandons its claim; B takes over, measures the configuration
-// itself and completes. Nothing is left running afterwards.
-func TestSharedCacheLeaderDisconnectTakeover(t *testing.T) {
-	base := settleGoroutines(0)
-	s, addr, m := startCacheServer(t, CacheShared)
-
-	// A: a raw lockstep session that takes the first configuration and
-	// never reports it.
-	a := rawDial(t, addr)
-	a.write(`{"op":"register","rsl":` + strconv.Quote(quadRSL) + `,"app":"webapp","maxEvals":150,"improved":true}`)
-	if _, reg := a.read(); reg.Op != "registered" {
-		t.Fatalf("A register reply = %+v", reg)
-	}
-	a.write(`{"op":"fetch"}`)
-	_, cfg := a.read()
-	if cfg.Op != "config" {
-		t.Fatalf("A's first reply = %+v, want a config", cfg)
-	}
-	x := search.Config(cfg.Values)
-
-	// B: the same registration, so its kernel asks for X first and follows
-	// A's claim on it.
-	b := dial(t, addr)
-	if _, err := b.Register(quadRSL, RegisterOptions{App: "webapp", MaxEvals: 150, Improved: true}); err != nil {
-		t.Fatal(err)
-	}
-	var measured []search.Config
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.Tune(func(cfg search.Config) float64 {
-			measured = append(measured, cfg)
-			return cacheQuad(cfg)
-		})
-		done <- err
-	}()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if bytes.Contains(bytes.Join(stacks(), nil), []byte("evalcache.(*flight).Wait(")) {
-			break
+	for i, b := range bests {
+		if !slices.Equal(b.Values, solo.Values) || b.Perf != solo.Perf || b.Evals != solo.Evals {
+			t.Errorf("session %d ended at %+v, solo at %+v", i, *b, *solo)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("B never waited on A's claim")
+		if measured[i] > soloMeasured {
+			t.Errorf("session %d measured %d configurations, solo %d", i, measured[i], soloMeasured)
 		}
 	}
-	a.conn.Close()
-
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("B's session: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("B never completed after A disconnected")
-	}
-	if len(measured) == 0 || !slices.Equal(measured[0], x) {
-		t.Fatalf("B's first measurement = %v, want the abandoned %v", measured, x)
-	}
-	if n := m.Coalesced.Value(); n != 0 {
-		t.Fatalf("coalesced = %d, want 0: nobody measured X for B", n)
-	}
-	b.Close()
-	s.Close()
-	if all := settleGoroutines(base); all > base {
-		t.Errorf("%d goroutines after teardown, baseline %d", all, base)
+	if m.Hits.Value() < head {
+		t.Errorf("%d probes answered from the shared memo, want at least the first session's %d head start", m.Hits.Value(), head)
 	}
 }

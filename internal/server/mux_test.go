@@ -729,14 +729,20 @@ func muxGoroutines(mx *Mux) int {
 }
 
 // TestMuxCloseWaitsForGoroutines: Close returns only once the mux's reader
-// and writer goroutines have exited, so neither is left the moment Close
-// returns.
+// and writer have finished their work — the writer's run has returned and
+// the reader has closed every session route — and neither goroutine is
+// left in the stack dump shortly after.
 func TestMuxCloseWaitsForGoroutines(t *testing.T) {
 	mx := NewMux(&stallConn{closed: make(chan struct{})})
 	// The first register negotiates the mux, which starts the reader and the
-	// writer; nothing ever answers it.
-	if err := mx.Session().tr.send(message{Op: "register", RSL: quadRSL}); err != nil {
-		t.Fatal(err)
+	// writer; the second attaches a tokened session. Nothing ever answers.
+	var routes []*muxWire
+	for i := 0; i < 2; i++ {
+		w := mx.Session().tr.(*muxWire)
+		if err := w.send(message{Op: "register", RSL: quadRSL}); err != nil {
+			t.Fatal(err)
+		}
+		routes = append(routes, w)
 	}
 	// Both show up in the dump once they run, which proves the count sees
 	// them.
@@ -749,8 +755,28 @@ func TestMuxCloseWaitsForGoroutines(t *testing.T) {
 	if err := mx.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := muxGoroutines(mx); n != 0 {
-		t.Fatalf("%d mux goroutines right after Close, want 0", n)
+	select {
+	case <-mx.cw.done:
+	default:
+		t.Fatal("the corked writer was still running when Close returned")
+	}
+	for _, w := range routes {
+		select {
+		case _, open := <-w.in:
+			if open {
+				t.Fatalf("session %d's route delivered an item after Close", w.token)
+			}
+		default:
+			t.Fatalf("session %d's route was still open when Close returned", w.token)
+		}
+	}
+	// A goroutine's frame outlives its last statement, so the dump may show
+	// it a moment after Close; it must leave soon after.
+	for deadline := time.Now().Add(5 * time.Second); muxGoroutines(mx) != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d mux goroutines 5s after Close, want 0", muxGoroutines(mx))
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

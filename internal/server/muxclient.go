@@ -64,7 +64,7 @@ type Mux struct {
 	next       uint64
 	routes     map[uint64]chan muxItem
 	readErr    error
-	readDead   chan struct{} // closed when the reader goroutine exits
+	readDead   chan struct{} // closed by the reader once it has closed every route
 
 	connErrs atomic.Int64
 	dropped  atomic.Int64
@@ -230,10 +230,12 @@ func (mx *Mux) reader() {
 			routes := mx.routes
 			mx.routes = map[uint64]chan muxItem{}
 			mx.mu.Unlock()
-			close(mx.readDead)
 			for _, ch := range routes {
 				close(ch)
 			}
+			// Last: Close returns once this is closed, and the reader must
+			// have finished its work by then.
+			close(mx.readDead)
 			return
 		}
 		if m.sess == 0 {

@@ -69,17 +69,17 @@ func TestTuneParallelOverlapsMeasurements(t *testing.T) {
 	if _, err := c.Register(quadRSL, RegisterOptions{MaxEvals: 60, Improved: true, Window: 4}); err != nil {
 		t.Fatal(err)
 	}
-	var inflight, maxInflight int32
+	var active, maxActive int32
 	best, err := c.TuneParallel(func(cfg search.Config) float64 {
-		cur := atomic.AddInt32(&inflight, 1)
+		cur := atomic.AddInt32(&active, 1)
 		for {
-			max := atomic.LoadInt32(&maxInflight)
-			if cur <= max || atomic.CompareAndSwapInt32(&maxInflight, max, cur) {
+			max := atomic.LoadInt32(&maxActive)
+			if cur <= max || atomic.CompareAndSwapInt32(&maxActive, max, cur) {
 				break
 			}
 		}
 		time.Sleep(2 * time.Millisecond)
-		atomic.AddInt32(&inflight, -1)
+		atomic.AddInt32(&active, -1)
 		return quadPeak(cfg)
 	}, 4)
 	if err != nil {
@@ -88,10 +88,10 @@ func TestTuneParallelOverlapsMeasurements(t *testing.T) {
 	if best.Perf < 980 {
 		t.Errorf("best = %+v", best)
 	}
-	if got := atomic.LoadInt32(&maxInflight); got < 2 {
+	if got := atomic.LoadInt32(&maxActive); got < 2 {
 		t.Errorf("max concurrent measurements = %d, want >= 2", got)
 	}
-	if got := atomic.LoadInt32(&maxInflight); got > 4 {
+	if got := atomic.LoadInt32(&maxActive); got > 4 {
 		t.Errorf("max concurrent measurements = %d, want <= window", got)
 	}
 }

@@ -91,8 +91,8 @@ type Server struct {
 	// EvalCache selects the measure-once evaluation cache scope: CacheOff
 	// (the default) keeps the historical behaviour, CacheSession gives each
 	// session a private cache warm-filled from the experience store, and
-	// CacheShared additionally coalesces duplicate measurements across the
-	// live sessions of one (app, spec) namespace. Exact-only caching is
+	// CacheShared shares one cache across the sessions of one (app, spec)
+	// namespace. Exact-only caching is
 	// trajectory-preserving for deterministic objectives. Set before Listen.
 	EvalCache CacheScope
 	// EstimateGate enables the §4.3 estimation-gated short-circuit on top
@@ -106,7 +106,7 @@ type Server struct {
 	// conservative defaults (see evalcache.GateOptions).
 	GateOptions evalcache.GateOptions
 	// CacheMetrics, when set, receives the harmony_eval_cache_* counter
-	// family (hits, misses, coalesced, estimated, saved seconds, size).
+	// family (hits, misses, estimated, saved seconds, size).
 	// Build it with evalcache.NewMetrics(registry); nil disables.
 	CacheMetrics *evalcache.Metrics
 	// MaxMuxSessions caps how many sessions one multiplexed (v4-mux)
@@ -1227,9 +1227,9 @@ func (s *Server) startSession(sess *session, reg message) error {
 	ev.Tracer = tracer
 	sess.tracer = tracer
 	// The measure-once layer: exact hits (this session, peers, prior runs)
-	// and coalesced in-flight duplicates skip the client round-trip; the
-	// optional estimation gate answers well-supported probes from the §4.3
-	// plane fit. The layer keys by kernel-space configurations — the same
+	// skip the client round-trip, and the client's measurements are put
+	// back into it; the optional estimation gate answers well-supported
+	// probes from the §4.3 plane fit. The layer keys by kernel-space configurations — the same
 	// coordinates experiences are stored in — so warm fills and live
 	// probes meet in one namespace.
 	if sess.layer = s.evalLayer(sess.key, space); sess.layer != nil {
