@@ -7,7 +7,8 @@
 // A tuning session proceeds in the paper's two stages:
 //
 //  1. Training: when an experience from the data characteristics database is
-//     supplied, its best configurations become the initial simplex. Vertices
+//     supplied, its best configurations become the initial simplex
+//     (history.Experience.Seeds, which the tuning daemon calls too). Vertices
 //     the history never measured are ranked by triangulation estimates, so
 //     the search starts from the most promising region instead of from
 //     predefined extreme configurations. The records only rank the seeds:
@@ -18,9 +19,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
-	"harmony/internal/estimate"
 	"harmony/internal/history"
 	"harmony/internal/search"
 	"harmony/internal/sensitivity"
@@ -172,9 +171,14 @@ func (t *Tuner) Run(opts Options) (*Session, error) {
 		}
 		if opts.Experience != nil && len(opts.Experience.Records) > 0 {
 			phase("training", fmt.Sprintf("records=%d", len(opts.Experience.Records)))
-			seeds := t.trainingSeeds(space, opts)
+			want := opts.TrainingVertices
+			if want <= 0 {
+				want = space.Dim() + 1
+			}
+			project := func(cfg search.Config) (search.Config, bool) { return t.project(space, opts.Priorities, cfg) }
+			seeds := opts.Experience.Seeds(space, project, want)
 			if trainingUsed = len(seeds); trainingUsed > 0 {
-				init = search.SeededInit{Seeds: seeds, Fallback: init}
+				init = search.SeededInit{Seeds: space.ContinuousAll(seeds), Fallback: init}
 			}
 		}
 		// A trained simplex that confirms the experience's recorded best
@@ -210,76 +214,6 @@ func (t *Tuner) Run(opts Options) (*Session, error) {
 		sess.FullBest = embed(res.BestConfig)
 	}
 	return sess, nil
-}
-
-// trainingSeeds builds the training-stage initial simplex from the
-// experience: project historical records into the (sub)space, rank by known
-// or estimated performance, and return the best as continuous seed points.
-func (t *Tuner) trainingSeeds(space *search.Space, opts Options) [][]float64 {
-	exp := opts.Experience
-	want := opts.TrainingVertices
-	if want <= 0 {
-		want = space.Dim() + 1
-	}
-
-	// Project each record's configuration onto the searched space: keep the
-	// prioritized coordinates, snap onto the grid.
-	type cand struct {
-		cfg  search.Config
-		perf float64
-	}
-	seen := map[string]bool{}
-	var cands []cand
-	for _, rec := range exp.Records {
-		proj, ok := t.project(space, opts.Priorities, rec.Config)
-		if !ok {
-			continue
-		}
-		key := proj.Key()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		cands = append(cands, cand{cfg: proj, perf: rec.Perf})
-	}
-	if len(cands) == 0 {
-		return nil
-	}
-
-	// When the history is too sparse to fill the simplex, rank additional
-	// candidate vertices (the distributed design) by triangulation estimates
-	// so the fallback vertices are also informed by the experience (§4.3).
-	if len(cands) < want {
-		est := estimate.New(space)
-		recs := make([]estimate.Record, 0, len(cands))
-		for i, c := range cands {
-			recs = append(recs, estimate.Record{Config: c.cfg, Perf: c.perf, Seq: i})
-		}
-		for _, pt := range (search.DistributedInit{}).Initial(space) {
-			cfg := space.Snap(pt)
-			if seen[cfg.Key()] {
-				continue
-			}
-			seen[cfg.Key()] = true
-			p, err := est.Estimate(recs, cfg)
-			if err != nil {
-				continue
-			}
-			cands = append(cands, cand{cfg: cfg, perf: p})
-		}
-	}
-
-	sort.SliceStable(cands, func(i, j int) bool {
-		return opts.Direction.Better(cands[i].perf, cands[j].perf)
-	})
-	if want > len(cands) {
-		want = len(cands)
-	}
-	seeds := make([][]float64, 0, want)
-	for _, c := range cands[:want] {
-		seeds = append(seeds, space.Continuous(c.cfg))
-	}
-	return seeds
 }
 
 // project maps a full-space configuration onto the searched space,

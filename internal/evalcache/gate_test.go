@@ -2,6 +2,7 @@ package evalcache
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"harmony/internal/obs"
@@ -340,4 +341,48 @@ func TestLayerTruthCheckFeedsAdaptation(t *testing.T) {
 	if _, _, n := l.Gate.EffectiveThresholds(); n <= n0 {
 		t.Fatalf("record floor %d after shrink, want > %d", n, n0)
 	}
+}
+
+// TestSpeculateLooksUpOnce: a speculative round asks the layer about each
+// candidate once. Three fresh candidates are three misses, not six; and
+// with TruthCheckEvery 2 the candidate the layer holds back for a truth
+// check is measured, which closes its check, instead of being answered by
+// a second lookup's estimate.
+func TestSpeculateLooksUpOnce(t *testing.T) {
+	sp := gateSpace(t)
+	t.Run("misses", func(t *testing.T) {
+		m := NewMetrics(obs.NewRegistry())
+		ev := search.NewEvaluator(sp, search.ObjectiveFunc(planar))
+		ev.External = &Layer{Cache: New(0, 0, m)}
+		if n := ev.Speculate([][]float64{{10, 10}, {20, 20}, {30, 30}}, 2).Len(); n != 3 {
+			t.Fatalf("speculation resolved %d candidates, want 3", n)
+		}
+		if hits, misses := m.Hits.Value(), m.Misses.Value(); hits != 0 || misses != 3 {
+			t.Fatalf("hits=%d misses=%d, want 0 and 3", hits, misses)
+		}
+	})
+	t.Run("truth check", func(t *testing.T) {
+		m := NewMetrics(obs.NewRegistry())
+		g := NewGate(sp, GateOptions{}, m)
+		observeGrid(g, planar, 50, 50)
+		layer := &Layer{Cache: New(0, 0, m), Gate: g, TruthCheckEvery: 2}
+		var measured atomic.Int64
+		ev := search.NewEvaluator(sp, search.ObjectiveFunc(func(cfg search.Config) float64 {
+			measured.Add(1)
+			return planar(cfg) + 0.75
+		}))
+		ev.External = layer
+		if n := ev.Speculate([][]float64{{52, 48}, {47, 53}}, 2).Len(); n != 2 {
+			t.Fatalf("speculation resolved %d candidates, want 2", n)
+		}
+		if n := measured.Load(); n != 1 {
+			t.Fatalf("measured %d candidates, want the truth-checked one", n)
+		}
+		if n := m.TruthChecks.Value(); n != 1 {
+			t.Fatalf("truth checks = %d, want 1", n)
+		}
+		if n := len(layer.pending); n != 0 {
+			t.Fatalf("%d truth checks still pending, want 0", n)
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -339,5 +341,27 @@ func TestMotivatingSciLibVersionSelection(t *testing.T) {
 				t.Errorf("%s: no saving over naive (%v%%)", name, saving)
 			}
 		}
+	}
+}
+
+// TestGoldenTables pins the library's tables that run through the training
+// stage: Table 2 warm-starts each workload from the other's experience and
+// Figure 7 from experiences at increasing distance. testdata holds each
+// table as hbench -exp prints it, without the timing line.
+func TestGoldenTables(t *testing.T) {
+	for _, id := range []string{"table2", "fig7"} {
+		t.Run(id, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := Run(id, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tbl.String(); got != string(want) {
+				t.Errorf("%s changed:\n%s\nwant:\n%s", id, got, want)
+			}
+		})
 	}
 }

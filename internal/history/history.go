@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"harmony/internal/estimate"
 	"harmony/internal/search"
 	"harmony/internal/stats"
 )
@@ -64,6 +65,75 @@ func (e *Experience) Best(n int) []ConfigPerf {
 		n = 0
 	}
 	return recs[:n]
+}
+
+// Seeds is the training stage (§4.2): it returns up to k distinct
+// configurations of the experience as seeds for a search of space, best
+// first. Records rank in Best order; project maps each record's
+// configuration into space, and ok=false skips the record. A configuration
+// that repeats after projection keeps its best rank. When fewer than k
+// distinct records project, the distributed design's points are ranked by
+// triangulation estimates over the projected records (§4.3), and the top k
+// of records and estimates together are returned. Seeds returns nil when
+// no record projects.
+func (e *Experience) Seeds(space *search.Space, project func(search.Config) (search.Config, bool), k int) []search.Config {
+	if k <= 0 {
+		return nil
+	}
+	// Compact the distinct projections to the front of the ranked copy;
+	// a repeat is skipped, so each keeps its best rank.
+	cands := e.Best(len(e.Records))
+	n := 0
+	for _, rec := range cands {
+		cfg, ok := project(rec.Config)
+		if !ok || holds(cands[:n], cfg) {
+			continue
+		}
+		cands[n] = ConfigPerf{Config: cfg, Perf: rec.Perf, Seq: n}
+		if n++; n == k {
+			break
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	cands = cands[:n]
+	if n < k {
+		// Too sparse: estimate the distributed design's points from the
+		// records and rank records and estimates together. Records come
+		// first, so the stable sort keeps a record ahead of an estimate it
+		// ties.
+		recs := make([]estimate.Record, n)
+		for i, c := range cands {
+			recs[i] = estimate.Record{Config: c.Config, Perf: c.Perf, Seq: c.Seq}
+		}
+		est := estimate.New(space)
+		for _, pt := range (search.DistributedInit{}).Initial(space) {
+			cfg := space.Snap(pt)
+			if holds(cands, cfg) {
+				continue
+			}
+			if perf, err := est.Estimate(recs, cfg); err == nil {
+				cands = append(cands, ConfigPerf{Config: cfg, Perf: perf})
+			}
+		}
+		sort.SliceStable(cands, func(i, j int) bool { return e.Direction.Better(cands[i].Perf, cands[j].Perf) })
+	}
+	seeds := make([]search.Config, min(k, len(cands)))
+	for i := range seeds {
+		seeds[i] = cands[i].Config
+	}
+	return seeds
+}
+
+// holds reports whether cfg is among the records' configurations.
+func holds(recs []ConfigPerf, cfg search.Config) bool {
+	for _, r := range recs {
+		if r.Config.Equal(cfg) {
+			return true
+		}
+	}
+	return false
 }
 
 // AddRecord appends a measurement, assigning the next sequence number.

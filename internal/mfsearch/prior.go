@@ -48,9 +48,9 @@ type Prior struct {
 }
 
 // NewPrior builds a prior over the space centered on the given historical
-// configurations, ordered best first (the order the experience store's
-// Best selection produces). Configurations of the wrong dimension are
-// skipped.
+// configurations, ordered best first: the training stage's seeds
+// (history.Experience.Seeds), the list the daemon also seeds its warm
+// simplex with. Configurations of the wrong dimension are skipped.
 func NewPrior(space *search.Space, seeds []search.Config) *Prior {
 	p := &Prior{
 		Sigma:  DefaultSigma,

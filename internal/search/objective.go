@@ -512,19 +512,30 @@ func (e *Evaluator) measure(ps []Probe, est []bool, workers int) {
 			}
 		}
 	}
+	if at != nil {
+		defer func() {
+			for j, p := range misses {
+				ps[at[j]] = p
+			}
+		}()
+	}
+	e.measurePut(misses, workers)
+}
+
+// measurePut measures ps with the objective and stores every measurement it
+// resolved in the external layer, also when the objective panics. The
+// caller has already looked each probe up.
+func (e *Evaluator) measurePut(ps []Probe, workers int) {
 	start := time.Now()
 	defer func() {
 		cost := time.Since(start)
-		for j, p := range misses {
-			if at != nil {
-				ps[at[j]] = p
-			}
+		for _, p := range ps {
 			if p.Done {
-				ext.Put(p.Config, p.Fidelity, p.Perf, cost)
+				e.External.Put(p.Config, p.Fidelity, p.Perf, cost)
 			}
 		}
 	}()
-	e.measureRaw(misses, workers)
+	e.measureRaw(ps, workers)
 }
 
 // measureRaw measures ps with the objective: one MeasureBatch call for a

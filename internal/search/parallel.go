@@ -247,15 +247,19 @@ func (e *Evaluator) Speculate(pts [][]float64, workers int) *Speculation {
 		return spec
 	}
 	ps := make([]Probe, len(need))
-	ests := make([]bool, len(need))
 	for i := range ps {
 		ps[i].Config = need[i]
 	}
-	e.measure(ps, ests, workers) // a panic unwinds the caller; nothing was committed
-	for i, p := range ps {
-		key := p.Config.Key()
-		spec.perfs[key] = p.Perf
-		spec.est[key] = ests[i]
+	// The layer was asked about every candidate above; asking again would
+	// count each miss twice and could answer a truth-checked candidate.
+	// A panic unwinds the caller; nothing was committed.
+	if e.External != nil {
+		e.measurePut(ps, workers)
+	} else {
+		e.measureRaw(ps, workers)
+	}
+	for _, p := range ps {
+		spec.perfs[p.Config.Key()] = p.Perf
 	}
 	return spec
 }

@@ -193,6 +193,16 @@ func (s *Space) Continuous(cfg Config) []float64 {
 	return pt
 }
 
+// ContinuousAll converts configurations to float points, one per
+// configuration — the seed points search.SeededInit consumes.
+func (s *Space) ContinuousAll(cfgs []Config) [][]float64 {
+	pts := make([][]float64, len(cfgs))
+	for i, cfg := range cfgs {
+		pts[i] = s.Continuous(cfg)
+	}
+	return pts
+}
+
 // Contains reports whether cfg lies on the space's grid.
 func (s *Space) Contains(cfg Config) bool {
 	if len(cfg) != len(s.Params) {

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"log/slog"
-	"slices"
 
 	"harmony/internal/expdb"
 	"harmony/internal/history"
@@ -62,37 +61,6 @@ func specKey(app string, spec *rsl.Spec) string {
 	var buf [1024]byte
 	sum := sha256.Sum256(spec.AppendFormat(buf[:0]))
 	return string(hex.AppendEncode(append(append(buf[:0], app...), '/'), sum[:8]))
-}
-
-// configsFromExperience extracts the experience's dim+1 best distinct
-// configurations that still fit the session's space — the shared input of
-// both the simplex warm start and the multi-fidelity sampling prior.
-// Compaction merges experiences by appending their records, so one
-// configuration can appear more than once; a repeat would collapse the
-// warm simplex by a dimension.
-func configsFromExperience(exp *history.Experience, space *search.Space) []search.Config {
-	want := space.Dim() + 1
-	var cfgs []search.Config
-	for _, rec := range exp.Best(len(exp.Records)) {
-		if len(cfgs) == want {
-			break
-		}
-		if len(rec.Config) != space.Dim() || !space.Contains(rec.Config) || slices.ContainsFunc(cfgs, rec.Config.Equal) {
-			continue
-		}
-		cfgs = append(cfgs, rec.Config)
-	}
-	return cfgs
-}
-
-// continuousSeeds maps configurations to the continuous seed points
-// search.SeededInit consumes.
-func continuousSeeds(space *search.Space, cfgs []search.Config) [][]float64 {
-	var seeds [][]float64
-	for _, cfg := range cfgs {
-		seeds = append(seeds, space.Continuous(cfg))
-	}
-	return seeds
 }
 
 // DurableStore adapts an expdb.Store — durable or in memory — to the

@@ -7,7 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"harmony/internal/core"
 	"harmony/internal/expdb"
+	"harmony/internal/history"
+	"harmony/internal/mfsearch"
 	"harmony/internal/rsl"
 	"harmony/internal/search"
 	"harmony/internal/webservice"
@@ -263,6 +266,95 @@ func TestCompactedExperienceSeedsDistinctVertices(t *testing.T) {
 	cross := (a[0]-o[0])*(b[1]-o[1]) - (a[1]-o[1])*(b[0]-o[0])
 	if cross == 0 {
 		t.Errorf("initial simplex %v is degenerate", initial)
+	}
+}
+
+// TestSparseExperienceSeedsLikeLibrary: an experience with fewer than dim+1
+// records gets the training stage's estimate fill in the daemon as in the
+// library. The warm simplex starts where core.Tuner's does, and the
+// Hyperband triage draws what an mfsearch run with its prior on
+// core.Tuner's seeds draws.
+func TestSparseExperienceSeedsLikeLibrary(t *testing.T) {
+	spec, err := rsl.Parse(quadRSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := spec.Static()
+	if err != nil {
+		t.Fatal(err)
+	}
+	quad := func(cfg search.Config) float64 { return fidelityQuad(cfg, 1) }
+	key, chars := specKey("shop", spec), []float64{0.8, 0.2}
+	tr := search.Trace{
+		{Index: 0, Config: search.Config{30, 30}, Perf: quad(search.Config{30, 30})},
+		{Index: 1, Config: search.Config{10, 50}, Perf: quad(search.Config{10, 50})},
+	}
+
+	lib, err := core.New(space, search.ObjectiveFunc(quad)).Run(core.Options{
+		MaxEvals: 3, Improved: true, Experience: history.FromTrace("shop", chars, search.Maximize, tr),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lib.TrainingUsed != 3 {
+		t.Fatalf("library seeded %d vertices, want 3: 2 records and 1 estimate", lib.TrainingUsed)
+	}
+	var seeds []search.Config
+	for _, e := range lib.Result.Trace {
+		seeds = append(seeds, e.Config)
+	}
+
+	// session runs one warm daemon session over the deposited records and
+	// returns its committed evaluations.
+	session := func(kernel string, measure func(search.Config, float64) float64) []search.Config {
+		sink := &eventSink{}
+		s, addr := startServerWith(t, func(s *Server) {
+			s.SearchKernel = kernel
+			s.Tracer = sink
+		})
+		if !s.ExperienceStore().Record(key, chars, search.Maximize, tr) {
+			t.Fatal("experience not stored")
+		}
+		c := dial(t, addr)
+		if _, err := c.Register(quadRSL, RegisterOptions{MaxEvals: 100, Improved: true, App: "shop", Characteristics: chars}); err != nil {
+			t.Fatal(err)
+		}
+		if !c.WarmStarted() {
+			t.Fatalf("%s session not warm-started from the sparse experience", kernel)
+		}
+		if _, err := c.TuneAt(measure); err != nil {
+			t.Fatal(err)
+		}
+		var cfgs []search.Config
+		for _, e := range sink.byType(search.EventEval) {
+			if e.Index >= 0 && (kernel == KernelSimplex || !search.FullFidelity(e.Fidelity)) {
+				cfgs = append(cfgs, e.Config)
+			}
+		}
+		return cfgs
+	}
+
+	if got := session(KernelSimplex, func(cfg search.Config, _ float64) float64 { return quad(cfg) }); len(got) < 3 ||
+		fmt.Sprint(got[:3]) != fmt.Sprint(seeds) {
+		t.Errorf("daemon warm simplex starts %v, library seeds %v", got, seeds)
+	}
+
+	ev := search.NewEvaluator(space, search.FidelityObjectiveFunc(fidelityQuad))
+	ev.MaxEvals = 100
+	if _, err := mfsearch.Run(space, ev, mfsearch.NewPrior(space, seeds), mfsearch.Options{
+		Seed:   kernelSeed(key, chars),
+		Polish: search.NelderMeadOptions{Init: search.DistributedInit{}, MaxEvals: 100},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var want []search.Config
+	for _, e := range ev.Trace() {
+		if !search.FullFidelity(e.Fidelity) {
+			want = append(want, e.Config)
+		}
+	}
+	if got := session(KernelHyperband, fidelityQuad); len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("daemon Hyperband triage %v, want the library prior's %v", got, want)
 	}
 }
 

@@ -578,10 +578,11 @@ type workload struct {
 	// cursor is the deposit cursor: the trace before it was deposited at
 	// an earlier drift boundary, under that phase's vector.
 	cursor int
-	// prior holds the matched experience's best configurations: the warm
-	// simplex seeds and the multi-fidelity sampling prior. priorBest is
-	// the experience's recorded best; a warm session whose measured start
-	// confirms it stops early (search.NelderMeadOptions.PriorBest).
+	// prior holds the training stage's seeds from the matched experience
+	// (history.Experience.Seeds, k = dim+1): the warm simplex seeds and the
+	// multi-fidelity sampling prior. priorBest is the experience's recorded
+	// best; a warm session whose measured start confirms it stops early
+	// (search.NelderMeadOptions.PriorBest).
 	prior     []search.Config
 	priorBest *float64
 	// layer is the namespace's measure-once layer, nil when the eval cache
@@ -1200,8 +1201,11 @@ func (s *Server) startSession(sess *session, reg message) error {
 	if len(reg.Characteristics) > 0 {
 		exp, ref := sess.match(reg.Characteristics)
 		if exp != nil {
-			if sess.prior = configsFromExperience(exp, space); sess.warm() {
-				init = search.SeededInit{Seeds: continuousSeeds(space, sess.prior), Fallback: init}
+			// A stored configuration seeds the session as it is, when it
+			// still lies on the space's grid.
+			fits := func(cfg search.Config) (search.Config, bool) { return cfg, space.Contains(cfg) }
+			if sess.prior = exp.Seeds(space, fits, space.Dim()+1); sess.warm() {
+				init = search.SeededInit{Seeds: space.ContinuousAll(sess.prior), Fallback: init}
 				sess.priorBest = &exp.Best(1)[0].Perf
 			}
 		}
@@ -1277,8 +1281,8 @@ func (s *Server) startSession(sess *session, reg message) error {
 		if s.SearchKernel == KernelHyperband {
 			// Multi-fidelity triage over reduced-fidelity client
 			// measurements, then the very same simplex options as the
-			// full-fidelity polish. The experience configurations double
-			// as the sampling prior; a cold namespace degrades to plain
+			// full-fidelity polish. The warm simplex's seeds double as
+			// the sampling prior; a cold namespace degrades to plain
 			// Hyperband over uniform candidates.
 			res, err = mfsearch.Run(space, ev, mfsearch.NewPrior(space, sess.prior), mfsearch.Options{
 				Direction: dir,

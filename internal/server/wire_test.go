@@ -736,31 +736,60 @@ func BenchmarkExchangeV3Binary(b *testing.B) { benchmarkExchange(b, 3) }
 
 // BenchmarkRegister times one v3 registration end to end: the preamble and
 // register frame out, the daemon's session setup with its classifier match
-// against a store of 256 experiences, and the registered frame back.
-// Dialing and closing the connection stay outside the timer.
+// and training stage, and the registered frame back. Dialing and closing
+// the connection stay outside the timer. "compacted" matches against a
+// store of 256 experiences, whose match holds at least dim+1 distinct
+// records; "sparse" matches one two-record experience, so the training
+// stage fills the third vertex with an estimate.
 func BenchmarkRegister(b *testing.B) {
+	spec, err := rsl.Parse(quadRSL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := specKey("shop", spec)
+	b.Run("compacted", func(b *testing.B) {
+		benchmarkRegister(b, key, false, func(st Store) bool {
+			for i := 0; i < 256; i++ {
+				x := float64(i) / 256
+				tr := search.Trace{
+					{Index: 0, Config: search.Config{i % 61, 45}, Perf: 1000 - x},
+					{Index: 1, Config: search.Config{20, i % 61}, Perf: 990 - x},
+				}
+				if !st.Record(key, []float64{x, 1 - x}, search.Maximize, tr) {
+					return false
+				}
+			}
+			return true
+		})
+	})
+	b.Run("sparse", func(b *testing.B) {
+		benchmarkRegister(b, key, true, func(st Store) bool {
+			return st.Record(key, []float64{0.3, 0.7}, search.Maximize, search.Trace{
+				{Index: 0, Config: search.Config{30, 45}, Perf: 1000},
+				{Index: 1, Config: search.Config{20, 30}, Perf: 990},
+			})
+		})
+	})
+}
+
+// benchmarkRegister fills a fresh daemon's store, checks that the
+// registration's match is as sparse as the case says, and times
+// registrations against it.
+func benchmarkRegister(b *testing.B, key string, sparse bool, fill func(Store) bool) {
 	s := NewServer()
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	spec, err := rsl.Parse(quadRSL)
-	if err != nil {
-		b.Fatal(err)
-	}
-	key := specKey("shop", spec)
-	for i := 0; i < 256; i++ {
-		x := float64(i) / 256
-		tr := search.Trace{
-			{Index: 0, Config: search.Config{i % 61, 45}, Perf: 1000 - x},
-			{Index: 1, Config: search.Config{20, i % 61}, Perf: 990 - x},
-		}
-		if !s.ExperienceStore().Record(key, []float64{x, 1 - x}, search.Maximize, tr) {
-			b.Fatalf("experience %d not stored", i)
-		}
+	if !fill(s.ExperienceStore()) {
+		b.Fatal("experience not stored")
 	}
 	opts := RegisterOptions{MaxEvals: 60, Improved: true, Proto: 3, App: "shop", Characteristics: []float64{0.3, 0.7}}
+	exp, ok := s.ExperienceStore().Match(key, opts.Characteristics)
+	if !ok || (len(exp.Records) < 3) != sparse {
+		b.Fatalf("match holds %d records, want sparse=%v for a 2-d space", len(exp.Records), sparse)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
