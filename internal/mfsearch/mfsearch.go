@@ -1,7 +1,6 @@
 package mfsearch
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -130,7 +129,7 @@ triage:
 			}
 			emitRung(opts.Tracer, search.Event{
 				Type: search.EventRung, Op: "open", Iter: i, Fidelity: fid,
-				Note: fmt.Sprintf("bracket=%d candidates=%d", s, len(candidates)),
+				Detail: search.Note{Kind: search.NoteRungOpen, A: int32(s), B: int32(len(candidates))},
 			})
 			scored := make([]incumbent, 0, len(candidates))
 			for _, cfg := range candidates {
@@ -143,7 +142,7 @@ triage:
 				if err != nil {
 					return nil, err
 				}
-				scored = append(scored, incumbent{cfg: c.Clone(), perf: perf})
+				scored = append(scored, incumbent{cfg: c, perf: perf}) // the evaluator's own, immutable
 			}
 			sort.SliceStable(scored, func(a, b int) bool {
 				return opts.Direction.Better(scored[a].perf, scored[b].perf)
@@ -162,7 +161,7 @@ triage:
 			}
 			emitRung(opts.Tracer, search.Event{
 				Type: search.EventRung, Op: "promote", Iter: i, Fidelity: fid, Perf: bestPerf,
-				Note: fmt.Sprintf("bracket=%d survivors=%d", s, len(scored)),
+				Detail: search.Note{Kind: search.NoteRungPromote, A: int32(s), B: int32(len(scored))},
 			})
 			candidates = candidates[:0]
 			for _, sc := range scored {
@@ -188,7 +187,7 @@ triage:
 	polish.Init = search.SeededInit{Seeds: seeds, Fallback: fallback}
 	emitRung(opts.Tracer, search.Event{
 		Type: search.EventPhase, Op: "polish",
-		Note: fmt.Sprintf("seeds=%d budget_hit=%v", len(seeds), budgetHit),
+		Detail: search.Note{Kind: search.NoteTriage, A: int32(len(seeds)), Flag: budgetHit},
 	})
 	return search.NelderMeadWithEvaluator(space, ev, polish)
 }

@@ -14,8 +14,9 @@ import (
 
 // JSONL is a line-delimited JSON sink for search.Tracer events. One sink
 // may be shared by many concurrent sessions (the server's -trace-out file):
-// Emit serializes writes, and search.StampSession keeps the interleaved
-// stream demultiplexable. A nil *JSONL drops every event, so callers can
+// Emit serializes writes, and the session ID stamped on each event (the
+// server's session streams do it, search.StampSession does it for other
+// tracers) keeps the interleaved stream demultiplexable. A nil *JSONL drops every event, so callers can
 // wire it unconditionally.
 type JSONL struct {
 	mu     sync.Mutex

@@ -13,12 +13,13 @@ package obs
 import (
 	"context"
 	"crypto/rand"
-	"encoding/hex"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -114,21 +115,40 @@ func (h sessionHandler) WithGroup(name string) slog.Handler {
 	return sessionHandler{h.inner.WithGroup(name)}
 }
 
-// idCounter breaks ties when the random source is unavailable.
-var idCounter atomic.Uint64
+// The state behind NewID: a per-process key, drawn on first use, and a
+// counter.
+var (
+	idKeyOnce sync.Once
+	idKey     [2]uint64
+	idCounter atomic.Uint64
+)
 
-// NewID returns a short random identifier for sessions and traces
-// (16 hex chars). It never fails: if the system random source is
-// unavailable it degrades to a time+counter scheme that is still unique
-// within the process.
+// NewID returns a short identifier for sessions and traces: 16 hex chars,
+// unique within the process. Each call takes the next value of a counter
+// through a keyed bijection of 64-bit words, so no ID repeats before 2^64
+// calls and consecutive IDs look unrelated. The key is read from the
+// system random source once per process (from the clock, if that source
+// is unavailable). IDs name sessions; they are not secrets. It never
+// fails, and its only allocation is the returned string.
 func NewID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		n := idCounter.Add(1)
-		t := uint64(time.Now().UnixNano())
-		for i := 0; i < 8; i++ {
-			b[i] = byte((t ^ n<<32) >> (8 * i))
+	idKeyOnce.Do(func() {
+		var b [16]byte
+		if _, err := rand.Read(b[:]); err != nil {
+			binary.LittleEndian.PutUint64(b[:], uint64(time.Now().UnixNano()))
 		}
+		idKey[0], idKey[1] = binary.LittleEndian.Uint64(b[:]), binary.LittleEndian.Uint64(b[8:])
+	})
+	x := idCounter.Add(1) + idKey[0]
+	// The splitmix64 finalizer: xor-shifts and odd multipliers are each
+	// invertible, so the whole map is a bijection.
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	x = (x ^ x>>31) ^ idKey[1]
+	const digits = "0123456789abcdef"
+	var id [16]byte
+	for i := len(id) - 1; i >= 0; i-- {
+		id[i] = digits[x&0xf]
+		x >>= 4
 	}
-	return hex.EncodeToString(b[:])
+	return string(id[:])
 }

@@ -87,7 +87,7 @@ type lexer struct {
 	line int
 }
 
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
+func newLexer(src string) lexer { return lexer{src: src, line: 1} }
 
 // next returns the next token or an error for an illegal character.
 func (l *lexer) next() (token, error) {
@@ -115,7 +115,7 @@ func (l *lexer) lexToken() (token, error) {
 	c := l.src[l.pos]
 	single := func(k tokenKind) (token, error) {
 		l.pos++
-		return token{kind: k, text: string(c), pos: start, line: line}, nil
+		return token{kind: k, text: l.src[start:l.pos], pos: start, line: line}, nil
 	}
 	switch c {
 	case '{':

@@ -3,6 +3,7 @@ package rsl
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Expr is an arithmetic expression over integer literals and references to
@@ -132,17 +133,22 @@ type Spec struct {
 
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
-	lex *lexer
+	lex lexer
 	tok token
 }
 
 // Parse parses RSL source into a validated Spec.
 func Parse(src string) (*Spec, error) {
-	p := &parser{lex: newLexer(src)}
+	p := parser{lex: newLexer(src)}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	spec := &Spec{}
+	// Every bundle declaration names harmonyBundle once, so counting the
+	// word sizes the bundle list. The count only bounds the bundles from
+	// above (comments and malformed text may repeat the word), so it is
+	// capped: a failing parse reserves little, and a longer spec grows the
+	// list as it parses.
+	spec := &Spec{Bundles: make([]Bundle, 0, min(strings.Count(src, "harmonyBundle"), 16))}
 	for p.tok.kind != tokEOF {
 		b, err := p.parseBundle()
 		if err != nil {

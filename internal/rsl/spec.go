@@ -41,6 +41,12 @@ func (s *Spec) BoundsAt(i int, chosen []int) (Bounds, error) {
 	for j := 0; j < i; j++ {
 		env[s.Bundles[j].Name] = chosen[j]
 	}
+	return s.boundsIn(i, env)
+}
+
+// boundsIn evaluates bundle i's bounds in env, which maps each earlier
+// bundle to its chosen value.
+func (s *Spec) boundsIn(i int, env map[string]int) (Bounds, error) {
 	b := s.Bundles[i]
 	min, err := b.Min.Eval(env)
 	if err != nil {
@@ -400,11 +406,10 @@ func (s *Spec) Static() (*search.Space, error) {
 		return nil, fmt.Errorf("rsl: spec uses parameter restriction; use SearchAdapter")
 	}
 	params := make([]search.Param, len(s.Bundles))
-	chosen := make(search.Config, 0, len(s.Bundles))
 	for i := range s.Bundles {
-		// Unrestricted bounds ignore the environment, but BoundsAt still
-		// wants the prior choices; feed it the range minimums.
-		b, err := s.BoundsAt(i, chosen)
+		// Unrestricted bounds ignore the environment: evaluate them with
+		// none.
+		b, err := s.boundsIn(i, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -413,7 +418,6 @@ func (s *Spec) Static() (*search.Space, error) {
 		}
 		def := b.Min + (b.NumValues()-1)/2*b.Step
 		params[i] = search.Param{Name: s.Bundles[i].Name, Min: b.Min, Max: b.Max, Step: b.Step, Default: def}
-		chosen = append(chosen, b.Min)
 	}
 	return search.NewSpace(params...)
 }

@@ -26,16 +26,26 @@ func (ExtremeInit) Name() string { return "extreme" }
 // Initial implements InitStrategy.
 func (ExtremeInit) Initial(space *Space) [][]float64 {
 	dim := space.Dim()
-	pts := make([][]float64, dim+1)
-	base := make([]float64, dim)
-	for j, p := range space.Params {
-		base[j] = float64(p.Min)
+	pts := simplexPoints(dim)
+	for _, v := range pts {
+		for j, p := range space.Params {
+			v[j] = float64(p.Min)
+		}
 	}
-	pts[0] = append([]float64(nil), base...)
 	for i := 0; i < dim; i++ {
-		v := append([]float64(nil), base...)
-		v[i] = float64(space.Params[i].Max)
-		pts[i+1] = v
+		pts[i+1][i] = float64(space.Params[i].Max)
+	}
+	return pts
+}
+
+// simplexPoints returns dim+1 points of dim coordinates, all backed by one
+// array; each point's capacity ends at its length.
+func simplexPoints(dim int) [][]float64 {
+	n := dim + 1
+	buf := make([]float64, n*dim)
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = buf[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	return pts
 }
@@ -62,14 +72,12 @@ func (DistributedInit) Name() string { return "distributed" }
 func (DistributedInit) Initial(space *Space) [][]float64 {
 	dim := space.Dim()
 	n := dim + 1
-	pts := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		v := make([]float64, dim)
+	pts := simplexPoints(dim)
+	for i, v := range pts {
 		for j, p := range space.Params {
 			frac := (float64((i+j)%n) + 0.5) / float64(n)
 			v[j] = float64(p.Min) + frac*float64(p.Max-p.Min)
 		}
-		pts[i] = v
 	}
 	return pts
 }

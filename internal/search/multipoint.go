@@ -1,9 +1,5 @@
 package search
 
-import (
-	"fmt"
-)
-
 // polishFrac is the simplex scale (fraction of each parameter's range) of
 // the polish phase the multi-point kernel runs with leftover budget after
 // its coarse walk converges.
@@ -119,7 +115,7 @@ func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p
 		}
 		emit(opts.Tracer, Event{
 			Type: EventPhase, Op: "polish", Iter: iter, Perf: res.BestPerf,
-			Note: fmt.Sprintf("remaining=%d frac=%v", remaining, polishFrac),
+			Detail: Note{Kind: NotePolish, A: int32(remaining)},
 		})
 		polishOpts := opts
 		polishOpts.PBest = 1 // trajectory-preserving speculative kernel
@@ -172,15 +168,15 @@ func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p
 			rPerf, cPerf := r.perfs[2*j], r.perfs[2*j+1]
 			switch {
 			case better(rPerf, w.perf):
-				r.stepf(OpReflect, iter, rPerf, "vertex %d accepted", idx)
+				r.stepNote(OpReflect, iter, rPerf, NoteVertexAccepted, idx)
 				r.accept(idx, r.cands[2*j], rPerf)
 				improved = true
 			case better(cPerf, w.perf):
-				r.stepf(OpContractIn, iter, cPerf, "vertex %d accepted", idx)
+				r.stepNote(OpContractIn, iter, cPerf, NoteVertexAccepted, idx)
 				r.accept(idx, r.cands[2*j+1], cPerf)
 				improved = true
 			default:
-				r.stepf(OpContractIn, iter, cPerf, "vertex %d rejected", idx)
+				r.stepNote(OpContractIn, iter, cPerf, NoteVertexRejected, idx)
 			}
 		}
 

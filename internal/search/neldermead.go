@@ -156,14 +156,6 @@ func (c *stallClock) tick(best float64, n int, dir Direction) {
 // expired reports whether the run has stalled for its whole horizon.
 func (c *stallClock) expired() bool { return c.stalled >= c.horizon }
 
-// note names the horizon in an EventConverge note.
-func (c *stallClock) note() string {
-	if c.confirmed {
-		return fmt.Sprintf("stall=%d prior-confirmed", c.horizon)
-	}
-	return fmt.Sprintf("stall=%d", c.horizon)
-}
-
 func (o *NelderMeadOptions) fill(dim int) {
 	if o.Init == nil {
 		o.Init = ExtremeInit{}
@@ -344,12 +336,14 @@ type simplexRun struct {
 }
 
 // newSimplexRun allocates a kernel run updating p vertices a round with
-// nCand candidate buffers. The vertex points, the centroid and the
-// candidates share one backing array.
+// nCand candidate buffers. The vertex points, the centroid, the candidates
+// and the measured values share one backing array.
 func newSimplexRun(space *Space, ev *Evaluator, opts NelderMeadOptions, p, nCand int) *simplexRun {
 	dim := space.Dim()
 	n := dim + 1
-	buf := make([]float64, (n+1+nCand)*dim)
+	nPerf := max(n, nCand)
+	buf := make([]float64, (n+1+nCand)*dim+nPerf)
+	perfs := buf[len(buf)-nPerf : len(buf)-nPerf : len(buf)]
 	next := func() []float64 {
 		pt := buf[:dim:dim]
 		buf = buf[dim:]
@@ -362,7 +356,7 @@ func newSimplexRun(space *Space, ev *Evaluator, opts NelderMeadOptions, p, nCand
 		clock: stallClock{horizon: opts.MaxStall},
 		cands: pts[:nCand:nCand],
 		batch: pts[nCand:nCand],
-		perfs: make([]float64, 0, max(n, nCand)),
+		perfs: perfs,
 	}
 	for i := range r.verts {
 		r.verts[i].pt = next()
@@ -421,16 +415,11 @@ func (r *simplexRun) finish(reason string, iter int, converged bool) *Result {
 		best := tr.Best(r.opts.Direction)
 		res.BestConfig, res.BestPerf, res.Evals = best.Config.Clone(), best.Perf, r.ev.Count()
 	}
-	if r.opts.Tracer != nil {
-		note := fmt.Sprintf("evals=%d %s", res.Evals, r.clock.note())
-		if r.p > 1 {
-			note = fmt.Sprintf("evals=%d pbest=%d %s", res.Evals, r.p, r.clock.note())
-		}
-		emit(r.opts.Tracer, Event{
-			Type: EventConverge, Op: reason, Iter: iter,
-			Perf: res.BestPerf, Config: res.BestConfig, Note: note,
-		})
-	}
+	emit(r.opts.Tracer, Event{
+		Type: EventConverge, Op: reason, Iter: iter,
+		Perf: res.BestPerf, Config: res.BestConfig,
+		Detail: Note{Kind: NoteConverge, A: int32(res.Evals), B: int32(r.p), C: int32(r.clock.horizon), Flag: r.clock.confirmed},
+	})
 	return res
 }
 
@@ -439,12 +428,9 @@ func (r *simplexRun) step(op string, iter int, perf float64, note string) {
 	emit(r.opts.Tracer, Event{Type: EventSimplex, Op: op, Iter: iter, Perf: perf, Note: note})
 }
 
-// stepf is step with the note formatted from format and n, only when
-// there is a tracer.
-func (r *simplexRun) stepf(op string, iter int, perf float64, format string, n int) {
-	if r.opts.Tracer != nil {
-		r.step(op, iter, perf, fmt.Sprintf(format, n))
-	}
+// stepNote records one simplex operation with a typed note.
+func (r *simplexRun) stepNote(op string, iter int, perf float64, kind NoteKind, n int) {
+	emit(r.opts.Tracer, Event{Type: EventSimplex, Op: op, Iter: iter, Perf: perf, Detail: Note{Kind: kind, A: int32(n)}})
 }
 
 // centroidOf writes the centroid of the best keep vertices to r.centroid.
@@ -602,7 +588,7 @@ func (r *simplexRun) shrink(iter int) bool {
 	for i := 1; i < len(verts); i++ {
 		verts[i].perf = r.perfs[i-1]
 	}
-	r.stepf(OpShrink, iter, verts[0].perf, "re-measured %d vertices", len(r.batch))
+	r.stepNote(OpShrink, iter, verts[0].perf, NoteShrink, len(r.batch))
 	return true
 }
 

@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 )
@@ -319,29 +320,35 @@ type Evaluator struct {
 	// design).
 	External ExternalCache
 
-	cache map[string]memo
 	trace Trace
-	hits  int
-	// keyBuf is the reusable key scratch: probing the cache with
-	// string(keyBuf) compiles to an allocation-free map lookup, so only a
-	// committed measurement materializes its key string. Safe because
-	// every evaluation runs on the evaluator's own goroutine.
-	keyBuf []byte
+	// memo is the deduplication cache, keyed by content: an open-addressing
+	// table over the trace whose slots hold a trace index plus one (0 is
+	// empty). A slot is found from a hash of the configuration and its
+	// fidelity, and a collision is resolved by comparing the trace entry's
+	// values and fidelity, so neither a lookup nor a commit builds a key.
+	// The latest evaluation of a (configuration, fidelity) pair owns its
+	// slot. memoLen counts the occupied slots; the table doubles before it
+	// is three quarters full.
+	memo    []int32
+	memoLen int
+	// hash replaces memoHash when set: tests force collisions with it.
+	hash func(Config, float64) uint64
+	hits int
+	// slab is the unused tail of the block the evaluator carves the
+	// configurations it keeps from (see keep).
+	slab Config
 	// snapBuf is the reusable configuration a continuous probe point snaps
-	// into (see snap), reused for the same reason: a memo hit allocates
-	// nothing, and a commit copies it into the configuration it keeps.
+	// into (see snap), reused because every evaluation runs on the
+	// evaluator's own goroutine: a memo hit allocates nothing, and a commit
+	// copies it into the configuration it keeps.
 	snapBuf Config
 	// one is measureOne's batch of one, reused for the same reason: a
 	// single evaluation allocates nothing to reach a BatchObjective.
 	one [1]Probe
-}
-
-// memo is one memoized evaluation: its value and the configuration it was
-// taken at. The configuration is the one the trace entry and the tracer
-// events carry; all of them share it and treat it as immutable.
-type memo struct {
-	perf float64
-	cfg  Config
+	// batch and spec are evalBatch's and Speculate's scratch, reused for the
+	// same reason.
+	batch batchScratch
+	spec  Speculation
 }
 
 // appendKey appends cfg's canonical key form (see Config.Key) to b.
@@ -355,9 +362,9 @@ func appendKey(b []byte, c Config) []byte {
 	return b
 }
 
-// evalHint sizes a new evaluator's trace and memo. A tuning session
-// typically ends within a few dozen evaluations, so most never grow them:
-// growing both from empty cost a 22-evaluation session about ten
+// evalHint sizes a new evaluator's trace, memo and first slab. A tuning
+// session typically ends within a few dozen evaluations, so most never grow
+// them: growing them from empty cost a 22-evaluation session about ten
 // allocations.
 const evalHint = 32
 
@@ -365,9 +372,103 @@ const evalHint = 32
 func NewEvaluator(space *Space, obj Objective) *Evaluator {
 	return &Evaluator{
 		Space: space, Objective: obj,
-		cache: make(map[string]memo, evalHint),
 		trace: make(Trace, 0, evalHint),
+		memo:  make([]int32, 2*evalHint),
 	}
+}
+
+// memoHash mixes a configuration and its fidelity (0 for full) into the
+// memo's slot hash.
+func memoHash(c Config, fidelity float64) uint64 {
+	h := math.Float64bits(fidelity) ^ 0x9e3779b97f4a7c15
+	for _, v := range c {
+		h = (h ^ uint64(v)) * 0xbf58476d1ce4e5b9
+		h ^= h >> 31
+	}
+	h *= 0x94d049bb133111eb
+	return h ^ h>>29
+}
+
+// slot returns the memo slot a search for (cfg, fidelity) starts from.
+func (e *Evaluator) slot(cfg Config, fidelity float64) int {
+	h := memoHash
+	if e.hash != nil {
+		h = e.hash
+	}
+	return int(h(cfg, fidelity) & uint64(len(e.memo)-1))
+}
+
+// sameFidelity reports whether two memo fidelities name the same rung. Full
+// fidelity is always committed as 0; NaN matches NaN, as its key text did.
+func sameFidelity(a, b float64) bool { return a == b || (a != a && b != b) }
+
+// lookup returns the trace index of the latest evaluation of cfg at the
+// given fidelity (0 for full), or -1.
+func (e *Evaluator) lookup(cfg Config, fidelity float64) int {
+	if len(e.memo) == 0 {
+		return -1
+	}
+	mask := len(e.memo) - 1
+	for s := e.slot(cfg, fidelity); ; s = (s + 1) & mask {
+		i := int(e.memo[s]) - 1
+		if i < 0 {
+			return -1
+		}
+		if t := &e.trace[i]; sameFidelity(t.Fidelity, fidelity) && t.Config.Equal(cfg) {
+			return i
+		}
+	}
+}
+
+// index files trace entry i in the memo, growing the table first when it
+// would pass three quarters full.
+func (e *Evaluator) index(i int) {
+	if 4*(e.memoLen+1) > 3*len(e.memo) {
+		old := e.trace[:i]
+		e.memo, e.memoLen = make([]int32, max(2*len(e.memo), 2*evalHint)), 0
+		for j := range old {
+			e.place(j)
+		}
+	}
+	e.place(i)
+}
+
+// place files trace entry i in a table with room: in the slot of an earlier
+// evaluation of the same configuration and fidelity, or in a free one.
+func (e *Evaluator) place(i int) {
+	t := &e.trace[i]
+	mask := len(e.memo) - 1
+	for s := e.slot(t.Config, t.Fidelity); ; s = (s + 1) & mask {
+		j := int(e.memo[s]) - 1
+		if j < 0 {
+			e.memoLen++
+		} else if u := &e.trace[j]; !sameFidelity(u.Fidelity, t.Fidelity) || !u.Config.Equal(t.Config) {
+			continue
+		}
+		e.memo[s] = int32(i + 1)
+		return
+	}
+}
+
+// keep returns the evaluator's own copy of cfg, which its trace entry, memo
+// and tracer events share and treat as immutable. Copies are carved from a
+// slab: the first holds evalHint configurations, each later one as many as
+// the trace already holds, and none more than the budget has left. The
+// copy's capacity ends at its length, so appending to it reallocates
+// instead of writing into the next configuration.
+func (e *Evaluator) keep(cfg Config) Config {
+	d := len(cfg)
+	if len(e.slab) < d {
+		n := max(len(e.trace), evalHint)
+		if e.MaxEvals > 0 {
+			n = min(n, e.MaxEvals-len(e.trace))
+		}
+		e.slab = make(Config, max(n, 1)*d)
+	}
+	kept := e.slab[:d:d]
+	e.slab = e.slab[d:]
+	copy(kept, cfg)
+	return kept
 }
 
 // ErrBudget is returned by Eval when the exploration budget is exhausted.
@@ -390,29 +491,35 @@ func (e *Evaluator) snap(pt []float64) Config {
 	return e.Space.snapInto(e.snapBuf, pt)
 }
 
-// EvalConfig measures an exact grid configuration. A memo hit allocates
-// nothing; a measurement allocates the copy of cfg the evaluator keeps and
-// its memo key.
+// hit answers a probe from memo entry i: it counts the hit, emits the
+// cache-hit event and returns the entry's configuration and value.
+func (e *Evaluator) hit(i int, fidelity float64) (Config, float64) {
+	t := &e.trace[i]
+	e.hits++
+	if e.Tracer != nil {
+		emit(e.Tracer, Event{Type: EventEval, Index: -1, Config: t.Config, Perf: t.Perf, Cached: true, Fidelity: fidelity})
+	}
+	return t.Config, t.Perf
+}
+
+// EvalConfig measures an exact grid configuration. Neither a memo hit nor a
+// commit allocates, apart from a new slab once the last one is used up.
 func (e *Evaluator) EvalConfig(cfg Config) (Config, float64, error) {
 	if !e.Space.Contains(cfg) {
 		return nil, 0, fmt.Errorf("search: configuration %v not in space", cfg)
 	}
-	e.keyBuf = appendKey(e.keyBuf[:0], cfg)
 	if !e.DisableCache {
-		if m, ok := e.cache[string(e.keyBuf)]; ok { // alloc-free lookup
-			e.hits++
-			if e.Tracer != nil {
-				emit(e.Tracer, Event{Type: EventEval, Index: -1, Config: m.cfg, Perf: m.perf, Cached: true})
-			}
-			return m.cfg, m.perf, nil
+		if i := e.lookup(cfg, 0); i >= 0 {
+			c, perf := e.hit(i, 0)
+			return c, perf, nil
 		}
 	}
 	if e.MaxEvals > 0 && len(e.trace) >= e.MaxEvals {
 		return nil, 0, ErrBudget
 	}
-	kept := cfg.Clone()
+	kept := e.keep(cfg)
 	perf, estimated := e.measureOne(kept, 0)
-	e.commit(kept, string(e.keyBuf), perf, estimated, 0)
+	e.commit(kept, perf, estimated, 0)
 	return kept, perf, nil
 }
 
@@ -435,41 +542,25 @@ func (e *Evaluator) EvalConfigAt(cfg Config, fidelity float64) (Config, float64,
 	if !e.Space.Contains(cfg) {
 		return nil, 0, fmt.Errorf("search: configuration %v not in space", cfg)
 	}
-	e.keyBuf = appendKey(e.keyBuf[:0], cfg)
-	plain := len(e.keyBuf)
-	e.keyBuf = appendFidelity(e.keyBuf, fidelity)
 	if !e.DisableCache {
-		if m, ok := e.cache[string(e.keyBuf[:plain])]; ok { // promoted truth
-			e.hits++
-			if e.Tracer != nil {
-				emit(e.Tracer, Event{Type: EventEval, Index: -1, Config: m.cfg, Perf: m.perf, Cached: true})
-			}
-			return m.cfg, m.perf, nil
+		if i := e.lookup(cfg, 0); i >= 0 { // promoted truth
+			c, perf := e.hit(i, 0)
+			return c, perf, nil
 		}
-		if m, ok := e.cache[string(e.keyBuf)]; ok { // same-rung repeat
-			e.hits++
-			if e.Tracer != nil {
-				emit(e.Tracer, Event{Type: EventEval, Index: -1, Config: m.cfg, Perf: m.perf, Cached: true, Fidelity: fidelity})
-			}
-			return m.cfg, m.perf, nil
+		if i := e.lookup(cfg, fidelity); i >= 0 { // same-rung repeat
+			c, perf := e.hit(i, fidelity)
+			return c, perf, nil
 		}
 	}
 	if e.MaxEvals > 0 && len(e.trace) >= e.MaxEvals {
 		return nil, 0, ErrBudget
 	}
-	// The memo learns a reduced-fidelity value under the fidelity-suffixed
-	// key only: it must never answer a full-fidelity probe.
-	kept := cfg.Clone()
+	// The memo files a reduced-fidelity value under its own fidelity only:
+	// it must never answer a full-fidelity probe.
+	kept := e.keep(cfg)
 	perf, estimated := e.measureOne(kept, fidelity)
-	e.commit(kept, string(e.keyBuf), perf, estimated, fidelity)
+	e.commit(kept, perf, estimated, fidelity)
 	return kept, perf, nil
-}
-
-// appendFidelity appends the (config, fidelity) cache-key suffix. Full
-// fidelity never gets a suffix, so single-fidelity keys are untouched.
-func appendFidelity(b []byte, f float64) []byte {
-	b = append(b, '@')
-	return strconv.AppendFloat(b, f, 'g', -1, 64)
 }
 
 // measureOne measures one configuration through the measure path.
@@ -576,15 +667,16 @@ func (e *Evaluator) rawMeasure(cfg Config, fidelity float64) float64 {
 	return e.Objective.Measure(cfg)
 }
 
-// commit appends one evaluation to the memo under key and to the trace, and
-// emits its tracer event. cfg is the evaluator's own copy: the memo, the
-// trace entry and the event share it, and all treat it as immutable. The
-// trace entry and the event carry the fidelity (0 for full), so deposits
-// and offline analysis can separate triage from truth. Must run on the
-// evaluator's own goroutine (commit order is the determinism guarantee).
-func (e *Evaluator) commit(cfg Config, key string, perf float64, estimated bool, fidelity float64) {
-	e.cache[key] = memo{perf: perf, cfg: cfg}
+// commit appends one evaluation to the trace, files it in the memo and
+// emits its tracer event. cfg is the evaluator's own copy (see keep): the
+// memo, the trace entry and the event share it, and all treat it as
+// immutable. The trace entry and the event carry the fidelity (0 for full),
+// so deposits and offline analysis can separate triage from truth. Must run
+// on the evaluator's own goroutine (commit order is the determinism
+// guarantee).
+func (e *Evaluator) commit(cfg Config, perf float64, estimated bool, fidelity float64) {
 	e.trace = append(e.trace, Evaluation{Index: len(e.trace), Config: cfg, Perf: perf, Estimated: estimated, Fidelity: fidelity})
+	e.index(len(e.trace) - 1)
 	if e.Tracer != nil {
 		emit(e.Tracer, Event{Type: EventEval, Index: len(e.trace) - 1, Config: cfg, Perf: perf, Estimated: estimated, Fidelity: fidelity})
 	}
@@ -606,10 +698,8 @@ func (e *Evaluator) Trace() Trace {
 // measured or cache-served evaluation rather than a gate estimate. The
 // latest full-fidelity trace entry for cfg decides.
 func (e *Evaluator) truth(cfg Config) bool {
-	for i := len(e.trace) - 1; i >= 0; i-- {
-		if t := e.trace[i]; FullFidelity(t.Fidelity) && t.Config.Equal(cfg) {
-			return !t.Estimated
-		}
+	if i := e.lookup(cfg, 0); i >= 0 {
+		return !e.trace[i].Estimated
 	}
 	return true
 }

@@ -36,6 +36,30 @@ func (e *Evaluator) EvalBatch(pts [][]float64, workers int) ([]Config, []float64
 	return e.evalBatch(pts, workers, make([]Config, 0, len(pts)), make([]float64, 0, len(pts)))
 }
 
+// batchScratch is evalBatch's per-evaluator scratch: the snapped points,
+// the indexes of the ones to measure, and their probes.
+type batchScratch struct {
+	buf     Config
+	snapped []Config
+	need    []int
+	ps      []Probe
+	est     []bool
+}
+
+// snapAll snaps every point into the scratch and returns the configurations,
+// valid until the next batch.
+func (b *batchScratch) snapAll(space *Space, pts [][]float64) []Config {
+	dim := space.Dim()
+	if cap(b.buf) < len(pts)*dim {
+		b.buf = make(Config, len(pts)*dim)
+	}
+	b.snapped = b.snapped[:0]
+	for i, pt := range pts {
+		b.snapped = append(b.snapped, space.snapInto(b.buf[i*dim:(i+1)*dim:(i+1)*dim], pt))
+	}
+	return b.snapped
+}
+
 // evalBatch is EvalBatch appending its results to cfgs and perfs, so the
 // simplex kernels can hand it per-run scratch. A nil cfgs collects no
 // configurations.
@@ -57,28 +81,21 @@ func (e *Evaluator) evalBatch(pts [][]float64, workers int, cfgs []Config, perfs
 	}
 
 	// Snap everything and find the configurations that need measuring, in
-	// first-occurrence order. Each point's snapped configuration and key
-	// are built once: a measured one is committed with both.
-	snapped := make([]Config, len(pts))
-	keys := make([]string, len(pts))
-	need := make([]int, 0, len(pts)) // indexes into snapped
-	seen := map[string]bool{}
-	for i, pt := range pts {
-		snapped[i] = e.Space.Snap(pt)
-		keys[i] = snapped[i].Key()
-		if seen[keys[i]] {
+	// first-occurrence order.
+	b := &e.batch
+	snapped := b.snapAll(e.Space, pts)
+	need := b.need[:0]
+	for i, cfg := range snapped {
+		if occurs(snapped[:i], cfg) {
 			continue
 		}
-		seen[keys[i]] = true
-		if m, ok := e.cache[keys[i]]; !ok {
+		if m := e.lookup(cfg, 0); m < 0 {
 			need = append(need, i)
 		} else {
-			e.hits++
-			if e.Tracer != nil {
-				emit(e.Tracer, Event{Type: EventEval, Index: -1, Config: m.cfg, Perf: m.perf, Cached: true})
-			}
+			e.hit(m, 0)
 		}
 	}
+	b.need = need
 
 	// Budget: only the first `allowed` missing configurations get measured.
 	allowed := len(need)
@@ -92,10 +109,12 @@ func (e *Evaluator) evalBatch(pts [][]float64, workers int, cfgs []Config, perfs
 			allowed = 0
 		}
 	}
-	ps := make([]Probe, allowed)
-	est := make([]bool, allowed)
+	if cap(b.ps) < allowed {
+		b.ps, b.est = make([]Probe, allowed), make([]bool, allowed)
+	}
+	ps, est := b.ps[:allowed], b.est[:allowed]
 	for i := range ps {
-		ps[i].Config = snapped[need[i]]
+		ps[i], est[i] = Probe{Config: e.keep(snapped[need[i]])}, false
 	}
 	func() {
 		// Commit in input order. Tracer events follow the commit order — not
@@ -109,7 +128,7 @@ func (e *Evaluator) evalBatch(pts [][]float64, workers int, cfgs []Config, perfs
 		defer func() {
 			for i := range ps {
 				if ps[i].Done {
-					e.commit(ps[i].Config, keys[need[i]], ps[i].Perf, est[i], 0)
+					e.commit(ps[i].Config, ps[i].Perf, est[i], 0)
 				}
 			}
 		}()
@@ -117,20 +136,30 @@ func (e *Evaluator) evalBatch(pts [][]float64, workers int, cfgs []Config, perfs
 	}()
 
 	// Assemble results for the longest answerable prefix.
-	for _, key := range keys {
-		m, ok := e.cache[key]
-		if !ok {
+	for _, cfg := range snapped {
+		m := e.lookup(cfg, 0)
+		if m < 0 {
 			return cfgs, perfs, ErrBudget
 		}
 		if cfgs != nil {
-			cfgs = append(cfgs, m.cfg)
+			cfgs = append(cfgs, e.trace[m].Config)
 		}
-		perfs = append(perfs, m.perf)
+		perfs = append(perfs, e.trace[m].Perf)
 	}
 	if truncated {
 		return cfgs, perfs, ErrBudget
 	}
 	return cfgs, perfs, nil
+}
+
+// occurs reports whether cfg occurs in cfgs.
+func occurs(cfgs []Config, cfg Config) bool {
+	for _, c := range cfgs {
+		if c.Equal(cfg) {
+			return true
+		}
+	}
+	return false
 }
 
 // runWorkers runs fn(i) for every i in [0, n) on up to `workers` concurrent
@@ -178,8 +207,16 @@ func runWorkers(n, workers int, fn func(i int)) []any {
 // the layer, a discarded speculative measurement is measured again when a
 // later iteration probes it.
 type Speculation struct {
-	perfs map[string]float64
-	est   map[string]bool // keys answered by the estimation gate
+	// cfgs are the round's distinct candidates, perfs their values and est
+	// whether the estimation gate answered them. A round holds a handful
+	// (the simplex's four candidates), so a lookup compares contents.
+	cfgs  []Config
+	perfs []float64
+	est   []bool
+	// buf backs cfgs; need and ps are the round's measurement scratch.
+	buf  Config
+	need []int
+	ps   []Probe
 }
 
 // Len reports how many distinct configurations the round measured.
@@ -187,7 +224,22 @@ func (s *Speculation) Len() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.perfs)
+	return len(s.cfgs)
+}
+
+// add records one candidate's value.
+func (s *Speculation) add(cfg Config, perf float64, est bool) {
+	s.cfgs, s.perfs, s.est = append(s.cfgs, cfg), append(s.perfs, perf), append(s.est, est)
+}
+
+// find returns the index of cfg's value, or -1.
+func (s *Speculation) find(cfg Config) int {
+	for i, c := range s.cfgs {
+		if c.Equal(cfg) {
+			return i
+		}
+	}
+	return -1
 }
 
 // Speculate concurrently measures every not-yet-cached configuration among
@@ -205,21 +257,24 @@ func (s *Speculation) Len() int {
 // caller's goroutine. With workers <= 1 (or a disabled
 // cache, whose re-measure-everything semantics have no speculative
 // equivalent) the round is empty and probes fall back to real evaluations.
+//
+// The round is the evaluator's own scratch: it stays valid until the next
+// Speculate call on the same evaluator.
 func (e *Evaluator) Speculate(pts [][]float64, workers int) *Speculation {
-	spec := &Speculation{perfs: map[string]float64{}, est: map[string]bool{}}
+	spec := &e.spec
+	spec.cfgs, spec.perfs, spec.est = spec.cfgs[:0], spec.perfs[:0], spec.est[:0]
 	if workers <= 1 || e.DisableCache {
 		return spec
 	}
-	need := make([]Config, 0, len(pts))
-	seen := map[string]bool{}
+	dim := e.Space.Dim()
+	if cap(spec.buf) < len(pts)*dim {
+		spec.buf = make(Config, len(pts)*dim)
+	}
+	need := spec.need[:0] // indexes into spec.cfgs
 	for _, pt := range pts {
-		cfg := e.Space.Snap(pt)
-		key := cfg.Key()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if _, ok := e.cache[key]; ok {
+		n := len(spec.cfgs)
+		cfg := e.Space.snapInto(spec.buf[n*dim:(n+1)*dim:(n+1)*dim], pt)
+		if spec.find(cfg) >= 0 || e.lookup(cfg, 0) >= 0 {
 			continue
 		}
 		if e.External != nil {
@@ -227,39 +282,42 @@ func (e *Evaluator) Speculate(pts [][]float64, workers int) *Speculation {
 			// prior run, a peer session, or an earlier discarded round);
 			// answer it for free instead of queueing a measurement.
 			if perf, est, ok := e.External.LookupAt(cfg, 0); ok {
-				spec.perfs[key] = perf
-				spec.est[key] = est
+				spec.add(cfg, perf, est)
 				continue
 			}
 		}
-		need = append(need, cfg)
-	}
-	if e.MaxEvals > 0 {
-		remaining := e.MaxEvals - len(e.trace)
-		if remaining < 0 {
-			remaining = 0
+		if e.MaxEvals > 0 && len(need) >= e.MaxEvals-len(e.trace) {
+			continue // beyond the budget: the kernel could never commit it
 		}
-		if remaining < len(need) {
-			need = need[:remaining]
-		}
+		need = append(need, n)
+		spec.add(cfg, 0, false)
 	}
+	spec.need = need
 	if len(need) == 0 {
 		return spec
 	}
-	ps := make([]Probe, len(need))
-	for i := range ps {
-		ps[i].Config = need[i]
+	ps := spec.ps[:0]
+	for _, i := range need {
+		ps = append(ps, Probe{Config: spec.cfgs[i]})
 	}
+	spec.ps = ps
+	// A panic unwinds the caller with nothing committed; the round is
+	// emptied so a later EvalSpeculated cannot read an unmeasured value.
+	defer func() {
+		if rec := recover(); rec != nil {
+			spec.cfgs, spec.perfs, spec.est = spec.cfgs[:0], spec.perfs[:0], spec.est[:0]
+			panic(rec)
+		}
+	}()
 	// The layer was asked about every candidate above; asking again would
 	// count each miss twice and could answer a truth-checked candidate.
-	// A panic unwinds the caller; nothing was committed.
 	if e.External != nil {
 		e.measurePut(ps, workers)
 	} else {
 		e.measureRaw(ps, workers)
 	}
-	for _, p := range ps {
-		spec.perfs[p.Config.Key()] = p.Perf
+	for j, i := range need {
+		spec.perfs[i] = ps[j].Perf
 	}
 	return spec
 }
@@ -270,22 +328,18 @@ func (e *Evaluator) Speculate(pts [][]float64, workers int) *Speculation {
 // append, budget charge, tracer event — are identical to a fresh Eval, so
 // traces cannot distinguish a speculated measurement from a sequential one.
 //
-// The probe is snapped into the evaluator's scratch configuration and looked
-// up by its key scratch, so like EvalConfig it allocates only when it
-// commits.
+// Like EvalConfig it allocates nothing but a new slab once the last one is
+// used up.
 func (e *Evaluator) EvalSpeculated(pt []float64, spec *Speculation) (Config, float64, error) {
 	cfg := e.snap(pt)
-	if spec != nil && !e.DisableCache {
-		e.keyBuf = appendKey(e.keyBuf[:0], cfg)
-		if _, cached := e.cache[string(e.keyBuf)]; !cached {
-			if perf, ok := spec.perfs[string(e.keyBuf)]; ok {
-				if e.MaxEvals > 0 && len(e.trace) >= e.MaxEvals {
-					return nil, 0, ErrBudget
-				}
-				kept := cfg.Clone()
-				e.commit(kept, string(e.keyBuf), perf, spec.est[string(e.keyBuf)], 0)
-				return kept, perf, nil
+	if spec != nil && !e.DisableCache && e.lookup(cfg, 0) < 0 {
+		if i := spec.find(cfg); i >= 0 {
+			if e.MaxEvals > 0 && len(e.trace) >= e.MaxEvals {
+				return nil, 0, ErrBudget
 			}
+			kept := e.keep(cfg)
+			e.commit(kept, spec.perfs[i], spec.est[i], 0)
+			return kept, spec.perfs[i], nil
 		}
 	}
 	return e.EvalConfig(cfg)

@@ -114,8 +114,8 @@ func TestPriorConfirmedStopsAfterFourStalls(t *testing.T) {
 			if want := stallRounds(confirmedStall, p); first.Op != "stall" || first.Iter != want {
 				t.Errorf("first convergence = %s at iter %d, want stall at %d", first.Op, first.Iter, want)
 			}
-			if !strings.HasSuffix(first.Note, "stall=4 prior-confirmed") {
-				t.Errorf("note = %q, want the confirmed horizon named", first.Note)
+			if !strings.HasSuffix(first.NoteText(), "stall=4 prior-confirmed") {
+				t.Errorf("note = %q, want the confirmed horizon named", first.NoteText())
 			}
 			if c.parallel == 1 {
 				return
@@ -154,9 +154,9 @@ func TestPriorUnconfirmedKeepsColdHorizon(t *testing.T) {
 				dim = 8
 			}
 			want := fmt.Sprintf("stall=%d", 4*dim)
-			if first := events.conv[0]; first.Iter != plain.conv[0].Iter || !strings.HasSuffix(first.Note, want) {
+			if first := events.conv[0]; first.Iter != plain.conv[0].Iter || !strings.HasSuffix(first.NoteText(), want) {
 				t.Errorf("first convergence = iter %d note %q, want iter %d note ending %q",
-					first.Iter, first.Note, plain.conv[0].Iter, want)
+					first.Iter, first.NoteText(), plain.conv[0].Iter, want)
 			}
 			// Every step stalls, so the cold horizon of 4·dim vertex updates
 			// runs out after 12 sequential iterations, or 16 rounds at p = 2
@@ -199,7 +199,7 @@ func TestPriorConfirmedEndsAtFailedContraction(t *testing.T) {
 			prior := 1000.0 // the optimum the first seed sits on
 			res, events := seededRun(t, c.parallel, &prior, 0, 1)
 			if len(events.conv) != 1 || events.conv[0].Op != "confirmed" || events.conv[0].Iter != 0 ||
-				!strings.HasSuffix(events.conv[0].Note, "stall=4 prior-confirmed") {
+				!strings.HasSuffix(events.conv[0].NoteText(), "stall=4 prior-confirmed") {
 				t.Errorf("convergences %+v, want one: confirmed at iter 0 with the confirmed horizon named", events.conv)
 			}
 			if n := shrinks(events); n != 0 || len(events.phases) != 0 {
@@ -225,8 +225,8 @@ func TestPriorConfirmedEndsAtFailedContraction(t *testing.T) {
 func TestPriorCallerMaxStallWins(t *testing.T) {
 	prior := 1000.0
 	_, events := priorRun(t, 1, &prior, 2)
-	if first := events.conv[0]; first.Op != "stall" || first.Iter != 2 || !strings.HasSuffix(first.Note, "stall=2 prior-confirmed") {
-		t.Errorf("first convergence = %s at iter %d (%q), want stall at 2", first.Op, first.Iter, first.Note)
+	if first := events.conv[0]; first.Op != "stall" || first.Iter != 2 || !strings.HasSuffix(first.NoteText(), "stall=2 prior-confirmed") {
+		t.Errorf("first convergence = %s at iter %d (%q), want stall at 2", first.Op, first.Iter, first.NoteText())
 	}
 }
 
@@ -263,8 +263,8 @@ func TestPriorGateEstimateNeverConfirms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first := events.conv[0]; strings.Contains(first.Note, "prior-confirmed") || !strings.HasSuffix(first.Note, "stall=12") {
-		t.Errorf("note = %q, want the cold horizon: an estimate must not confirm the prior", first.Note)
+	if first := events.conv[0]; strings.Contains(first.NoteText(), "prior-confirmed") || !strings.HasSuffix(first.NoteText(), "stall=12") {
+		t.Errorf("note = %q, want the cold horizon: an estimate must not confirm the prior", first.NoteText())
 	}
 }
 

@@ -80,7 +80,8 @@ func TestSpeculateRespectsBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Budget exhausted: committing another speculated value must refuse.
-	spec2 := &Speculation{perfs: map[string]float64{Config{2}.Key(): 2}}
+	spec2 := &Speculation{}
+	spec2.add(Config{2}, 2, false)
 	if _, _, err := ev.EvalSpeculated([]float64{2}, spec2); !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
 	}

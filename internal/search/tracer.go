@@ -1,6 +1,10 @@
 package search
 
-import "time"
+import (
+	"encoding/json"
+	"strconv"
+	"time"
+)
 
 // EventType classifies the typed events a Tracer receives. The set covers
 // everything the paper's trajectory claims depend on — evaluations, simplex
@@ -101,6 +105,97 @@ type Event struct {
 	// Note carries free-form detail (which vertex a simplex op replaced,
 	// the fault description for budget charges, ...).
 	Note string `json:"note,omitempty"`
+	// Detail is a note in one of the kernels' fixed layouts, carried as
+	// typed fields so that emitting it formats nothing. A sink that writes
+	// the event out formats it as the note (see NoteText); the JSON
+	// encoding does so itself.
+	Detail Note `json:"-"`
+}
+
+// NoteKind names a fixed note layout. Each kind's text lists which of
+// Note's fields it formats.
+type NoteKind uint8
+
+const (
+	// NoteNone: no typed note.
+	NoteNone NoteKind = iota
+	// NoteConverge: "evals=A stall=C", with "pbest=B " before "stall"
+	// when B > 1 and " prior-confirmed" after it when Flag is set.
+	NoteConverge
+	// NoteShrink: "re-measured A vertices".
+	NoteShrink
+	// NoteVertexAccepted: "vertex A accepted".
+	NoteVertexAccepted
+	// NoteVertexRejected: "vertex A rejected".
+	NoteVertexRejected
+	// NotePolish: "remaining=A frac=F", F the polish phase's scale.
+	NotePolish
+	// NoteRungOpen: "bracket=A candidates=B".
+	NoteRungOpen
+	// NoteRungPromote: "bracket=A survivors=B".
+	NoteRungPromote
+	// NoteTriage: "seeds=A budget_hit=Flag".
+	NoteTriage
+)
+
+// Note is a typed event note: a layout and the values it formats. It is
+// kept to 16 bytes, since every event carries one.
+type Note struct {
+	Kind    NoteKind
+	Flag    bool
+	A, B, C int32
+}
+
+// NoteText returns the event's note as a sink writes it: Note when set,
+// otherwise the text of Detail ("" when there is neither).
+func (e Event) NoteText() string {
+	if e.Note != "" || e.Detail.Kind == NoteNone {
+		return e.Note
+	}
+	return string(e.Detail.append(nil))
+}
+
+// append appends the note's text to b.
+func (n Note) append(b []byte) []byte {
+	num := func(b []byte, key string, v int32) []byte {
+		return strconv.AppendInt(append(b, key...), int64(v), 10)
+	}
+	switch n.Kind {
+	case NoteConverge:
+		b = num(b, "evals=", n.A)
+		if n.B > 1 {
+			b = num(b, " pbest=", n.B)
+		}
+		b = num(b, " stall=", n.C)
+		if n.Flag {
+			b = append(b, " prior-confirmed"...)
+		}
+	case NoteShrink:
+		b = append(num(b, "re-measured ", n.A), " vertices"...)
+	case NoteVertexAccepted:
+		b = append(num(b, "vertex ", n.A), " accepted"...)
+	case NoteVertexRejected:
+		b = append(num(b, "vertex ", n.A), " rejected"...)
+	case NotePolish:
+		b = append(num(b, "remaining=", n.A), " frac="...)
+		b = strconv.AppendFloat(b, polishFrac, 'g', -1, 64)
+	case NoteRungOpen:
+		b = num(num(b, "bracket=", n.A), " candidates=", n.B)
+	case NoteRungPromote:
+		b = num(num(b, "bracket=", n.A), " survivors=", n.B)
+	case NoteTriage:
+		b = strconv.AppendBool(append(num(b, "seeds=", n.A), " budget_hit="...), n.Flag)
+	}
+	return b
+}
+
+// MarshalJSON encodes the event with its typed note formatted into the
+// "note" field, so the JSON of an event carrying Detail is the JSON of the
+// same event with its note text in Note.
+func (e Event) MarshalJSON() ([]byte, error) {
+	e.Note = e.NoteText()
+	type plain Event // Event's fields without this method
+	return json.Marshal(plain(e))
 }
 
 // Tracer receives typed events from the tuning machinery. Implementations

@@ -1,6 +1,9 @@
 package search
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -250,5 +253,49 @@ func TestBestTrajectoryDirections(t *testing.T) {
 	}
 	if BestTrajectory(nil, Maximize) != nil {
 		t.Error("empty stream should fold to nil")
+	}
+}
+
+// TestTypedNotesFormatAsText: an event carrying a typed note formats it as
+// the kernels' fmt layouts did, and its JSON is byte for byte the JSON of
+// the same event with that text in Note.
+func TestTypedNotesFormatAsText(t *testing.T) {
+	for _, c := range []struct {
+		note Note
+		want string
+	}{
+		{Note{Kind: NoteConverge, A: 22, B: 1, C: 8}, fmt.Sprintf("evals=%d %s", 22, fmt.Sprintf("stall=%d", 8))},
+		{Note{Kind: NoteConverge, A: 9, B: 1, C: 4, Flag: true}, fmt.Sprintf("evals=%d %s", 9, fmt.Sprintf("stall=%d prior-confirmed", 4))},
+		{Note{Kind: NoteConverge, A: 57, B: 2, C: 40}, fmt.Sprintf("evals=%d pbest=%d %s", 57, 2, fmt.Sprintf("stall=%d", 40))},
+		{Note{Kind: NoteConverge, A: 0, B: 3, C: 4, Flag: true}, fmt.Sprintf("evals=%d pbest=%d %s", 0, 3, fmt.Sprintf("stall=%d prior-confirmed", 4))},
+		{Note{Kind: NoteShrink, A: 10}, fmt.Sprintf("re-measured %d vertices", 10)},
+		{Note{Kind: NoteVertexAccepted, A: 7}, fmt.Sprintf("vertex %d accepted", 7)},
+		{Note{Kind: NoteVertexRejected, A: 10}, fmt.Sprintf("vertex %d rejected", 10)},
+		{Note{Kind: NotePolish, A: 31}, fmt.Sprintf("remaining=%d frac=%v", 31, polishFrac)},
+		{Note{Kind: NoteRungOpen, A: 3, B: 27}, fmt.Sprintf("bracket=%d candidates=%d", 3, 27)},
+		{Note{Kind: NoteRungPromote, A: 0, B: 1}, fmt.Sprintf("bracket=%d survivors=%d", 0, 1)},
+		{Note{Kind: NoteTriage, A: 4, Flag: true}, fmt.Sprintf("seeds=%d budget_hit=%v", 4, true)},
+		{Note{Kind: NoteTriage, A: -1}, fmt.Sprintf("seeds=%d budget_hit=%v", -1, false)},
+	} {
+		typed := Event{Session: "s", Time: time.Unix(1, 2).UTC(), Type: EventConverge, Op: "stall", Config: Config{1, 2}, Perf: 3.5, Detail: c.note}
+		if got := typed.NoteText(); got != c.want {
+			t.Errorf("%+v formats %q, want %q", c.note, got, c.want)
+		}
+		plain := typed
+		plain.Detail, plain.Note = Note{}, c.want
+		got, err := json.Marshal(typed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("JSON of %+v:\n%s\nwant\n%s", c.note, got, want)
+		}
+	}
+	if e := (Event{Note: "free", Detail: Note{Kind: NoteShrink, A: 1}}); e.NoteText() != "free" {
+		t.Errorf("a free-form note gave way to the typed one: %q", e.NoteText())
 	}
 }

@@ -261,14 +261,21 @@ func DialWithOptions(addr string, opts DialOptions) (*Client, error) {
 // Client speaking the JSON line framing. Register with a Proto of 3 to
 // negotiate binary frames.
 func NewClientConn(conn net.Conn) *Client {
-	c := &Client{
+	return &Client{
 		conn:  conn,
 		br:    bufio.NewReaderSize(conn, 16*1024),
 		w:     bufio.NewWriter(conn),
 		proto: 2,
 	}
-	c.tr = newJSONWire(c.br, c.w, c.beforeRead, c.beforeWrite)
-	return c
+}
+
+// wire returns the client's framing. Register picks it; a client that
+// sends before registering speaks the JSON line framing.
+func (c *Client) wire() transport {
+	if c.tr == nil {
+		c.tr = newJSONWire(c.br, c.w, c.beforeRead, c.beforeWrite)
+	}
+	return c.tr
 }
 
 // beforeRead/beforeWrite are the transport deadline hooks; they read
@@ -346,7 +353,7 @@ func (c *Client) logTransport(op string, err error) {
 func (c *Client) send(m message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := c.tr.send(m); err != nil {
+	if err := c.wire().send(m); err != nil {
 		c.logTransport("write "+m.Op, err)
 		return fmt.Errorf("%w: write: %v", ErrServerGone, err)
 	}
@@ -360,7 +367,7 @@ func (c *Client) sendPair(a, b message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.pair[0], c.pair[1] = a, b
-	err := c.tr.sendBatch(c.pair[:]...)
+	err := c.wire().sendBatch(c.pair[:]...)
 	c.pair[0], c.pair[1] = message{}, message{} // no stale slice references
 	if err != nil {
 		c.logTransport("write batch", err)
@@ -370,7 +377,7 @@ func (c *Client) sendPair(a, b message) error {
 }
 
 func (c *Client) recv() (message, error) {
-	m, err := c.tr.recv()
+	m, err := c.wire().recv()
 	if err != nil {
 		var g *garbageError
 		switch {
@@ -409,10 +416,9 @@ func (c *Client) Register(rslText string, opts RegisterOptions) ([]string, error
 		dir = "min"
 	}
 	if opts.Proto >= 3 && c.mux == nil {
-		// Switch to binary framing before the first byte goes out: the
-		// magic preamble is buffered ahead of the register frame and both
-		// leave in one write. The server has sent nothing yet (register is
-		// the first exchange), so the JSON reader is safely abandoned.
+		// Binary framing from the first byte: the magic preamble is
+		// buffered ahead of the register frame and both leave in one
+		// write.
 		c.wmu.Lock()
 		if _, err := c.w.Write(v3Magic[:]); err != nil {
 			c.wmu.Unlock()
@@ -477,6 +483,12 @@ func (c *Client) Fetch() (cfg search.Config, done bool, err error) {
 // fraction in (0, 1) asks for a deterministically cheaper partial one (a
 // multi-fidelity server's triage rungs). Single-fidelity servers never set
 // the field, so FetchAt degrades to Fetch.
+//
+// The returned configuration is the caller's: it stays valid after later
+// calls, and it never aliases another returned configuration, so writing
+// to it or appending to it changes no other. Over binary framing its
+// values share a block with other configurations the connection read;
+// keeping one keeps that block.
 func (c *Client) FetchAt() (cfg search.Config, fidelity float64, done bool, err error) {
 	if err := c.send(message{Op: "fetch"}); err != nil {
 		return nil, 0, false, err
@@ -541,7 +553,7 @@ func (c *Client) ReportAndFetch(perf float64) (cfg search.Config, done bool, err
 
 // ReportAndFetchAt is the fidelity-aware ReportAndFetch: it echoes the
 // reported measurement's fidelity and returns the next configuration's
-// requested fidelity.
+// requested fidelity. The configuration is the caller's, as from FetchAt.
 func (c *Client) ReportAndFetchAt(perf, reported float64) (cfg search.Config, fidelity float64, done bool, err error) {
 	if c.proto < 3 {
 		if err := c.ReportAt(perf, reported); err != nil {

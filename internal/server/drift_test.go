@@ -610,7 +610,7 @@ func TestV3ReportCharacteristicsRoundTrip(t *testing.T) {
 		overflow, // n*8 wraps around 2^64
 	}
 	for _, body := range garbage {
-		if _, err := decodeFrame(body); err == nil {
+		if _, err := new(frameReader).decode(body); err == nil {
 			t.Errorf("garbage opReportC payload %v decoded without error", body)
 		}
 	}

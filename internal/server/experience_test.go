@@ -434,8 +434,8 @@ func TestConfirmedWarmWalkSkipsPolish(t *testing.T) {
 			t.Errorf("session %s: %d convergences and %d polishes, want %d and %d",
 				c.id, len(conv), polishes, c.converges, c.polishes)
 		}
-		if len(conv) > 0 && !strings.HasSuffix(conv[0].Note, c.note) {
-			t.Errorf("session %s walk convergence note %q, want it to end %q", c.id, conv[0].Note, c.note)
+		if len(conv) > 0 && !strings.HasSuffix(conv[0].NoteText(), c.note) {
+			t.Errorf("session %s walk convergence note %q, want it to end %q", c.id, conv[0].NoteText(), c.note)
 		}
 	}
 }

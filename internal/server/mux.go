@@ -69,11 +69,13 @@ type muxItem struct {
 // muxConn is one multiplexed connection's shared state: the session table,
 // the corked writer, and the tombstone ring.
 type muxConn struct {
-	s           *Server
-	connID      string
-	remote      string
+	s      *Server
+	connID string
+	remote string
+	// firstID is the first session's ID: connection-scope records carry
+	// that session's identity, without its token.
+	firstID     string
 	budget      int
-	log         *slog.Logger
 	maxSessions int
 	cw          *corkedWriter
 
@@ -105,7 +107,7 @@ func (s *Server) serveMux(first *session, bw *binWire, w *bufio.Writer, beforeWr
 	}
 	mc := &muxConn{
 		s: s, connID: connID, remote: remote,
-		budget: first.budget, log: first.log, maxSessions: maxSessions,
+		firstID: first.id, budget: first.budget, maxSessions: maxSessions,
 		// 64 queued replies hold a batch from every session of a busy
 		// connection; past that, senders wait for the next flush.
 		cw:    newCorkedWriter(w, 64, beforeWrite, m.MuxCorkedFlushFrames),
@@ -129,11 +131,16 @@ func (s *Server) serveMux(first *session, bw *binWire, w *bufio.Writer, beforeWr
 	mc.mu.Unlock()
 	m.MuxSessionsPerConn.Observe(float64(attached))
 	if err != nil {
-		mc.log.Warn("mux connection ended", "err", err)
+		mc.logAttrs(slog.LevelWarn, "mux connection ended", slog.Any("err", err))
 	} else {
-		mc.log.Debug("mux connection ended")
+		mc.logAttrs(slog.LevelDebug, "mux connection ended")
 	}
 	return err
+}
+
+// logAttrs emits one connection-scope record (see session.logAttrs).
+func (mc *muxConn) logAttrs(level slog.Level, msg string, attrs ...slog.Attr) {
+	logIdentity(mc.s.logger(), level, msg, mc.firstID, mc.remote, mc.connID, 0, attrs)
 }
 
 // demux is the connection's read loop: decode one frame, route it to its
@@ -153,7 +160,7 @@ func (mc *muxConn) demux(bw *binWire) error {
 		if connFaults > mc.budget {
 			return fmt.Errorf("connection failure budget exhausted (%d faults > %d): %s", connFaults, mc.budget, what)
 		}
-		mc.log.Warn("tolerated connection fault", "fault", connFaults, "budget", mc.budget, "what", what)
+		mc.logAttrs(slog.LevelWarn, "tolerated connection fault", slog.Int("fault", connFaults), slog.Int("budget", mc.budget), slog.String("what", what))
 		return nil
 	}
 
@@ -247,9 +254,7 @@ func (mc *muxConn) register(reg message, connFault func(string) error) error {
 // server cannot accept is answered on tok and ends the session here.
 func (mc *muxConn) attach(tok uint64, sess *session, reg message) error {
 	s := mc.s
-	sess.token, sess.proto = tok, 3
-	sess.send = func(m message) error { return mc.send(tok, m) }
-	sess.log = sess.log.With("mux_token", tok)
+	sess.token, sess.proto, sess.mc = tok, 3, mc
 	if err := s.register(sess, reg); err != nil {
 		return s.endSession(sess, err)
 	}
@@ -301,7 +306,7 @@ func (mc *muxConn) deliver(ms *session, it muxItem) {
 	mc.mu.Unlock()
 	ms.termErr = errors.New(reason)
 	close(ms.in)
-	ms.log.Warn("mux session evicted: flow-control credit exhausted")
+	ms.logAttrs(slog.LevelWarn, "mux session evicted: flow-control credit exhausted")
 }
 
 // detach removes a finished session from the table and tombstones its token

@@ -394,7 +394,7 @@ func (rv *rawV3) readMuxFrame() (uint64, message) {
 		rv.t.Fatalf("mux frame 0x%02x: malformed token", op)
 	}
 	body[k] = op
-	m, err := decodeFrame(body[k:])
+	m, err := new(frameReader).decode(body[k:])
 	if err != nil {
 		rv.t.Fatalf("decode mux frame: %v", err)
 	}
@@ -484,11 +484,11 @@ func TestMuxDeliverEvictsOnCreditExhaustion(t *testing.T) {
 	reg := obs.NewRegistry()
 	s.Metrics = NewMetrics(reg)
 	mc := &muxConn{
-		s: s, budget: 3, log: obs.Nop(),
+		s: s, budget: 3,
 		cw:    newCorkedWriter(nil, 8, nil, nil),
 		table: map[uint64]*session{},
 	}
-	ms := &session{token: 7, log: obs.Nop(), in: make(chan muxItem, 1)}
+	ms := &session{srv: s, token: 7, in: make(chan muxItem, 1)}
 	mc.table[7] = ms
 
 	mc.deliver(ms, muxItem{m: message{Op: "fetch"}}) // fills the credit

@@ -107,9 +107,13 @@ func NewMux(conn net.Conn) *Mux {
 // transport. Handles are independent — register and tune them from
 // different goroutines freely.
 func (mx *Mux) Session() *Client {
-	c := &Client{conn: mx.conn, proto: 3, mux: mx}
-	c.tr = &muxWire{mx: mx, c: c}
-	return c
+	h := &struct { // the handle and its transport, in one allocation
+		c Client
+		w muxWire
+	}{}
+	h.c.conn, h.c.proto, h.c.mux, h.c.tr = mx.conn, 3, mx, &h.w
+	h.w.mx, h.w.c = mx, &h.c
+	return &h.c
 }
 
 // Stats reports the outgoing frame and corked-flush (socket write) counts —

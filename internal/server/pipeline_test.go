@@ -434,9 +434,10 @@ func TestPipelinedMetrics(t *testing.T) {
 // dispatchSequence runs one raw window-4 session over the given framing (2
 // for v2 JSON, 3 for v3 frames) and returns every config frame the server
 // sent, as "id:values@fidelity". The client holds four fetch credits and,
-// whenever the server pauses for reports, answers the configs it holds in
-// reverse order and refills its credits.
-func dispatchSequence(t *testing.T, addr string, proto int) []string {
+// whenever the server pauses for reports, answers the configs it holds —
+// newest first, or oldest first — at the fidelity each asked for, and
+// refills its credits.
+func dispatchSequence(t *testing.T, addr string, proto int, newestFirst bool) []string {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -493,10 +494,13 @@ func dispatchSequence(t *testing.T, addr string, proto int) []string {
 			seq = append(seq, fmt.Sprintf("%d:%v@%v", m.id, m.Values, m.Fidelity))
 			held = append(held, m)
 		case <-time.After(2 * time.Millisecond):
-			// The server waits for reports: answer what it sent, newest
-			// first.
-			for i := len(held) - 1; i >= 0; i-- {
-				r := message{Op: "report", Perf: quadPeak(search.Config(held[i].Values))}
+			// The server waits for reports: answer what it sent.
+			for k := range held {
+				i := k
+				if newestFirst {
+					i = len(held) - 1 - k
+				}
+				r := message{Op: "report", Perf: fidelityQuad(search.Config(held[i].Values), held[i].Fidelity), Fidelity: held[i].Fidelity}
 				r.id, r.hasID = held[i].id, true
 				send(r)
 			}
@@ -511,19 +515,38 @@ func dispatchSequence(t *testing.T, addr string, proto int) []string {
 // TestPipelinedDispatchOrderDeterministic: the kernel hands each batch to the
 // session in one call, so the configs of a batch go out in the batch's own
 // order, whatever order their reports come back in. The whole sequence of
-// config frames — ids and values — is the same on every run and on both
-// framings.
+// config frames — ids, values and fidelities — is the same on every run,
+// on both framings and for either report order. The hyperband case runs
+// the multi-fidelity kernel with a session-scope cache, as the
+// hyperband-json workload does, so its memo promotes full-fidelity truths
+// over reduced rungs on the pipelined path.
 func TestPipelinedDispatchOrderDeterministic(t *testing.T) {
-	_, addr := startServer(t)
-	want := dispatchSequence(t, addr, 2)
-	if len(want) < 20 {
-		t.Fatalf("session dispatched only %d configs", len(want))
-	}
-	for run := 0; run < 5; run++ {
-		for _, proto := range []int{2, 3} {
-			if got := dispatchSequence(t, addr, proto); !slices.Equal(got, want) {
-				t.Fatalf("run %d, proto %d: dispatch sequence diverged\ngot  %v\nwant %v", run, proto, got, want)
+	for _, tc := range []struct {
+		name  string
+		setup func(*Server)
+	}{
+		{"simplex", nil},
+		{"hyperband", func(s *Server) {
+			s.SearchKernel = KernelHyperband
+			s.EvalCache = CacheSession
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, addr := startServerWith(t, tc.setup)
+			want := dispatchSequence(t, addr, 2, true)
+			if len(want) < 20 {
+				t.Fatalf("session dispatched only %d configs", len(want))
 			}
-		}
+			for run := 0; run < 3; run++ {
+				for _, proto := range []int{2, 3} {
+					for _, newestFirst := range []bool{true, false} {
+						if got := dispatchSequence(t, addr, proto, newestFirst); !slices.Equal(got, want) {
+							t.Fatalf("run %d, proto %d, newest first %v: dispatch sequence diverged\ngot  %v\nwant %v",
+								run, proto, newestFirst, got, want)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -11,7 +11,9 @@ import (
 	"log/slog"
 	"math"
 	"net"
+	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -511,22 +513,24 @@ func (s *Server) Close() error {
 type session struct {
 	srv *Server
 	id  string
-	log *slog.Logger
-	end SessionEnd
+	// remote and connID are the peer's address and the connection's name in
+	// the control plane: with id (and token on a mux connection), the
+	// identity each of the session's log records leads with (see logAttrs).
+	remote, connID string
+	end            SessionEnd
 	// budget is how many faults the session tolerates before it fails.
 	budget int
 	// state is the session's control-plane twin (never nil): the trace
 	// stream and the exchange keep it current, the API snapshots it.
 	state *sessionState
 
-	// send writes one reply: through the connection's framing on a plain
-	// connection, token-stamped through the corked writer on a mux one.
-	send func(m message) error
 	// tr is a plain connection's framing, read on the session's goroutine.
 	// A mux session has no tr: in is its inbox, fed by the connection's
-	// demux.
+	// demux, and mc is its connection, whose corked writer sends its
+	// replies.
 	tr transport
 	in chan muxItem
+	mc *muxConn
 	// termErr is the terminal read condition, written before in closes.
 	termErr error
 	// proto is the negotiated framing generation: 2 for the JSON line
@@ -559,10 +563,6 @@ type session struct {
 	tune func() (*search.Result, error)
 	// deposited reports that the session's trace entered the store.
 	deposited bool
-	// tracer is the session's stamped trace stream (set at registration),
-	// kept here so the exchange can emit drift events onto the same
-	// demultiplexable stream the kernel uses.
-	tracer search.Tracer
 	workload
 }
 
@@ -630,6 +630,56 @@ type outstanding struct {
 // err is the session's terminal error, nil for a quit or a clean close.
 type sessionEnd struct{ err error }
 
+// send writes one reply: through the connection's framing on a plain
+// connection, token-stamped through the corked writer on a mux one.
+func (sess *session) send(m message) error {
+	if sess.mc != nil {
+		return sess.mc.send(sess.token, m)
+	}
+	return sess.tr.send(m)
+}
+
+// Emit implements search.Tracer as the session's trace stream: it stamps
+// the session ID on each event and hands it to the state twin and then to
+// the server's Tracer, so the control plane sees exactly what the JSONL
+// trace records.
+func (sess *session) Emit(e search.Event) {
+	if e.Session == "" {
+		e.Session = sess.id
+	}
+	sess.state.Emit(e)
+	if t := sess.srv.Tracer; t != nil {
+		t.Emit(e)
+	}
+}
+
+// logAttrs emits one record on the server's logger. Its attributes lead
+// with the session's identity — session, remote, conn and, on a mux
+// connection, mux_token — in the order a logger.With would have put them,
+// but built only for a record the logger keeps.
+func (sess *session) logAttrs(level slog.Level, msg string, attrs ...slog.Attr) {
+	logIdentity(sess.srv.logger(), level, msg, sess.id, sess.remote, sess.connID, sess.token, attrs)
+}
+
+// logIdentity emits one record with the identity attributes of a session
+// (token 0: none) ahead of attrs, when the logger is enabled at level. Its
+// source is the caller of the caller.
+func logIdentity(l *slog.Logger, level slog.Level, msg, id, remote, connID string, token uint64, attrs []slog.Attr) {
+	ctx := context.Background()
+	if !l.Enabled(ctx, level) {
+		return
+	}
+	var pc [1]uintptr
+	runtime.Callers(3, pc[:]) // skip Callers, logIdentity and its caller
+	r := slog.NewRecord(time.Now(), level, msg, pc[0])
+	r.AddAttrs(slog.String("session", id), slog.String("remote", remote), slog.String("conn", connID))
+	if token != 0 {
+		r.AddAttrs(slog.Uint64("mux_token", token))
+	}
+	r.AddAttrs(attrs...)
+	l.Handler().Handle(ctx, r) //nolint:errcheck // a logger's failure is not the session's
+}
+
 // noteChars folds one report's observed workload characteristics into the
 // session's drift detector. A session without a detector (detection off, or
 // no characteristics registered) ignores them.
@@ -642,7 +692,7 @@ func (sess *session) noteChars(chars []float64) {
 	if fired {
 		sess.drifted = true
 		st := sess.detector.Status()
-		sess.tracer.Emit(search.Event{
+		sess.Emit(search.Event{
 			Time: time.Now(), Type: search.EventDrift,
 			Op: "detect", Iter: st.Drifts, Dist: dist,
 			Note: "live workload left the matched centroid",
@@ -675,8 +725,8 @@ func (sess *session) recv() (message, error) {
 var errNoRegister = errors.New("server: client closed before registering")
 
 // openSession starts one session's bookkeeping: an ID, a state twin in the
-// registry, a logger carrying both, and the started/active counts that
-// endSession settles. Plain and mux sessions alike open here.
+// registry, and the started/active counts that endSession settles. Plain
+// and mux sessions alike open here.
 func (s *Server) openSession(remote, connID string) *session {
 	id := obs.NewID()
 	m := s.m()
@@ -685,12 +735,13 @@ func (s *Server) openSession(remote, connID string) *session {
 	sess := &session{
 		srv:    s,
 		id:     id,
-		log:    s.logger().With("session", id, "remote", remote, "conn", connID),
+		remote: remote,
+		connID: connID,
 		end:    SessionEnd{ID: id},
 		budget: s.failureBudget(),
 		state:  s.trackState(id, remote, connID),
 	}
-	sess.log.Debug("session started")
+	sess.logAttrs(slog.LevelDebug, "session started")
 	return sess
 }
 
@@ -709,15 +760,15 @@ func (s *Server) endSession(sess *session, err error) error {
 	if end.Deposited {
 		m.Deposits.Inc()
 	}
+	outcome := [...]slog.Attr{
+		slog.String("app", end.App), slog.Bool("warm", end.Warm), slog.Bool("completed", end.Completed),
+		slog.Bool("deposited", end.Deposited), slog.Int("faults", end.Faults), slog.Any("err", err),
+	}
 	if err != nil {
 		m.SessionFailures.Inc()
-		sess.log.Warn("session failed",
-			"app", end.App, "warm", end.Warm, "completed", end.Completed,
-			"deposited", end.Deposited, "faults", end.Faults, "err", err)
+		sess.logAttrs(slog.LevelWarn, "session failed", outcome[:]...)
 	} else {
-		sess.log.Info("session ended",
-			"app", end.App, "warm", end.Warm, "completed", end.Completed,
-			"deposited", end.Deposited, "faults", end.Faults)
+		sess.logAttrs(slog.LevelInfo, "session ended", outcome[:len(outcome)-1]...)
 	}
 	s.finishState(sess.state, *end)
 	if s.OnSessionEnd != nil {
@@ -744,7 +795,7 @@ func (s *Server) handle(conn net.Conn) error {
 	// The connection token names the transport in session snapshots, so the
 	// control plane can group the sessions of one mux connection.
 	remote := conn.RemoteAddr().String()
-	connID := fmt.Sprintf("conn-%d", token)
+	connID := "conn-" + strconv.FormatUint(token, 10)
 	sess := s.openSession(remote, connID)
 	// A plain session ends after its connection is released, so whoever
 	// OnSessionEnd wakes finds the connection gone from the table.
@@ -782,7 +833,7 @@ func (s *Server) handle(conn net.Conn) error {
 		}
 		return end(err)
 	}
-	sess.tr, sess.send, sess.proto = tr, tr.send, proto
+	sess.tr, sess.proto = tr, proto
 
 	// First message must register. Faults before a session exists are not
 	// worth tolerating — there is no state to protect yet.
@@ -841,10 +892,10 @@ func (s *Server) register(sess *session, reg message) error {
 	st.snap.FailureBudget = sess.budget
 	st.snap.Mux = sess.token != 0
 	st.mu.Unlock()
-	sess.log.Info("session registered",
-		"app", reg.App, "dim", len(sess.names), "warm", sess.warm(),
-		"improved", reg.Improved, "max_evals", reg.MaxEvals,
-		"window", sess.window)
+	sess.logAttrs(slog.LevelInfo, "session registered",
+		slog.String("app", reg.App), slog.Int("dim", len(sess.names)), slog.Bool("warm", sess.warm()),
+		slog.Bool("improved", reg.Improved), slog.Int("max_evals", reg.MaxEvals),
+		slog.Int("window", sess.window))
 	return nil
 }
 
@@ -944,7 +995,7 @@ func (s *Server) tolerate(sess *session, what string) error {
 	if end.Faults > sess.budget {
 		return s.fail(sess, fmt.Sprintf("failure budget exhausted (%d faults > %d): %s", end.Faults, sess.budget, what))
 	}
-	sess.log.Warn("tolerated fault", "fault", end.Faults, "budget", sess.budget, "what", what)
+	sess.logAttrs(slog.LevelWarn, "tolerated fault", slog.Int("fault", end.Faults), slog.Int("budget", sess.budget), slog.String("what", what))
 	return nil
 }
 
@@ -1156,7 +1207,7 @@ func (s *Server) startSession(sess *session, reg message) error {
 		}
 	}
 
-	st, log := sess.state, sess.log
+	st := sess.state
 	sess.names = spec.Names()
 	sess.dir = dir
 	sess.penalty = search.FailurePenalty(dir)
@@ -1227,9 +1278,7 @@ func (s *Server) startSession(sess *session, reg message) error {
 	// trace records.
 	ev := search.NewEvaluator(space, sess)
 	ev.MaxEvals = maxEvals
-	tracer := search.StampSession(search.MultiTracer(st, s.Tracer), sess.id)
-	ev.Tracer = tracer
-	sess.tracer = tracer
+	ev.Tracer = sess
 	// The measure-once layer: exact hits (this session, peers, prior runs)
 	// skip the client round-trip, and the client's measurements are put
 	// back into it; the optional estimation gate answers well-supported
@@ -1261,8 +1310,8 @@ func (s *Server) startSession(sess *session, reg message) error {
 			if sess.deposited = sess.deposit(tr); sess.deposited {
 				s.m().PartialDeposits.Inc()
 			}
-			log.Warn("abnormal disconnect: partial trace",
-				"trace_len", len(tr), "deposited", sess.deposited, "app", reg.App)
+			sess.logAttrs(slog.LevelWarn, "abnormal disconnect: partial trace",
+				slog.Int("trace_len", len(tr)), slog.Bool("deposited", sess.deposited), slog.String("app", reg.App))
 			res, err = nil, end.err
 		}()
 		nmOpts := search.NelderMeadOptions{
@@ -1276,7 +1325,7 @@ func (s *Server) startSession(sess *session, reg message) error {
 			// unchanged.
 			Parallel:  sess.window,
 			PriorBest: sess.priorBest,
-			Tracer:    tracer,
+			Tracer:    sess,
 		}
 		if s.SearchKernel == KernelHyperband {
 			// Multi-fidelity triage over reduced-fidelity client
@@ -1288,7 +1337,7 @@ func (s *Server) startSession(sess *session, reg message) error {
 				Direction: dir,
 				Seed:      kernelSeed(sess.key, reg.Characteristics),
 				Polish:    nmOpts,
-				Tracer:    tracer,
+				Tracer:    sess,
 			})
 		} else {
 			res, err = search.NelderMeadWithEvaluator(space, ev, nmOpts)
@@ -1332,14 +1381,14 @@ func (s *Server) startSession(sess *session, reg message) error {
 				}
 				sess.detector.Rebase(ref)
 				ds := sess.detector.Status()
-				tracer.Emit(search.Event{
+				sess.Emit(search.Event{
 					Time: time.Now(), Type: search.EventDrift,
 					Op: "rematch", Iter: ds.Drifts, Dist: ds.Dist, Note: note,
 				})
-				log.Info("workload drift: warm in-session re-tune",
-					"app", reg.App, "drift", ds.Drifts, "dist", ds.Dist, "rematch", note)
+				sess.logAttrs(slog.LevelInfo, "workload drift: warm in-session re-tune",
+					slog.String("app", reg.App), slog.Int("drift", ds.Drifts), slog.Float64("dist", ds.Dist), slog.String("rematch", note))
 			}
-			tracer.Emit(search.Event{Time: time.Now(), Type: search.EventPhase, Op: "retune", Perf: res.BestPerf})
+			sess.Emit(search.Event{Time: time.Now(), Type: search.EventPhase, Op: "retune", Perf: res.BestPerf})
 			retuneOpts := nmOpts
 			retuneOpts.Init = search.ScaledInit{Center: space.Continuous(res.BestConfig), Frac: scale}
 			res, err = search.NelderMeadWithEvaluator(space, ev, retuneOpts)

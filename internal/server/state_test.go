@@ -193,7 +193,7 @@ func TestSessionStopReasonAndPostConvergenceSpend(t *testing.T) {
 		s.Tracer = search.TracerFunc(func(e search.Event) {
 			if e.Type == search.EventConverge {
 				mu.Lock()
-				notes[e.Session] = append(notes[e.Session], e.Note)
+				notes[e.Session] = append(notes[e.Session], e.NoteText())
 				mu.Unlock()
 			}
 		})

@@ -272,7 +272,7 @@ func (t *binWire) sendBatch(ms ...message) error {
 // into buffers the reader keeps (the body's grows to the largest frame
 // seen), so reading a fetch, report or reportf frame allocates nothing.
 // decode copies every value that outlives the call out of the body: a
-// config frame's values (one allocation, which the receiver keeps), a
+// config frame's values, carved from the reader's slab (see carve), a
 // reportc frame's characteristics, error strings and JSON envelopes. With
 // mux set (a v4-mux connection, after the negotiation register) every frame
 // carries a varint session token after the opcode, surfaced on
@@ -282,6 +282,26 @@ type frameReader struct {
 	hdr [4]byte
 	buf []byte
 	mux bool
+	// slab is the unused tail of the block config-frame values are carved
+	// from.
+	slab []int
+}
+
+// valueSlab is how many config values one slab holds: 128 configurations
+// of the two-parameter quadratic, 25 of the ten-parameter web cluster.
+const valueSlab = 256
+
+// carve returns room for n config values. The values are cut from the
+// reader's slab, a new one once the last is used up, and their capacity
+// ends at n: no two returned configurations share memory, appending to
+// one reallocates it, and each stays valid after later reads.
+func (fr *frameReader) carve(n int) []int {
+	if len(fr.slab) < n {
+		fr.slab = make([]int, max(n, valueSlab))
+	}
+	v := fr.slab[:n:n]
+	fr.slab = fr.slab[n:]
+	return v
 }
 
 func (fr *frameReader) read() (message, error) {
@@ -310,11 +330,11 @@ func (fr *frameReader) read() (message, error) {
 		return message{}, err
 	}
 	if !fr.mux {
-		return decodeFrame(body)
+		return fr.decode(body)
 	}
 	// Mux frame: opcode, session token, then the ordinary payload. The
 	// token is sliced out in place — its last byte is overwritten with the
-	// opcode so decodeFrame sees a contiguous opcode+payload view without a
+	// opcode so decode sees a contiguous opcode+payload view without a
 	// copy — and stamped onto the decoded message (or, for payload garbage,
 	// onto the error, so the fault charges the right session's budget).
 	op := body[0]
@@ -323,7 +343,7 @@ func (fr *frameReader) read() (message, error) {
 		return message{}, &garbageError{reason: "v4 mux frame: malformed session token"}
 	}
 	body[k] = op
-	m, err := decodeFrame(body[k:])
+	m, err := fr.decode(body[k:])
 	if err != nil {
 		var g *garbageError
 		if errors.As(err, &g) {
@@ -335,10 +355,10 @@ func (fr *frameReader) read() (message, error) {
 	return m, nil
 }
 
-// decodeFrame parses one complete frame body (opcode + payload). All
-// errors are *garbageError: the frame was already consumed, so the caller
-// may tolerate and continue.
-func decodeFrame(body []byte) (message, error) {
+// decode parses one complete frame body (opcode + payload). All errors are
+// *garbageError: the frame was already consumed, so the caller may tolerate
+// and continue.
+func (fr *frameReader) decode(body []byte) (message, error) {
 	op, rest := body[0], body[1:]
 	switch op {
 	case opFetch, opOK, opQuit:
@@ -376,7 +396,7 @@ func decodeFrame(body []byte) (message, error) {
 			return message{}, &garbageError{reason: "v3 config frame: malformed value count"}
 		}
 		rest = rest[k:]
-		vals := make([]int, n)
+		vals := fr.carve(int(n))
 		for i := range vals {
 			v, k := binary.Varint(rest)
 			if k <= 0 {

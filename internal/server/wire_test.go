@@ -243,7 +243,7 @@ func (rv *rawV3) readFrame() message {
 	if _, err := io.ReadFull(rv.r, body); err != nil {
 		rv.t.Fatalf("read frame body: %v", err)
 	}
-	m, err := decodeFrame(body)
+	m, err := new(frameReader).decode(body)
 	if err != nil {
 		rv.t.Fatalf("decode frame: %v", err)
 	}
@@ -575,12 +575,33 @@ func FuzzV3FrameDecode(f *testing.F) {
 	f.Add(frame(opFetch, bytes.Repeat([]byte{0x80}, 10))) // unterminated uvarint token
 	f.Add(frame(opFetch, bytes.Repeat([]byte{0x80}, 3)))  // truncated uvarint token
 	f.Add(muxFrame(opReportF, 5, []byte{0, 1, 2, 3}))     // tokened short reportf body
+	// Runs of config frames whose values cross the end of the reader's
+	// slab: 26 ten-value configs need 260 of its valueSlab = 256.
+	var run, muxRun []byte
+	ten := []byte{0, 10, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20}
+	for i := 0; i < 26; i++ {
+		run = append(run, frame(opConfig, ten)...)
+		muxRun = append(muxRun, muxFrame(opConfig, uint64(1+i%3), ten)...)
+	}
+	f.Add(run)
+	f.Add(muxRun)
+	f.Add(append(slices.Clone(run[:len(run)-3]), frame(opConfigF, append(append([]byte{0}, fid...), 2, 40, 90))...)) // a truncated config at the slab's end
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The same contract holds on both framings: never panic, classify
 		// every failure, and round-trip every decoded hot-path message.
 		for _, mux := range []bool{false, true} {
 			fr := frameReader{r: bufio.NewReader(bytes.NewReader(data)), mux: mux}
+			// Every decoded config stays as decoded while later frames are
+			// read: the values carved for it are its own.
+			var configs, copies [][]int
+			defer func() {
+				for i := range configs {
+					if !slices.Equal(configs[i], copies[i]) {
+						t.Fatalf("mux=%v: config %d changed to %v after later reads, was %v", mux, i, configs[i], copies[i])
+					}
+				}
+			}()
 			for i := 0; i < 64; i++ {
 				m, err := fr.read()
 				if err != nil {
@@ -604,6 +625,9 @@ func FuzzV3FrameDecode(f *testing.F) {
 				}
 				if mux && !m.hasSess {
 					t.Fatalf("mux frame decoded without a session token: %+v", m)
+				}
+				if m.Op == "config" {
+					configs, copies = append(configs, m.Values), append(copies, slices.Clone(m.Values))
 				}
 				// Round-trip stability for everything the writer can encode,
 				// token included.
@@ -856,16 +880,60 @@ func (s *frameSource) read() (message, error) {
 	return s.fr.read()
 }
 
+// TestClientConfigsDoNotAlias: the config values a frame reader returns —
+// the plain client's and the Mux reader's alike — are carved from shared
+// slabs, across several slabs here, yet each configuration is its own:
+// it stays valid across later reads, appending to it reallocates, and
+// writing to it leaves every other unchanged.
+func TestClientConfigsDoNotAlias(t *testing.T) {
+	for _, mux := range []bool{false, true} {
+		var buf bytes.Buffer
+		fw := frameWriter{w: bufio.NewWriter(&buf), mux: mux}
+		var want [][]int
+		for i := 0; i < 3*valueSlab/7+5; i++ {
+			vals := make([]int, 1+i%10)
+			for j := range vals {
+				vals[j] = 100*i + j
+			}
+			if err := fw.append(message{Op: "config", Values: vals, sess: 1}); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, vals)
+		}
+		if err := fw.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		fr := frameReader{r: bufio.NewReader(&buf), mux: mux}
+		var got [][]int
+		for range want {
+			m, err := fr.read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, m.Values)
+		}
+		for i := range got {
+			if grown := append(got[i], -1); &grown[0] == &got[i][0] {
+				t.Fatalf("mux=%v: config %d grew in place", mux, i)
+			}
+		}
+		got[3][0] = -7
+		want[3][0] = -7
+		for i := range got {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("mux=%v: config %d = %v, want %v", mux, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestFrameReadAllocs guards the frame reader's steady state: reading a
-// fetch, report or reportf frame allocates nothing, and a config frame
-// allocates exactly its values, which the receiver keeps.
+// fetch, report or reportf frame allocates nothing, and so does a config
+// frame while the reader's slab has room for its values. A config frame
+// that finds the slab used up allocates exactly one new slab.
 func TestFrameReadAllocs(t *testing.T) {
 	for _, mux := range []bool{false, true} {
 		for _, f := range hotFrames {
-			want := 0.0
-			if f.m.Op == "config" {
-				want = 1
-			}
 			m := f.m
 			m.sess = 3
 			src := newFrameSource(t, m, mux)
@@ -877,8 +945,20 @@ func TestFrameReadAllocs(t *testing.T) {
 				!slices.Equal(got.Values, m.Values) || got.hasSess != mux {
 				t.Fatalf("%s (mux=%v) decoded as %+v, want %+v", f.name, mux, got, m)
 			}
-			if allocs := testing.AllocsPerRun(100, func() { src.read() }); allocs != want { //nolint:errcheck
-				t.Errorf("%s (mux=%v): read allocated %v, want %v", f.name, mux, allocs, want)
+			// Room for every read below, the warm-up included.
+			src.fr.slab = make([]int, 101*len(m.Values))
+			if allocs := testing.AllocsPerRun(100, func() { src.read() }); allocs != 0 { //nolint:errcheck
+				t.Errorf("%s (mux=%v): read allocated %v, want 0", f.name, mux, allocs)
+			}
+			if m.Op != "config" {
+				continue
+			}
+			full := func() {
+				src.fr.slab = src.fr.slab[:0]
+				src.read() //nolint:errcheck
+			}
+			if allocs := testing.AllocsPerRun(100, full); allocs != 1 {
+				t.Errorf("%s (mux=%v): read with the slab used up allocated %v, want 1", f.name, mux, allocs)
 			}
 		}
 	}
