@@ -18,10 +18,6 @@
 //	hbench -json -target webservice -workload ordering -budget 120
 //	hbench -json -target synthetic -seed 7 -improved=false
 //
-// The -cache-bench, -fidelity-bench and -drift-bench modes regenerate the
-// committed BENCH_eval_cache.json, BENCH_fidelity.json and BENCH_drift.json
-// reports, which they write to stdout.
-//
 // The shared observability flags also apply: -trace-out captures the full
 // typed event stream (simplex operations, seeds, convergence decisions)
 // alongside the reduced trajectory, and -obs-addr exposes /metrics,
@@ -45,21 +41,17 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment id to run, or 'all'")
-		quick      = flag.Bool("quick", false, "shrink budgets (coarser, faster)")
-		seed       = flag.Uint64("seed", 0, "seed offset for all experiment randomness")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
-		jsonOut    = flag.Bool("json", false, "trajectory mode: tune -target once and emit per-iteration JSONL records (iter, perf, best, elapsed_ms) on stdout")
-		target     = flag.String("target", "webservice", "trajectory target: webservice or synthetic")
-		workload   = flag.String("workload", "ordering", "TPC-W mix for the webservice target: browsing, shopping or ordering")
-		budget     = flag.Int("budget", 120, "trajectory exploration budget")
-		improved   = flag.Bool("improved", true, "use the evenly-distributed initial exploration (§4.1)")
-		workers    = flag.Int("workers", 1, "trajectory mode: concurrent measurements (the parallel simplex kernel; 1 = sequential)")
-		latency    = flag.Duration("latency", 0, "trajectory/cache-bench mode: added per-measurement latency, simulating a slow benchmark harness")
-		cacheB     = flag.Bool("cache-bench", false, "run the measure-once evaluation-cache benchmark and emit BENCH_eval_cache.json on stdout")
-		truthEvery = flag.Int("gate-truth-check-every", 16, "cache bench, gated mode: re-measure every Nth gate-answered probe and record |truth − estimate| (0 = never)")
-		fidB       = flag.Bool("fidelity-bench", false, "run the multi-fidelity search benchmark (full-fidelity simplex vs prior-seeded Hyperband on the web cluster) and emit BENCH_fidelity.json on stdout")
-		driftB     = flag.Bool("drift-bench", false, "run the workload-drift recovery benchmark (no-retune vs cold restart vs warm in-session re-tune on the web cluster) and emit BENCH_drift.json on stdout")
+		exp      = flag.String("exp", "all", "experiment id to run, or 'all'")
+		quick    = flag.Bool("quick", false, "shrink budgets (coarser, faster)")
+		seed     = flag.Uint64("seed", 0, "seed offset for all experiment randomness")
+		list     = flag.Bool("list", false, "list experiment ids and exit")
+		jsonOut  = flag.Bool("json", false, "trajectory mode: tune -target once and emit per-iteration JSONL records (iter, perf, best, elapsed_ms) on stdout")
+		target   = flag.String("target", "webservice", "trajectory target: webservice or synthetic")
+		workload = flag.String("workload", "ordering", "TPC-W mix for the webservice target: browsing, shopping or ordering")
+		budget   = flag.Int("budget", 120, "trajectory exploration budget")
+		improved = flag.Bool("improved", true, "use the evenly-distributed initial exploration (§4.1)")
+		workers  = flag.Int("workers", 1, "trajectory mode: concurrent measurements (the parallel simplex kernel; 1 = sequential)")
+		latency  = flag.Duration("latency", 0, "trajectory mode: added per-measurement latency, simulating a slow benchmark harness")
 	)
 	obsCfg := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
@@ -77,33 +69,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer rt.Close()
-
-	if *cacheB {
-		if err := cacheBench(rt, *target, *seed, *budget, *latency, *truthEvery); err != nil {
-			rt.Logger.Error("cache bench failed", "err", err)
-			rt.Close()
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *driftB {
-		if err := driftBench(rt, *seed, *budget); err != nil {
-			rt.Logger.Error("drift bench failed", "err", err)
-			rt.Close()
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *fidB {
-		if err := fidelityBench(rt, *workload, *seed, *budget); err != nil {
-			rt.Logger.Error("fidelity bench failed", "err", err)
-			rt.Close()
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *jsonOut {
 		if err := trajectory(rt, *target, *workload, *budget, *improved, *seed, *workers, *latency); err != nil {

@@ -146,7 +146,7 @@ type TrajectoryRecord struct {
 // TrajectoryJSONL adapts a writer into a search.Tracer that reduces the
 // event stream to per-iteration TrajectoryRecord lines: cache hits, seeds
 // and simplex bookkeeping are folded away, leaving exactly the (iter, best,
-// elapsed) series the BENCH_*.json artifacts need.
+// elapsed) series that hbench -json emits.
 type TrajectoryJSONL struct {
 	mu    sync.Mutex
 	enc   *json.Encoder
